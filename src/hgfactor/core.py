@@ -263,13 +263,13 @@ def replicate(k: int, g: Hypergraph) -> Hypergraph:
 
 
 @lru_cache(maxsize=65536)
-def _incidence(g: Hypergraph):
-    """(edges_at_vertex, edge_set) lookup tables for g."""
+def _incidence(g: Hypergraph) -> tuple:
+    """Edges at each vertex of g, in sorted edge order."""
     at = [[] for _ in range(g.n)]
     for e in g.sorted_edges():
-        for v in set(e.vertices):
+        for v in e.vertices:
             at[v].append(e)
-    return tuple(tuple(es) for es in at), g.edges
+    return tuple(tuple(es) for es in at)
 
 
 def connected_components(g: Hypergraph) -> list:
@@ -302,51 +302,141 @@ def is_connected(g: Hypergraph) -> bool:
     return len(connected_components(g)) == 1
 
 
+def _pattern(f: Hypergraph, anchored: bool = False) -> tuple:
+    """Search plan for f, the pattern side of _find.
+
+    Returns f's edges as a set of (kind, vertices, colour) keys, with
+    unordered edges in every vertex order so host edges need no sorting;
+    f's vertex degrees; and the placement orders to try.  Unanchored,
+    that is the ascending order alone.  Anchored, it is one order per
+    automorphism orbit of f: an orbit representative first, the others
+    ascending.  Each order carries, per position, the number of "closing"
+    f edges completed there and the earliest placed f vertex sharing an
+    edge with the one placed there (None if there is none).
+    """
+    keys = set()
+    deg = [0] * f.n
+    for e in f.edges:
+        orders = [e.vertices] if e.kind is EdgeKind.ORDERED \
+            else itertools.permutations(e.vertices)
+        keys.update((e.kind, vs, e.colour) for vs in orders)
+        for v in e.vertices:
+            deg[v] += 1
+    plans = []
+    for w in (range(f.n) if anchored else [None]):
+        order = list(range(f.n))
+        if w is not None:
+            order.remove(w)
+            order.insert(0, w)
+        rank = [0] * f.n
+        for i, v in enumerate(order):
+            rank[v] = i
+        closing = [0] * f.n
+        link = [None] * f.n
+        for e in f.edges:
+            ranks = sorted(rank[v] for v in e.vertices)
+            closing[ranks[-1]] += 1
+            for r in ranks[1:]:
+                if link[r] is None or rank[link[r]] > ranks[0]:
+                    link[r] = order[ranks[0]]
+        plans.append((order, closing, link))
+    if anchored:
+        # an embedding with w on the anchor, composed with automorphisms,
+        # puts every vertex of w's orbit there, so one start per orbit
+        f_at = [[] for _ in range(f.n)]
+        for e in f.edges:
+            for v in e.vertices:
+                f_at[v].append(e)
+        starts = []
+        for w in range(f.n):
+            if all(_find((keys, deg, [plans[r]]), f_at, range(f.n), w) is None
+                   for r in starts):
+                starts.append(w)
+        plans = [plans[w] for w in starts]
+    return keys, deg, plans
+
+
+def _find(pattern: tuple, g_at: Sequence, allowed: Sequence,
+          anchor: Optional[int] = None) -> Optional[tuple]:
+    """Induced embedding of a _pattern into the part of a host on `allowed`.
+
+    g_at[u] lists the host's edges at vertex u and `allowed` is a sorted
+    vertex list; edges reaching outside `allowed` are never looked at, so
+    the search runs on the induced subhypergraph without building it.
+    With anchor None the pattern's single ascending order is used and the
+    lexicographically first embedding is returned.  With an anchor (the
+    pattern built with anchored=True) only embeddings whose image
+    contains it count: each start vertex in turn is pinned to it.
+
+    No EdgeObject is built.  Placing v on u maps every host edge at u
+    whose vertices are all placed back into f's labels; the move stands
+    when each lands on an f edge and their number equals v's closing
+    count.  Mapping back is injective, so equal counts also prove that
+    every closing edge has its image.  Candidates for v are the allowed
+    vertices of at least v's degree that share a host edge with the image
+    of v's linked f neighbour; both filters keep ascending order.
+    """
+    keys, deg, plans = pattern
+    n = len(deg)
+    pre = [-1] * len(g_at)  # host vertex -> f vertex
+    look = pre.__getitem__
+    image = [-1] * n
+
+    def extend(i: int) -> bool:
+        if i == n:
+            return True
+        v = order[i]
+        if i == 0 and anchor is not None:
+            cands = [anchor]
+        elif link[i] is not None:
+            near = {x for e in g_at[image[link[i]]] for x in e.vertices}
+            cands = [u for u in allowed if u in near]
+        else:
+            cands = allowed
+        for u in cands:
+            if pre[u] >= 0 or len(g_at[u]) < deg[v]:
+                continue
+            pre[u] = v
+            hits = 0
+            for e in g_at[u]:
+                back = tuple(map(look, e.vertices))
+                if -1 in back:
+                    continue
+                if (e.kind, back, e.colour) not in keys:
+                    break
+                hits += 1
+            else:
+                if hits == closing[i]:
+                    image[v] = u
+                    if extend(i + 1):
+                        return True
+            pre[u] = -1
+        return False
+
+    for order, closing, link in plans:
+        if extend(0):
+            return tuple(image)
+    return None
+
+
 def embed_induced(f: Hypergraph, g: Hypergraph) -> Optional[Embedding]:
     """First induced embedding of f into g in lexicographic order, or None.
 
     An embedding is induced when the image carries exactly the images of
     f's edges: edges of g inside the image must pull back to edges of f.
+    The search (_find) places f's vertices in ascending order and tries
+    g's vertices in ascending order.  It skips candidates of smaller
+    degree than the f vertex, or not adjacent to the image of an earlier
+    f neighbour, and accepts a placement when the g edges it closes all
+    pull back to f edges and match f's count of edges closed there.
+    Pruning never reorders candidates, so the answer is the first
+    embedding in lexicographic order.
     """
     _check_same_universe(f, g)
     if f.n > g.n or len(f.edges) > len(g.edges):
         return None
-    f_at, f_edges = _incidence(f)
-    g_at, g_edges = _incidence(g)
-
-    image = [-1] * f.n  # f vertex -> g vertex
-    pre = {}  # g vertex -> f vertex
-
-    def consistent(v: int) -> bool:
-        u = image[v]
-        for e in f_at[v]:
-            if all(image[w] >= 0 for w in e.vertices):
-                if _remap_edge(e, image) not in g_edges:
-                    return False
-        for e in g_at[u]:
-            if all(w in pre for w in e.vertices):
-                back = EdgeObject(e.kind, tuple(pre[w] for w in e.vertices), e.colour)
-                if back not in f_edges:
-                    return False
-        return True
-
-    def extend(v: int) -> bool:
-        if v == f.n:
-            return True
-        for u in range(g.n):
-            if u in pre:
-                continue
-            image[v] = u
-            pre[u] = v
-            if consistent(v) and extend(v + 1):
-                return True
-            image[v] = -1
-            del pre[u]
-        return False
-
-    if extend(0):
-        return Embedding(tuple(image))
-    return None
+    image = _find(_pattern(f), _incidence(g), range(g.n))
+    return None if image is None else Embedding(image)
 
 
 def _refined_colours(g: Hypergraph) -> list:
@@ -357,7 +447,7 @@ def _refined_colours(g: Hypergraph) -> list:
     the co-members.  Profiles are label-independent, so the final colour
     classes are respected by every isomorphism.
     """
-    at, _ = _incidence(g)
+    at = _incidence(g)
     colours = [0] * g.n
     n_classes = 1 if g.n else 0
     while True:

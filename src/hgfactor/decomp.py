@@ -472,13 +472,18 @@ def is_strict(g: Hypergraph, p: Property, member_cap: int = DEFAULT_MEMBER_CAP) 
     """Is G in P with some one-vertex join extension outside P?
 
     Exact criterion for finite forbidden sets; brute force over all
-    single-vertex join extensions otherwise.
+    single-vertex join extensions otherwise, raising CapExceededError
+    when there are more than member_cap of them.
     """
     if isinstance(p, FiniteForbidden):
         return strictness_witness(g, p) is not None
     if not p.member(g):
         raise HgError("graph is not in the property")
     one = Hypergraph(g.universe, 1, frozenset())
+    cands = crossing_edge_candidates([g, one], member_cap)
+    if 1 << len(cands) > member_cap:
+        raise CapExceededError(
+            f"one-vertex join has 2^{len(cands)} members, over the cap")
     for m in join_members([g, one], member_cap):
         if not p.member(m):
             return True

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .core import (
@@ -36,6 +37,8 @@ from .core import (
     _numbered_lines,
     _format_universe,
     _parse_universe_spec,
+    _find,
+    _pattern,
     format_hypergraph,
 )
 from .generate import EnumSpec, enumerate_hypergraphs
@@ -278,6 +281,12 @@ def is_additive(p: Property, search_bound: Optional[int] = None) -> bool:
     return all(is_connected(f) for f in forbidden_up_to(p, search_bound))
 
 
+@lru_cache(maxsize=1024)
+def _patterns(p: FiniteForbidden) -> tuple:
+    """Anchored search plans of p's forbidden graphs (see core._pattern)."""
+    return tuple(_pattern(f, anchored=True) for f in p.forbidden)
+
+
 def partition_solve(g: Hypergraph, factors: Sequence) -> Optional[PartitionAssignment]:
     """First vertex partition (empty blocks allowed) whose i-th block
     induces a member of factors[i]; None when none exists.
@@ -288,6 +297,18 @@ def partition_solve(g: Hypergraph, factors: Sequence) -> Optional[PartitionAssig
     factors prune partial blocks (membership is hereditary, so a partial
     block that already fails can never recover); product factors are only
     checked on complete blocks.
+
+    A finite-forbidden block is checked incrementally: it was clean before
+    vertex v joined, so only forbidden copies through v can appear, and
+    the search looks for those alone, inside the block, on g's incidence
+    lists built once per call (the same degree pruning and count-based
+    edge check as embed_induced, candidates kept in ascending order).
+
+    A block larger than a generated factor's bound cannot be decided.
+    Such branches are cut; a solution found elsewhere is still definite,
+    but when the search is exhausted after cutting any, the verdict
+    depends on the unknown part of the factor and BoundExceededError is
+    raised.
     """
     for fac in factors:
         if fac.universe != g.universe:
@@ -298,14 +319,25 @@ def partition_solve(g: Hypergraph, factors: Sequence) -> Optional[PartitionAssig
     parts = [set() for _ in range(m)]
     deferred = [i for i, fac in enumerate(factors)
                 if not isinstance(fac, (FiniteForbidden, GeneratedBounded))]
+    g_at = [[] for _ in range(g.n)]
+    for e in g.edges:
+        for v in e.vertices:
+            g_at[v].append(e)
+    patterns = [_patterns(fac) if isinstance(fac, FiniteForbidden) else ()
+                for fac in factors]
+    cut_bound = None  # bound of a generated factor that cut a branch
 
-    def part_ok(i: int) -> bool:
+    def part_ok(i: int, v: int) -> bool:
+        nonlocal cut_bound
         fac = factors[i]
-        sub = induced(g, parts[i])
         if isinstance(fac, FiniteForbidden):
-            return not any(embed_induced(f, sub) for f in fac.forbidden)
+            block = sorted(parts[i])
+            return all(_find(pat, g_at, block, v) is None for pat in patterns[i])
         if isinstance(fac, GeneratedBounded):
-            return sub.n <= fac.bound and bool(fac.member(sub))
+            if len(parts[i]) > fac.bound:
+                cut_bound = fac.bound
+                return False
+            return bool(fac.member(induced(g, parts[i])))
         return True
 
     def place(v: int) -> bool:
@@ -313,13 +345,17 @@ def partition_solve(g: Hypergraph, factors: Sequence) -> Optional[PartitionAssig
             return all(bool(factors[i].member(induced(g, parts[i]))) for i in deferred)
         for i in range(m):
             parts[i].add(v)
-            if part_ok(i) and place(v + 1):
+            if part_ok(i, v) and place(v + 1):
                 return True
             parts[i].discard(v)
         return False
 
     if place(0):
         return PartitionAssignment(tuple(frozenset(p) for p in parts))
+    if cut_bound is not None:
+        raise BoundExceededError(
+            f"no partition keeps every block within the declared bound {cut_bound} "
+            f"of a generated factor")
     return None
 
 

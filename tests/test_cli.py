@@ -6,6 +6,8 @@ import json
 import pytest
 
 from hgfactor import (
+    GeneratedBounded,
+    ProductProperty,
     aligning_super,
     all_decompositions,
     decomposition_blocker,
@@ -13,6 +15,7 @@ from hgfactor import (
     format_copy_tracked,
     format_hypergraph,
     save_property,
+    simple_graph,
     unique_super,
 )
 from hgfactor.cli import CliConfig, load_config, parse_config_text, run
@@ -175,6 +178,21 @@ def test_partition_no_solution(capsys, files):
     code, out, err = cli(capsys, "partition", "-g", files.k3,
                          "-p", files.two_colour)
     assert (code, out) == (1, "no admissible partition\n")
+
+
+def test_partition_beyond_generated_bound_exits_3(capsys, files, g, u, tmp_path):
+    # two edgeless factors known up to 2 vertices: 4 isolated vertices
+    # split within the bounds, 5 cannot be decided
+    q = GeneratedBounded(u, (g.e2,), 2)
+    prod = str(tmp_path / "pairs.prop")
+    save_property(ProductProperty((q, q)), prod, "pairs")
+    for n, want in ((4, 0), (5, 3)):
+        path = tmp_path / f"e{n}.hg"
+        path.write_text(format_hypergraph(simple_graph(n, [])), encoding="utf-8")
+        for verb in ("member", "partition"):
+            code, out, err = cli(capsys, verb, "-g", str(path), "-p", prod)
+            assert code == want
+            assert ("bound 2" in err) == (want == 3)
 
 
 # --- dec / strict / decompositions -------------------------------------------

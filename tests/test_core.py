@@ -50,6 +50,15 @@ def two_colour_universe():
     return Universe(frozenset({EdgeKind.UNORDERED}), frozenset({2}), ("r", "b"))
 
 
+def triple_universe():
+    return Universe(frozenset({EdgeKind.UNORDERED}), frozenset({3}), ("e",))
+
+
+def mixed_universe():
+    return Universe(frozenset({EdgeKind.ORDERED, EdgeKind.UNORDERED}),
+                    frozenset({2, 3}), ("e",))
+
+
 # --- universe and edge validation ---------------------------------------
 
 def test_universe_rejects_bad_shapes():
@@ -171,18 +180,29 @@ def test_embedding_is_valid_when_found(g):
 
 
 def test_embed_induced_matches_brute_force(u):
+    # the library must return exactly the first embedding in permutation
+    # order, on every edge shape the universes allow; half of the patterns
+    # are shuffled induced subgraphs of the host, so hits are common
     rng = random.Random(SEED)
-    checked_hits = 0
-    for _ in range(120):
-        f = random_graph(u, rng.randint(0, 3), 0.5, rng)
-        g_ = random_graph(u, rng.randint(0, 5), 0.5, rng)
-        lib = embed_induced(f, g_)
-        brute = brute_embed(f, g_)
-        assert (lib is None) == (brute is None)
-        if lib is not None:
-            assert mapped_triples(f, lib.mapping) == image_triples(g_, lib.mapping)
-            checked_hits += 1
-    assert checked_hits > 10
+    cases = [(u, 0.5), (digraph_universe(), 0.35), (triple_universe(), 0.5),
+             (two_colour_universe(), 0.4), (mixed_universe(), 0.1)]
+    for uni, p in cases:
+        checked_hits = 0
+        for _ in range(200):
+            g_ = random_graph(uni, rng.randint(0, 6), p, rng)
+            k = rng.randint(0, 4)
+            if rng.random() < 0.5 and k <= g_.n:
+                sub = induced(g_, rng.sample(range(g_.n), k))
+                perm = rng.sample(range(k), k)
+                f = relabel(sub, perm)
+            else:
+                f = random_graph(uni, k, p, rng)
+            lib = embed_induced(f, g_)
+            brute = brute_embed(f, g_)
+            assert (None if lib is None else lib.mapping) == brute
+            if lib is not None and f.edges:
+                checked_hits += 1
+        assert checked_hits > 15
 
 
 def test_embed_induced_on_ordered_edges():

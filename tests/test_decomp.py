@@ -7,6 +7,7 @@ import pytest
 
 from hgfactor import (
     BOUNDED,
+    CapExceededError,
     DecWitness,
     Decomposition,
     EXACT,
@@ -266,6 +267,13 @@ def test_strictness_brute_force_for_products(g, props):
     assert is_strict(g.k2, props.two_colour)
     assert not is_strict(g.k1, props.two_colour)
     assert brute_strict(g.k2, lambda h: bool(member(props.two_colour, h)))
+
+
+def test_strictness_brute_force_respects_member_cap(g, props):
+    # K2 plus one vertex has 2 crossing edges, so 2^2 join members
+    with pytest.raises(CapExceededError):
+        is_strict(g.k2, props.two_colour, member_cap=3)
+    assert is_strict(g.k2, props.two_colour, member_cap=4)
 
 
 def test_strictness_witness_structure(g, props):

@@ -6,13 +6,17 @@ import pytest
 
 from hgfactor import (
     BoundExceededError,
+    EdgeKind,
+    EdgeObject,
     FiniteForbidden,
     ForbiddenWitness,
     FormatError,
     GeneratedBounded,
     HgError,
+    Hypergraph,
     PartitionAssignment,
     ProductProperty,
+    Universe,
     UniverseMismatchError,
     canonical_form,
     forbidden_property,
@@ -168,6 +172,68 @@ def test_partition_solve_matches_assignment_scan(u, props):
         assert (got is None) == (want is None)
         if got is not None:
             assert got.assignment_vector() == want
+
+
+def test_partition_solve_matches_assignment_scan_beyond_simple_graphs():
+    # directed and 3-uniform factors whose forbidden graphs have 2 to 4
+    # vertices, so the search through the newly placed vertex starts from
+    # every position of the forbidden graph
+    rng = random.Random(SEED + 2)
+    du = Universe(frozenset({EdgeKind.ORDERED}), frozenset({2}), ("a",))
+    tu = Universe(frozenset({EdgeKind.UNORDERED}), frozenset({3}), ("e",))
+
+    def graph(uni, n, edges):
+        kind = next(iter(uni.kinds))
+        return Hypergraph(uni, n, frozenset(EdgeObject(kind, e, uni.colours[0])
+                                            for e in edges))
+
+    arc = graph(du, 2, [(0, 1)])
+    two_cycle = graph(du, 2, [(0, 1), (1, 0)])
+    path = graph(du, 3, [(0, 1), (1, 2)])
+    out_star = graph(du, 3, [(0, 1), (0, 2)])
+    triple = graph(tu, 3, [(0, 1, 2)])
+    pair = graph(tu, 4, [(0, 1, 2), (1, 2, 3)])
+    loose = graph(tu, 5, [(0, 1, 2), (2, 3, 4)])
+    cases = [
+        (du, 0.4, 6, [forbidden_property(du, [arc, two_cycle]),
+                      forbidden_property(du, [path, two_cycle])]),
+        (du, 0.8, 6, [forbidden_property(du, [out_star, two_cycle]),
+                      forbidden_property(du, [path, two_cycle]),
+                      forbidden_property(du, [arc, two_cycle])]),
+        (tu, 0.5, 8, [forbidden_property(tu, [triple]),
+                      forbidden_property(tu, [triple])]),
+        (tu, 0.5, 8, [forbidden_property(tu, [triple]),
+                      forbidden_property(tu, [pair, loose])]),
+    ]
+    runs = solved = 0
+    for uni, p, n_max, factors in cases:
+        fns = [lambda h, fac=fac: bool(member(fac, h)) for fac in factors]
+        found = 0
+        for _ in range(40):
+            g_ = random_graph(uni, rng.randint(1, n_max), p, rng)
+            got = partition_solve(g_, factors)
+            want = solve_by_assignment(g_, fns)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.assignment_vector() == want
+                found += 1
+        assert found > 0
+        runs, solved = runs + 40, solved + found
+    assert solved < runs
+
+
+def test_product_of_bounded_factors_is_honest(u, g):
+    # blocks beyond a generated factor's bound cannot be decided: a
+    # partition within the bounds is definite, running out of them raises
+    q = GeneratedBounded(u, (g.e2,), 2)
+    prod = ProductProperty((q, q))
+    res = member(prod, simple_graph(4, []))
+    assert res.detail.parts == (frozenset({0, 1}), frozenset({2, 3}))
+    assert not member(prod, g.k3)  # every branch fails inside the bounds
+    with pytest.raises(BoundExceededError):
+        member(prod, simple_graph(5, []))
+    with pytest.raises(BoundExceededError):
+        partition_solve(simple_graph(5, []), [q, q])
 
 
 def test_partition_assignment_validation():
