@@ -53,6 +53,8 @@ from .construct import (
 from .factor import (
     IRREDUCIBLE_CERTIFIED,
     REDUCIBLE,
+    _mode_for as _default_mode,
+    dec_bounds,
     irreducibility_test,
 )
 
@@ -171,7 +173,13 @@ def _mode_for(args, p) -> str:
         return EXACT
     if args.mode == "bounded":
         return BOUNDED
-    return EXACT if isinstance(p, FiniteForbidden) else BOUNDED
+    return _default_mode(p)
+
+
+def _check_vertex_cap(n: int, cfg: CliConfig) -> None:
+    if n > cfg.max_vertices:
+        raise CapExceededError(
+            f"requested {n} vertices, configured cap is {cfg.max_vertices}")
 
 
 def _prop_label(p) -> str:
@@ -271,10 +279,11 @@ def cmd_construct(args, cfg: CliConfig):
 
 
 def cmd_factorize(args, cfg: CliConfig):
+    for n in (args.bound, args.forbidden_size):
+        _check_vertex_cap(n, cfg)
     p = _load_property(args.property)
     verdict = irreducibility_test(p, args.bound, args.forbidden_size,
                                   workers=cfg.workers)
-    from .factor import dec_bounds
     bounds = dec_bounds(p, args.bound)
     lines = [f"dec bracket: [{bounds.lower}, {bounds.upper}]",
              f"equality bound: {args.bound}"]
@@ -293,10 +302,7 @@ def cmd_factorize(args, cfg: CliConfig):
 
 
 def cmd_enumerate(args, cfg: CliConfig):
-    if args.vertices > cfg.max_vertices:
-        raise CapExceededError(
-            f"requested {args.vertices} vertices, configured cap is "
-            f"{cfg.max_vertices}")
+    _check_vertex_cap(args.vertices, cfg)
     u = _parse_universe_spec(args.universe, 0) if args.universe else simple_universe()
     spec = EnumSpec(u, args.vertices, connected_only=args.connected)
     blocks = [format_hypergraph(g) for g in enumerate_hypergraphs(spec)]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .core import (
@@ -177,7 +178,16 @@ def dec_bounds(p: Property, n: int, k_max: int = 1) -> DecBounds:
     factor contributing at least one part.  Non-forbidden-set
     representations are scanned in bounded join mode (k_max), which for
     the shapes handled here is still exact on refutations.
+
+    Brackets are memoised per (p, n, k_max) for the life of the process;
+    a call that raises is not remembered and raises again when repeated.
     """
+    # lru_cache keys on the call's spelling, so normalise k_max here
+    return _dec_bounds(p, n, k_max)
+
+
+@lru_cache(maxsize=256)
+def _dec_bounds(p: Property, n: int, k_max: int) -> DecBounds:
     mode = _mode_for(p)
     lower = max(1, _syntactic_lower(p))
     additive_ff = isinstance(p, FiniteForbidden) and is_additive(p)
@@ -222,10 +232,12 @@ def _connected_candidates(p: Property, max_size: int) -> list:
     return out
 
 
-def _fingerprint(p: Property, n: int, universe_graphs) -> tuple:
+def _fingerprint(p: Property, n: int) -> tuple:
     """Bounded extensional identity: the canonical keys of all members
     with at most n vertices."""
-    return tuple(sorted(canonical_key(g) for g in universe_graphs if p.member(g)))
+    return tuple(sorted(canonical_key(g)
+                        for g in enumerate_hypergraphs(EnumSpec(p.universe, n))
+                        if p.member(g)))
 
 
 def factor_search(p: Property, candidate_forbidden_size: int, equality_bound: int,
@@ -267,15 +279,13 @@ def factor_search(p: Property, candidate_forbidden_size: int, equality_bound: in
                 out.append(f)
         return tuple(out)
 
-    universe_graphs = list(enumerate_hypergraphs(EnumSpec(p.universe, equality_bound)))
     results = []
     seen = set()
     for combo in verified:
         refined = refine(combo)
         if refined != tuple(combo) and not verify_factorisation(p, refined, equality_bound):
             refined = tuple(combo)
-        prints = sorted(_fingerprint(f, equality_bound, universe_graphs)
-                        for f in refined)
+        prints = sorted(_fingerprint(f, equality_bound) for f in refined)
         key = tuple(prints)
         if key in seen:
             continue

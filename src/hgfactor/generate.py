@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .core import (
     CapExceededError,
@@ -63,24 +64,37 @@ def enumerate_hypergraphs(spec: EnumSpec):
     n-1 vertices by adding a vertex together with every subset of edges
     through it; every class is reached because deleting the last vertex
     of any graph gives a graph on one vertex fewer.
+
+    Layers are memoised per (universe, n) and kept for the life of the
+    process, so repeated bounded scans enumerate each layer once.  A layer
+    is built only when the stream reaches it: a consumer that stops early
+    never pays for the larger layers.
     """
     u = spec.universe
-    layer = [Hypergraph(u, 0, frozenset())]
     if not spec.connected_only or spec.max_vertices == 0:
-        yield layer[0]
+        yield _layer(u, 0)[0]
     for n in range(1, spec.max_vertices + 1):
-        seen = {}
-        for g in layer:
-            grown = Hypergraph(u, n, g.edges)
-            for picks in _subsets(_new_vertex_edges(u, n)):
-                h = Hypergraph(u, n, grown.edges | picks)
-                key = canonical_key(h)
-                if key not in seen:
-                    seen[key] = canonical_form(h)
-        layer = [seen[k] for k in sorted(seen)]
-        for h in layer:
+        for h in _layer(u, n):
             if not spec.connected_only or is_connected(h):
                 yield h
+
+
+@lru_cache(maxsize=64)
+def _layer(u: Universe, n: int) -> tuple:
+    """Canonical forms of every class on exactly n vertices, in
+    canonical-key order."""
+    if n == 0:
+        return (Hypergraph(u, 0, frozenset()),)
+    seen = {}
+    new_edges = _new_vertex_edges(u, n)
+    for g in _layer(u, n - 1):
+        grown = Hypergraph(u, n, g.edges)
+        for picks in _subsets(new_edges):
+            h = Hypergraph(u, n, grown.edges | picks)
+            key = canonical_key(h)
+            if key not in seen:
+                seen[key] = canonical_form(h)
+    return tuple(seen[k] for k in sorted(seen))
 
 
 def _subsets(items: list):

@@ -6,11 +6,16 @@ import json
 import pytest
 
 from hgfactor import (
+    EdgeKind,
+    EdgeObject,
     GeneratedBounded,
+    Hypergraph,
     ProductProperty,
+    Universe,
     aligning_super,
     all_decompositions,
     decomposition_blocker,
+    forbidden_property,
     forcing_pair,
     format_copy_tracked,
     format_hypergraph,
@@ -325,6 +330,34 @@ def test_factorize_unknown_exits_1(capsys, files):
                          "--bound", "5", "--forbidden-size", "1")
     assert code == 1
     assert out.splitlines()[-1] == "unknown: no certificate either way"
+
+
+def test_factorize_directed_product_report(capsys, tmp_path):
+    du = Universe(frozenset({EdgeKind.ORDERED}), frozenset({2}), ("e",))
+    arc = EdgeObject(EdgeKind.ORDERED, (0, 1), "e")
+    back = EdgeObject(EdgeKind.ORDERED, (1, 0), "e")
+    edgeless = forbidden_property(du, [Hypergraph(du, 2, frozenset({arc})),
+                                       Hypergraph(du, 2, frozenset({arc, back}))])
+    path = str(tmp_path / "dir_two_colour.prop")
+    save_property(ProductProperty((edgeless, edgeless)), path, "dir_two_colour")
+    code, out, err = cli(capsys, "factorize", "-p", path, "--bound", "4")
+    assert code == 0
+    factor = "forbidden{H(n=2; O(0,1;e)); H(n=2; O(0,1;e) O(1,0;e))}"
+    assert out == ("dec bracket: [2, 2]\n"
+                   "equality bound: 4\n"
+                   f"factorisation 1: {factor} * {factor}\n")
+
+
+@pytest.mark.parametrize("bound, forbidden_size", [("5", "2"), ("3", "5")])
+def test_factorize_cap_is_configurable(capsys, files, tmp_path, bound,
+                                       forbidden_size):
+    cfgf = tmp_path / "c.cfg"
+    cfgf.write_text("max_vertices=3\n", encoding="utf-8")
+    code, out, err = cli(capsys, "--config", str(cfgf), "factorize",
+                         "-p", files.bip, "--bound", bound,
+                         "--forbidden-size", forbidden_size)
+    assert code == 3 and out == ""
+    assert err == "cap exceeded: requested 5 vertices, configured cap is 3\n"
 
 
 def test_factorize_workers_byte_identical(capsys, files):

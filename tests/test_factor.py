@@ -97,6 +97,13 @@ def test_dec_bounds_goldens(props):
     assert tuple(dec_bounds(props.bip, 5)) == (1, 2)
 
 
+def test_dec_bounds_repeated_call_is_equal(props):
+    first = dec_bounds(props.bip, 4)
+    assert dec_bounds(props.bip, 4) == first
+    assert dec_bounds(props.bip, 4, k_max=1) == first
+    assert first.witness is not None
+
+
 def test_dec_bounds_fallback_without_strict_members(props):
     res = dec_bounds(props.bip, 1)
     assert tuple(res) == (1, 2)
@@ -105,8 +112,9 @@ def test_dec_bounds_fallback_without_strict_members(props):
 
 
 def test_dec_bounds_errors(u, g, props):
-    with pytest.raises(HgError):
-        dec_bounds(props.two_colour, 1)  # no strict member, no fallback
+    for _ in range(2):  # a failed call is not remembered: it fails again
+        with pytest.raises(HgError):
+            dec_bounds(props.two_colour, 1)  # no strict member, no fallback
     m2 = forbidden_property(u, [g.two_k2])
     with pytest.raises(HgError) as exc:
         dec_bounds(m2, 4)

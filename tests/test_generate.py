@@ -90,6 +90,40 @@ def test_connected_only_filter():
     assert [len(groups.get(n, [])) for n in range(1, 6)] == [1, 1, 2, 6, 21]
 
 
+def three_uniform_universe():
+    return Universe(frozenset({EdgeKind.UNORDERED}), frozenset({3}), ("e",))
+
+
+def test_repeated_enumeration_is_identical():
+    u = digraph_universe()
+    first = list(enumerate_hypergraphs(EnumSpec(u, 3)))
+    again = list(enumerate_hypergraphs(EnumSpec(u, 3)))
+    assert again == first
+
+
+@pytest.mark.parametrize("universe, top", [
+    (simple_universe(), 5),
+    (digraph_universe(), 4),
+    (three_uniform_universe(), 5),
+])
+def test_bounded_stream_is_a_prefix_of_the_next(universe, top):
+    # the larger bound first, so the smaller ones are read from the layers
+    # it left behind
+    streams = {k: list(enumerate_hypergraphs(EnumSpec(universe, k)))
+               for k in range(top, -1, -1)}
+    for k in range(top):
+        assert streams[k + 1][:len(streams[k])] == streams[k]
+        assert all(g.n == k + 1 for g in streams[k + 1][len(streams[k]):])
+
+
+def test_connected_only_matches_the_full_stream():
+    u = simple_universe()
+    full = list(enumerate_hypergraphs(EnumSpec(u, 5)))
+    conn = list(enumerate_hypergraphs(EnumSpec(u, 5, connected_only=True)))
+    assert conn == [g for g in full if g.n > 0 and is_connected(g)]
+    assert list(enumerate_hypergraphs(EnumSpec(u, 0, connected_only=True))) == full[:1]
+
+
 def test_enumeration_cap():
     u = simple_universe()
     with pytest.raises(CapExceededError):
