@@ -72,7 +72,6 @@ class CliConfig:
     gstar_size_cap: int = 10**4
     k_max: int = 3
     workers: int = 1
-    format: str = "text"
 
 
 _INT_KEYS = ("max_vertices", "join_edge_cap", "gstar_size_cap", "k_max", "workers")
@@ -96,10 +95,6 @@ def parse_config_text(text: str) -> dict:
                 raise FormatError(f"{key} needs an integer, got {value!r}", lineno)
             if out[key] < 1:
                 raise FormatError(f"{key} must be positive", lineno)
-        elif key == "format":
-            if value not in ("text", "dot"):
-                raise FormatError(f"unknown format {value!r}", lineno)
-            out[key] = value
         else:
             raise FormatError(f"unknown configuration key {key!r}", lineno)
     return out
@@ -176,7 +171,9 @@ def _mode_for(args, p) -> str:
     return _default_mode(p)
 
 
-def _check_vertex_cap(n: int, cfg: CliConfig) -> None:
+def _check_vertex_count(n: int, flag: str, cfg: CliConfig) -> None:
+    if n < 0:
+        raise UsageError(f"{flag} must be at least 0, got {n}")
     if n > cfg.max_vertices:
         raise CapExceededError(
             f"requested {n} vertices, configured cap is {cfg.max_vertices}")
@@ -251,6 +248,8 @@ def cmd_strict(args, cfg: CliConfig):
 
 
 def cmd_decompositions(args, cfg: CliConfig):
+    if args.parts < 1:
+        raise UsageError(f"--parts must be at least 1, got {args.parts}")
     p = _load_property(args.property)
     g = _load_graph(args.graph)
     found = all_decompositions(g, p, args.parts, _mode_for(args, p),
@@ -279,8 +278,8 @@ def cmd_construct(args, cfg: CliConfig):
 
 
 def cmd_factorize(args, cfg: CliConfig):
-    for n in (args.bound, args.forbidden_size):
-        _check_vertex_cap(n, cfg)
+    for n, flag in ((args.bound, "--bound"), (args.forbidden_size, "--forbidden-size")):
+        _check_vertex_count(n, flag, cfg)
     p = _load_property(args.property)
     verdict = irreducibility_test(p, args.bound, args.forbidden_size,
                                   workers=cfg.workers)
@@ -302,7 +301,7 @@ def cmd_factorize(args, cfg: CliConfig):
 
 
 def cmd_enumerate(args, cfg: CliConfig):
-    _check_vertex_cap(args.vertices, cfg)
+    _check_vertex_count(args.vertices, "--vertices", cfg)
     u = _parse_universe_spec(args.universe, 0) if args.universe else simple_universe()
     spec = EnumSpec(u, args.vertices, connected_only=args.connected)
     blocks = [format_hypergraph(g) for g in enumerate_hypergraphs(spec)]

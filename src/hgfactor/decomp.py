@@ -6,19 +6,22 @@ disjoint copies of each part side by side and adding arbitrary
 part-crossing edges still satisfies P.  dec(G) is the maximum part count
 over such partitions (0 when G itself fails P).
 
-Two decision procedures:
+For finite forbidden sets one split engine (_first_split) decides joins:
+it walks the forbidden graphs in order and every assignment of a
+forbidden graph's vertices to the parts in lexicographic order, and asks
+a fit about each nonempty slice.  Slices are cut once per forbidden
+graph.  Two fits, one per mode:
 
-* EXACT (finite forbidden sets only): the universally quantified
-  containment fails iff some forbidden graph F splits across the parts
-  so that every connected component of each slice embeds induced into
-  the matching part.  Each component can be routed to its own copy, so
-  one copy per component suffices and the copy count never needs to
-  exceed |V(F)|; conversely the slices of an embedded F inside a join
-  member are induced in the copied parts.  The equivalence is validated
-  against the brute-force procedure in the test suite before anything
-  relies on it.
-* BOUNDED(k_max): brute force up to k copies.  A refutation is exact; a
-  pass is only "no failure up to k_max" and is marked as such.
+* EXACT: every connected component of each slice embeds induced into
+  its part.  Each component can be routed to its own copy, so one copy
+  per component suffices and the copy count never needs to exceed
+  |V(F)|; conversely the slices of an embedded F inside a join member
+  are induced in the copied parts.  The equivalence is validated
+  against the brute-force procedure in the test suite.
+* BOUNDED(k_max): each whole slice embeds induced into k copies of its
+  part, for k = 1..k_max; other properties scan the join members by
+  brute force (_first_bad_member).  A refutation is exact; a pass is
+  only "no failure up to k_max" and is marked as such.
 """
 
 from __future__ import annotations
@@ -178,98 +181,106 @@ class StrictnessWitness:
         return {w: self.embedding.mapping[i] for i, w in enumerate(rest)}
 
 
-def _split_fail_witness(p: FiniteForbidden, parts: Sequence) -> Optional[DecWitness]:
+class _Slices(dict):
+    """The slices of one forbidden graph f, each cut on first use: block
+    (ascending f vertices) -> (block, induced slice, components), each
+    component an (f vertices, induced component) pair, by smallest
+    vertex.  At most 2^|V(f)| entries."""
+
+    def __init__(self, f: Hypergraph):
+        self.f = f
+
+    def __missing__(self, block: tuple) -> tuple:
+        g = induced(self.f, block)
+        comps = tuple((tuple(block[c] for c in sorted(comp)), induced(g, comp))
+                      for comp in connected_components(g))
+        self[block] = (block, g, comps)
+        return self[block]
+
+
+_slices = lru_cache(maxsize=1024)(_Slices)
+
+
+def _first_split(p: FiniteForbidden, n_parts: int, fit) -> Optional[DecWitness]:
     """First (forbidden order, then vertex-lexicographic split order)
-    witness that some forbidden graph slices into the parts with every
-    slice component embedding induced, or None."""
+    split of some forbidden graph across n_parts parts that fits, or
+    None.  fit(i, block, slice, components) gets each nonempty slice and
+    returns its ComponentEmbedding records on part i, or None when the
+    slice does not fit there."""
     for f in p.forbidden:
-        for assign in itertools.product(range(len(parts)), repeat=f.n):
-            # a slice may be larger than its part: components embed into
-            # separate copies, so no size-based pruning is sound here
+        slices = _slices(f)
+        for assign in itertools.product(range(n_parts), repeat=f.n):
+            split = tuple(tuple(v for v in range(f.n) if assign[v] == i)
+                          for i in range(n_parts))
             records = []
-            ok = True
-            for i in range(len(parts)):
-                block = [v for v in range(f.n) if assign[v] == i]
-                if not block:
-                    continue
-                slice_g = induced(f, block)
-                # component vertex sets come back in slice labelling;
-                # translate to f's labelling for the record
-                comps = connected_components(slice_g)
-                for comp in sorted(comps, key=min):
-                    comp_graph = induced(slice_g, comp)
-                    emb = embed_induced(comp_graph, parts[i])
-                    if emb is None:
-                        ok = False
-                        break
-                    f_verts = tuple(block[c] for c in sorted(comp))
-                    records.append(ComponentEmbedding(i, f_verts, emb))
-                if not ok:
+            for i, block in enumerate(split):
+                fitted = fit(i, *slices[block]) if block else ()
+                if fitted is None:
                     break
-            if ok:
-                split = tuple(tuple(v for v in range(f.n) if assign[v] == i)
-                              for i in range(len(parts)))
+                records.extend(fitted)
+            else:
                 return DecWitness(f, split, tuple(records))
     return None
 
 
-def _bounded_fail(p: Property, parts: Sequence, k_max: int,
-                  member_cap: int) -> Optional[JoinCheck]:
-    """Brute-force search for a failing join member with up to k_max
-    copies of every part.  Returns a refuting JoinCheck or None."""
-    if isinstance(p, FiniteForbidden):
-        # a bad member exists iff some forbidden graph slices into the
-        # k-fold copied parts, whole slices embedding induced
-        for k in range(1, k_max + 1):
-            blown = [replicate(k, g) for g in parts]
-            for f in p.forbidden:
-                for assign in itertools.product(range(len(parts)), repeat=f.n):
-                    embs = []
-                    ok = True
-                    for i in range(len(parts)):
-                        block = [v for v in range(f.n) if assign[v] == i]
-                        if not block:
-                            continue
-                        emb = embed_induced(induced(f, block), blown[i])
-                        if emb is None:
-                            ok = False
-                            break
-                        embs.append(ComponentEmbedding(
-                            i, tuple(block), emb))
-                    if ok:
-                        split = tuple(tuple(v for v in range(f.n) if assign[v] == i)
-                                      for i in range(len(parts)))
-                        witness = DecWitness(f, split, tuple(embs))
-                        return JoinCheck(False, EXACT, witness=witness)
-        return None
-    for k in range(1, k_max + 1):
-        blown = [replicate(k, g) for g in parts if g.n]
-        if not blown:
-            return None
-        cands = crossing_edge_candidates(blown, member_cap)
-        if 1 << len(cands) > member_cap:
-            raise CapExceededError(
-                f"join of {k} copies has 2^{len(cands)} members, over the cap")
-        for m in join_members(blown, member_cap):
-            if not p.member(m):
-                return JoinCheck(False, EXACT, counterexample=m)
+def _split_fail_witness(p: FiniteForbidden, parts: Sequence) -> Optional[DecWitness]:
+    """The exact criterion: first split whose every slice component
+    embeds induced into its part, or None."""
+
+    def fit(i, block, g, comps):
+        # a slice may be larger than its part: components embed into
+        # separate copies, so no size-based pruning is sound here
+        records = []
+        for f_verts, comp in comps:
+            emb = embed_induced(comp, parts[i])
+            if emb is None:
+                return None
+            records.append(ComponentEmbedding(i, f_verts, emb))
+        return records
+
+    return _first_split(p, len(parts), fit)
+
+
+def _first_bad_member(p: Property, graphs: Sequence, member_cap: int,
+                      what: str) -> Optional[Hypergraph]:
+    """First join member over the graphs outside P, or None; raises
+    CapExceededError when the join has more than member_cap members."""
+    cands = crossing_edge_candidates(graphs, member_cap)
+    if 1 << len(cands) > member_cap:
+        raise CapExceededError(
+            f"{what} has 2^{len(cands)} members, over the cap")
+    for m in join_members(graphs, member_cap):
+        if not p.member(m):
+            return m
     return None
 
 
 @lru_cache(maxsize=120_000)
-def _exact_join_cached(p: FiniteForbidden, parts: tuple) -> JoinCheck:
-    witness = _split_fail_witness(p, parts)
-    if witness is not None:
-        return JoinCheck(False, EXACT, witness=witness)
-    return JoinCheck(True, EXACT)
+def _join_cached(p: Property, parts: tuple, mode: str, k_max: Optional[int] = None,
+                 member_cap: Optional[int] = None) -> JoinCheck:
+    """The join memo; exact calls leave k_max and member_cap out of the
+    key.  BOUNDED mode tries k = 1..k_max copies of every part, and its
+    refutations are exact."""
+    if mode == EXACT:
+        witness = _split_fail_witness(p, parts)
+        return JoinCheck(witness is None, EXACT, witness=witness)
+    for k in range(1, k_max + 1):
+        blown = [replicate(k, g) for g in parts]
+        if isinstance(p, FiniteForbidden):
+            # a bad member exists iff some forbidden graph slices into the
+            # k-fold copied parts, whole slices embedding induced
+            def fit(i, block, g, comps):
+                emb = embed_induced(g, blown[i])
+                return None if emb is None else [ComponentEmbedding(i, block, emb)]
 
-
-@lru_cache(maxsize=120_000)
-def _bounded_join_cached(p: Property, parts: tuple, k_max: int,
-                         member_cap: int) -> JoinCheck:
-    fail = _bounded_fail(p, parts, k_max, member_cap)
-    if fail is not None:
-        return fail
+            witness = _first_split(p, len(blown), fit)
+            if witness is not None:
+                return JoinCheck(False, EXACT, witness=witness)
+        elif any(b.n for b in blown):
+            bad = _first_bad_member(p, [b for b in blown if b.n], member_cap,
+                                    f"join of {k} copies")
+            if bad is not None:
+                return JoinCheck(False, EXACT, counterexample=bad)
     return JoinCheck(True, f"bounded k_max={k_max}")
 
 
@@ -291,9 +302,9 @@ def join_subset_of(p: Property, parts: Sequence, mode: str = EXACT,
     if mode == EXACT:
         if not isinstance(p, FiniteForbidden):
             raise HgError("exact join containment needs a finite forbidden set")
-        return _exact_join_cached(p, parts)
+        return _join_cached(p, parts, EXACT)
     if mode == BOUNDED:
-        return _bounded_join_cached(p, parts, k_max, member_cap)
+        return _join_cached(p, parts, BOUNDED, k_max, member_cap)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -417,18 +428,8 @@ def is_uniquely_decomposable(g: Hypergraph, p: Property, mode: str = EXACT,
     graph, which has no nonempty-part partitions at all) do not.
     """
     res = dec_number(g, p, mode, k_max, member_cap)
-    if res.value == 0:
-        return False
-    if res.value == 1:
-        return True
-    count = 0
-    for parts in enumerate_partitions(g.vertices, max_parts=res.value,
-                                      min_parts=res.value):
-        if is_decomposition(g, Decomposition(parts), p, mode, k_max, member_cap):
-            count += 1
-            if count > 1:
-                return False
-    return count == 1
+    return res.value > 0 and \
+        len(all_decompositions(g, p, res.value, mode, k_max, member_cap)) == 1
 
 
 def unique_decomposition(g: Hypergraph, p: Property, mode: str = EXACT,
@@ -480,14 +481,7 @@ def is_strict(g: Hypergraph, p: Property, member_cap: int = DEFAULT_MEMBER_CAP) 
     if not p.member(g):
         raise HgError("graph is not in the property")
     one = Hypergraph(g.universe, 1, frozenset())
-    cands = crossing_edge_candidates([g, one], member_cap)
-    if 1 << len(cands) > member_cap:
-        raise CapExceededError(
-            f"one-vertex join has 2^{len(cands)} members, over the cap")
-    for m in join_members([g, one], member_cap):
-        if not p.member(m):
-            return True
-    return False
+    return _first_bad_member(p, [g, one], member_cap, "one-vertex join") is not None
 
 
 def strictify(g: Hypergraph, p: FiniteForbidden) -> Hypergraph:

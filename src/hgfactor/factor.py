@@ -16,6 +16,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .core import (
+    CapExceededError,
     Hypergraph,
     HgError,
     canonical_form,
@@ -34,6 +35,7 @@ from .props import (
 )
 from .decomp import (
     BOUNDED,
+    DEFAULT_MEMBER_CAP,
     EXACT,
     dec_number,
     ind_parts,
@@ -220,9 +222,13 @@ def _dec_bounds(p: Property, n: int, k_max: int) -> DecBounds:
 
 def _connected_candidates(p: Property, max_size: int) -> list:
     """Finite-forbidden properties with connected forbidden antichains
-    drawn from graphs of 2..max_size vertices (additive by construction)."""
+    drawn from graphs of 2..max_size vertices (additive by construction);
+    the 2^(graph count) subsets to scan are capped at DEFAULT_MEMBER_CAP."""
     conn = [g for g in enumerate_hypergraphs(
         EnumSpec(p.universe, max_size, connected_only=True)) if g.n >= 2]
+    if 1 << len(conn) > DEFAULT_MEMBER_CAP:
+        raise CapExceededError(f"{len(conn)} connected graphs give 2^{len(conn)} "
+                               "candidate forbidden sets, over the cap")
     out = []
     for r in range(1, len(conn) + 1):
         for combo in itertools.combinations(conn, r):

@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 
 import pytest
 
@@ -74,12 +75,13 @@ def test_config_defaults():
     cfg = CliConfig()
     assert (cfg.max_vertices, cfg.join_edge_cap, cfg.gstar_size_cap) == \
         (7, 10**6, 10**4)
-    assert (cfg.k_max, cfg.workers, cfg.format) == (3, 1, "text")
+    assert (cfg.k_max, cfg.workers) == (3, 1)
+    assert not hasattr(cfg, "format")
 
 
 def test_parse_config_text_happy():
-    text = "# comment\n\nmax_vertices = 5\nformat=dot\n"
-    assert parse_config_text(text) == {"max_vertices": 5, "format": "dot"}
+    text = "# comment\n\nmax_vertices = 5\nk_max=2\n"
+    assert parse_config_text(text) == {"max_vertices": 5, "k_max": 2}
 
 
 def test_parse_config_text_errors():
@@ -91,8 +93,9 @@ def test_parse_config_text_errors():
     assert ei.value.line == 2 and "integer" in str(ei.value)
     with pytest.raises(FormatError, match="positive"):
         parse_config_text("k_max=0\n")
-    with pytest.raises(FormatError, match="unknown format"):
-        parse_config_text("format=yaml\n")
+    for value in ("text", "dot"):
+        with pytest.raises(FormatError, match="unknown configuration key 'format'"):
+            parse_config_text(f"format={value}\n")
     with pytest.raises(FormatError, match="unknown configuration key"):
         parse_config_text("colour=blue\n")
 
@@ -112,17 +115,34 @@ def test_load_config_layering(tmp_path, monkeypatch):
 
 def test_bad_config_file_exits_2(tmp_path, capsys, files):
     bad = tmp_path / "bad.cfg"
-    bad.write_text("max_vertices=0\n", encoding="utf-8")
-    code, out, err = cli(capsys, "--config", str(bad),
-                         "member", "-g", files.k2, "-p", files.trifree)
-    assert code == 2
-    assert "line 1" in err and "positive" in err
+    for text, message in [("max_vertices=0\n", "positive"),
+                          ("format=text\n", "unknown configuration key 'format'")]:
+        bad.write_text(text, encoding="utf-8")
+        code, out, err = cli(capsys, "--config", str(bad),
+                             "member", "-g", files.k2, "-p", files.trifree)
+        assert (code, out) == (2, "")
+        assert "line 1" in err and message in err
 
 
 def test_workers_flag_validated(capsys, files):
     code, out, err = cli(capsys, "--workers", "0",
                          "member", "-g", files.k2, "-p", files.trifree)
     assert code == 2 and "positive" in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["enumerate", "--vertices", "-1"], "--vertices"),
+    (["factorize", "-p", "{bip}", "--bound", "-1"], "--bound"),
+    (["factorize", "-p", "{bip}", "--bound", "3", "--forbidden-size", "-1"],
+     "--forbidden-size"),
+    (["decompositions", "-g", "{c4}", "-p", "{bip}", "--parts", "0"], "--parts"),
+], ids=["vertices", "bound", "forbidden-size", "parts"])
+def test_out_of_range_integer_is_usage_error(capsys, files, argv, flag):
+    argv = [a.format(bip=files.bip, c4=files.c4) for a in argv]
+    code, out, err = cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {flag} must be at least ")
+    assert err.count("\n") == 1
 
 
 def test_missing_subcommand_is_usage_error():
@@ -358,6 +378,18 @@ def test_factorize_cap_is_configurable(capsys, files, tmp_path, bound,
                          "--forbidden-size", forbidden_size)
     assert code == 3 and out == ""
     assert err == "cap exceeded: requested 5 vertices, configured cap is 3\n"
+
+
+def test_factorize_candidate_subsets_are_capped(capsys, files):
+    # 30 connected simple graphs on 2..5 vertices give 2^30 candidate
+    # forbidden sets, far more than the member cap
+    start = time.monotonic()
+    code, out, err = cli(capsys, "factorize", "-p", files.bip, "--bound", "3",
+                         "--forbidden-size", "5")
+    assert time.monotonic() - start < 10
+    assert (code, out) == (3, "")
+    assert err == ("cap exceeded: 30 connected graphs give 2^30 candidate "
+                   "forbidden sets, over the cap\n")
 
 
 def test_factorize_workers_byte_identical(capsys, files):

@@ -11,9 +11,13 @@ from hgfactor import (
     DecWitness,
     Decomposition,
     EXACT,
+    EdgeKind,
+    EdgeObject,
     EnumSpec,
     GeneratedBounded,
     HgError,
+    Hypergraph,
+    Universe,
     all_decompositions,
     canonical_form,
     dec_number,
@@ -31,6 +35,7 @@ from hgfactor import (
     member,
     min_forbidden_order,
     multiplicity,
+    replicate,
     respects,
     respects_uniformly,
     simple_graph,
@@ -48,6 +53,44 @@ from helpers import (
 )
 
 SEED = 995511
+
+
+def _hg(u, n, edges):
+    return Hypergraph(u, n, frozenset(EdgeObject(k, vs, c) for k, vs, c in edges))
+
+
+def _universes_beyond_simple():
+    """(name, universe, forbidden-set properties) on ORDERED-2,
+    UNORDERED-3 and 2-colour graphs: one connected forbidden graph and
+    one that is an edge plus an isolated vertex."""
+    o, un = EdgeKind.ORDERED, EdgeKind.UNORDERED
+    du = Universe(frozenset({o}), frozenset({2}), ("a",))
+    tu = Universe(frozenset({un}), frozenset({3}), ("e",))
+    cu = Universe(frozenset({un}), frozenset({2}), ("r", "b"))
+    return [
+        ("ORDERED-2", du, [
+            forbidden_property(du, [_hg(du, 3, [(o, (0, 1), "a"), (o, (1, 2), "a"),
+                                                (o, (2, 0), "a")])]),
+            forbidden_property(du, [_hg(du, 3, [(o, (0, 1), "a")])]),
+        ]),
+        ("UNORDERED-3", tu, [
+            forbidden_property(tu, [_hg(tu, 4, [(un, (0, 1, 2), "e"),
+                                                (un, (1, 2, 3), "e")])]),
+            forbidden_property(tu, [_hg(tu, 4, [(un, (0, 1, 2), "e")])]),
+        ]),
+        ("2-colour", cu, [
+            forbidden_property(cu, [_hg(cu, 3, [(un, (0, 1), "r"), (un, (1, 2), "r"),
+                                                (un, (0, 2), "b")])]),
+            forbidden_property(cu, [_hg(cu, 3, [(un, (0, 1), "b")])]),
+        ]),
+    ]
+
+
+def _random_parts(uu, rng):
+    """One or two random parts of 1..3 vertices: with two parts every
+    split of a forbidden graph is tried, with one part only copies."""
+    return [random_graph(uu, rng.randint(1, 3), 0.5, rng)
+            for _ in range(rng.choice((1, 2)))]
 
 
 # --- decomposition container ------------------------------------------------
@@ -116,6 +159,16 @@ def test_join_exact_matches_oracle(u, g, props):
             assert got == want
             flips += not got
     assert flips > 5
+    for name, uu, ps in _universes_beyond_simple():
+        flips = 0
+        for _ in range(12):
+            parts = _random_parts(uu, rng)
+            for p in ps:
+                got = bool(join_subset_of(p, parts))
+                assert got == (not oracle_join_fails(p.forbidden, parts, k_max=3)), \
+                    (name, p, parts)
+                flips += not got
+        assert 0 < flips < 12 * len(ps), name
 
 
 def test_join_bounded_agrees_with_exact_for_forbidden_sets(u, props):
@@ -128,6 +181,35 @@ def test_join_bounded_agrees_with_exact_for_forbidden_sets(u, props):
         assert exact == bool(bounded)
         if bounded:
             assert bounded.confidence == "bounded k_max=3"
+    for name, uu, ps in _universes_beyond_simple():
+        refuted = 0
+        for _ in range(12):
+            parts = _random_parts(uu, rng)
+            for p in ps:
+                bounded = join_subset_of(p, parts, BOUNDED, k_max=3)
+                assert bool(join_subset_of(p, parts, EXACT)) == bool(bounded), (name, p)
+                if bounded:
+                    assert bounded.confidence == "bounded k_max=3"
+                    continue
+                refuted += 1
+                _assert_whole_slice_witness(p, parts, bounded)
+        assert 0 < refuted < 12 * len(ps), name
+
+
+def _assert_whole_slice_witness(p, parts, chk):
+    """A bounded forbidden-set refutation records each nonempty block of
+    its split whole, embedded induced into k copies of its part, at the
+    smallest k whose join fails."""
+    w = chk.witness
+    k = next(k for k in range(1, 4) if oracle_join_fails(p.forbidden, parts, k))
+    assert chk.confidence == EXACT and chk.counterexample is None
+    assert w.forbidden in p.forbidden
+    assert [(r.part_index, r.component) for r in w.components] == \
+        [(i, block) for i, block in enumerate(w.split) if block]
+    for rec in w.components:
+        m = rec.embedding.mapping
+        assert mapped_triples(induced(w.forbidden, rec.component), m) \
+            == image_triples(replicate(k, parts[rec.part_index]), m)
 
 
 def test_join_bounded_product_counterexample(g, props):
@@ -240,6 +322,25 @@ def test_uniqueness_goldens(g, props):
         unique_decomposition(g.two_k2, props.trifree)
     with pytest.raises(HgError):
         unique_decomposition(g.k3, props.trifree)
+
+
+def test_uniqueness_matches_all_decompositions(u, props):
+    # one decomposition at the maximum part count, counted by a flat scan
+    du, (cyc, arc_k1) = _universes_beyond_simple()[0][1:]
+    cases = [(u, 5, [props.trifree, props.p3free]), (du, 3, [cyc, arc_k1])]
+    for uu, n, ps in cases:
+        for g_ in enumerate_hypergraphs(EnumSpec(uu, n)):
+            for p in ps:
+                dec = dec_number(g_, p).value
+                unique = is_uniquely_decomposable(g_, p)
+                if dec == 0:
+                    assert not unique
+                    continue
+                count = sum(
+                    1 for parts in enumerate_partitions(g_.vertices, dec, min_parts=dec)
+                    if is_decomposition(g_, Decomposition(parts), p))
+                assert len(all_decompositions(g_, p, dec)) == count
+                assert unique == (count == 1)
 
 
 # --- strictness ---------------------------------------------------------
