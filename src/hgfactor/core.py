@@ -439,64 +439,52 @@ def embed_induced(f: Hypergraph, g: Hypergraph) -> Optional[Embedding]:
     return None if image is None else Embedding(image)
 
 
-def _refined_colours(g: Hypergraph) -> list:
-    """Stable vertex colouring by iterated incidence-profile refinement.
+def _codes(g: Hypergraph) -> tuple:
+    """g's edges as (ordered?, colour index, vertices, kind value, colour)."""
+    index = {c: i for i, c in enumerate(g.universe.colours)}
+    return tuple((e.kind is EdgeKind.ORDERED, index[e.colour], e.vertices, e.kind.value,
+                  e.colour) for e in g.edges)
 
-    The profile of a vertex lists, per incident edge, the kind, colour,
-    arity, own position (ordered edges only) and the current colours of
-    the co-members.  Profiles are label-independent, so the final colour
-    classes are respected by every isomorphism.
+
+def _canon(n: int, codes: Sequence) -> tuple:
+    """canonical_key of the graph on n vertices with these _codes.
+
+    Refinement: a vertex's profile lists, per incident edge, the kind bit,
+    colour index, arity, own position (ordered edges only) and the current
+    colours of the other members (of all members, in order, for an ordered
+    edge), and colours are ranks of (colour, sorted profile) until the
+    class count stops growing; every isomorphism respects the final
+    classes.  Then each ordering within the classes, in product order,
+    maps the edges to (arity, vertices, kind value, colour) entries, and
+    the least sorted list wins.
     """
-    at = _incidence(g)
-    colours = [0] * g.n
-    n_classes = 1 if g.n else 0
-    while True:
+    if not codes:
+        return (n, ())
+    # at[v]: (profile entry head, vertices whose colours it carries, sort?)
+    at = [[] for _ in range(n)]
+    for ordered, ci, verts, _, _ in codes:
+        r = len(verts)
+        for i, v in enumerate(verts):
+            if ordered:
+                at[v].append((0, ci, r, i, verts, False))
+            else:
+                at[v].append((1, ci, r, -1, verts[:i] + verts[i + 1:], r > 2))
+    colours = [0] * n
+    n_classes = 1
+    while n_classes < n:  # a discrete colouring cannot split further
+        look = colours.__getitem__
         sigs = []
-        for v in range(g.n):
-            prof = []
-            for e in at[v]:
-                ci = g.universe.colour_index(e.colour)
-                if e.kind is EdgeKind.ORDERED:
-                    prof.append((0, ci, len(e.vertices), e.vertices.index(v),
-                                 tuple(colours[w] for w in e.vertices)))
-                else:
-                    prof.append((1, ci, len(e.vertices), -1,
-                                 tuple(sorted(colours[w] for w in e.vertices if w != v))))
+        for v in range(n):
+            prof = [(o, ci, r, i, tuple(sorted(map(look, ws))) if srt
+                     else tuple(map(look, ws))) for o, ci, r, i, ws, srt in at[v]]
             prof.sort()
             sigs.append((colours[v], tuple(prof)))
-        order = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [order[s] for s in sigs]
-        if len(order) == n_classes:
-            return new
-        colours, n_classes = new, len(order)
-
-
-def _edge_key(g: Hypergraph, mapping) -> tuple:
-    out = []
-    for e in g.edges:
-        verts = tuple(mapping[v] for v in e.vertices)
-        if e.kind is EdgeKind.UNORDERED:
-            verts = tuple(sorted(verts))
-        out.append((len(verts), verts, e.kind.value, e.colour))
-    out.sort()
-    return tuple(out)
-
-
-@lru_cache(maxsize=200_000)
-def canonical_key(g: Hypergraph) -> tuple:
-    """Hashable isomorphism invariant: equal keys iff isomorphic graphs.
-
-    Refinement narrows the candidate vertex orderings, then every
-    ordering compatible with the refined classes is tried and the least
-    edge list wins.  Complete because isomorphisms preserve the refined
-    classes.  Raises CapExceededError beyond CANONICAL_ORDER_CAP
-    orderings (symmetric graphs on roughly 10+ vertices).
-    """
-    if not g.edges:
-        return (g.n, ())
-    colours = _refined_colours(g)
+        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        if len(rank) == n_classes:
+            break
+        colours, n_classes = [rank[s] for s in sigs], len(rank)
     cells = {}
-    for v in range(g.n):
+    for v in range(n):
         cells.setdefault(colours[v], []).append(v)
     cell_list = [cells[c] for c in sorted(cells)]
     total = 1
@@ -507,25 +495,48 @@ def canonical_key(g: Hypergraph) -> tuple:
             raise CapExceededError(
                 f"canonical labelling would try more than {CANONICAL_ORDER_CAP} orderings")
     best = None
-    mapping = [0] * g.n
+    mapping = [0] * n
+    look = mapping.__getitem__
     for combo in itertools.product(*(itertools.permutations(c) for c in cell_list)):
         i = 0
         for cell_perm in combo:
             for v in cell_perm:
                 mapping[v] = i
                 i += 1
-        key = _edge_key(g, mapping)
+        key = sorted((len(verts), tuple(map(look, verts)) if ordered
+                      else tuple(sorted(map(look, verts))), kind, colour)
+                     for ordered, _, verts, kind, colour in codes)
         if best is None or key < best:
             best = key
-    return (g.n, best)
+    return (n, tuple(best))
+
+
+def _key_graph(u: Universe, key: tuple) -> Hypergraph:
+    """The graph a canonical key spells out, over universe u."""
+    n, edge_key = key
+    return Hypergraph(u, n, frozenset(EdgeObject(EdgeKind(kind), verts, colour)
+                                      for _, verts, kind, colour in edge_key))
+
+
+@lru_cache(maxsize=200_000)
+def canonical_key(g: Hypergraph) -> tuple:
+    """Hashable isomorphism invariant: equal keys iff isomorphic graphs.
+
+    (n, sorted (arity, vertices, kind value, colour) edge entries) under
+    the least ordering within the refined vertex classes, computed by
+    _canon from g's edges coded once as plain tuples, with no EdgeObject
+    or enum access per ordering.  Key values are output (enumerate lists
+    each size in key order), so profiles, colour numbering, cell order and
+    ordering order are fixed, and the tuples change no value compared.
+    Raises CapExceededError beyond CANONICAL_ORDER_CAP orderings
+    (symmetric graphs on roughly 10+ vertices).
+    """
+    return _canon(g.n, _codes(g))
 
 
 def canonical_form(g: Hypergraph) -> Hypergraph:
     """Canonical representative of g's isomorphism class."""
-    n, edge_key = canonical_key(g)
-    edges = frozenset(EdgeObject(EdgeKind(kind), verts, colour)
-                      for _, verts, kind, colour in edge_key)
-    return Hypergraph(g.universe, n, edges)
+    return _key_graph(g.universe, canonical_key(g))
 
 
 def is_isomorphic(g: Hypergraph, h: Hypergraph) -> bool:
@@ -572,6 +583,11 @@ def join_members(parts: Sequence, edge_cap: int = DEFAULT_JOIN_EDGE_CAP) -> Iter
     order is binary counting over the candidate list from
     crossing_edge_candidates, bit 0 first, so runs are reproducible.
     """
+    yield from _join_stream(parts, crossing_edge_candidates(parts, edge_cap))
+
+
+def _join_stream(parts: Sequence, cands: list) -> Iterator[Hypergraph]:
+    """join_members over a crossing_edge_candidates list already built."""
     u = _check_same_universe(*parts)
     base = set()
     off = 0
@@ -579,11 +595,9 @@ def join_members(parts: Sequence, edge_cap: int = DEFAULT_JOIN_EDGE_CAP) -> Iter
         for e in p.edges:
             base.add(EdgeObject(e.kind, tuple(v + off for v in e.vertices), e.colour))
         off += p.n
-    cands = crossing_edge_candidates(parts, edge_cap)
-    total = off
     for mask in range(1 << len(cands)):
         chosen = {cands[i] for i in range(len(cands)) if mask >> i & 1}
-        yield Hypergraph(u, total, frozenset(base | chosen))
+        yield Hypergraph(u, off, frozenset(base | chosen))
 
 
 # --- text format ----------------------------------------------------------

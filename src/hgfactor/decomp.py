@@ -41,9 +41,9 @@ from .core import (
     connected_components,
     embed_induced,
     induced,
-    join_members,
     crossing_edge_candidates,
     replicate,
+    _join_stream,
 )
 from .generate import enumerate_partitions
 from .props import (
@@ -249,7 +249,7 @@ def _first_bad_member(p: Property, graphs: Sequence, member_cap: int,
     if 1 << len(cands) > member_cap:
         raise CapExceededError(
             f"{what} has 2^{len(cands)} members, over the cap")
-    for m in join_members(graphs, member_cap):
+    for m in _join_stream(graphs, cands):
         if not p.member(m):
             return m
     return None

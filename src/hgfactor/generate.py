@@ -12,8 +12,9 @@ from .core import (
     EdgeObject,
     Hypergraph,
     Universe,
-    canonical_form,
-    canonical_key,
+    _canon,
+    _codes,
+    _key_graph,
     is_connected,
 )
 
@@ -82,24 +83,21 @@ def enumerate_hypergraphs(spec: EnumSpec):
 @lru_cache(maxsize=64)
 def _layer(u: Universe, n: int) -> tuple:
     """Canonical forms of every class on exactly n vertices, in
-    canonical-key order."""
+    canonical-key order.  Parents and the edges through the new vertex
+    are coded once (core._codes); each candidate, parent codes plus a
+    subset of the new ones, is keyed by core._canon directly, so no graph
+    is built and no canonical_key memo entry is made per candidate, only
+    a graph per class kept."""
     if n == 0:
         return (Hypergraph(u, 0, frozenset()),)
-    seen = {}
-    new_edges = _new_vertex_edges(u, n)
+    new = _codes(Hypergraph(u, n, frozenset(_new_vertex_edges(u, n))))
+    seen = set()
     for g in _layer(u, n - 1):
-        grown = Hypergraph(u, n, g.edges)
-        for picks in _subsets(new_edges):
-            h = Hypergraph(u, n, grown.edges | picks)
-            key = canonical_key(h)
-            if key not in seen:
-                seen[key] = canonical_form(h)
-    return tuple(seen[k] for k in sorted(seen))
-
-
-def _subsets(items: list):
-    for r in range(len(items) + 1):
-        yield from (frozenset(c) for c in itertools.combinations(items, r))
+        base = _codes(g)
+        for r in range(len(new) + 1):
+            for picks in itertools.combinations(new, r):
+                seen.add(_canon(n, base + picks))
+    return tuple(_key_graph(u, k) for k in sorted(seen))
 
 
 def enumerate_partitions(vertices, max_parts: int, min_parts: int = 1,

@@ -226,22 +226,42 @@ def test_embed_respects_colours():
 
 # --- canonical forms ------------------------------------------------------
 
-def test_canonical_key_classifies_like_brute_force(u):
+# (universe, edge density for the classification sample, for relabelling)
+CANONICAL_CASES = [
+    pytest.param(simple_universe(), 0.5, 0.4, id="simple"),
+    pytest.param(digraph_universe(), 0.35, 0.3, id="digraph"),
+    pytest.param(two_colour_universe(), 0.4, 0.3, id="two_colour"),
+    pytest.param(triple_universe(), 0.5, 0.4, id="three_uniform"),
+    pytest.param(mixed_universe(), 0.1, 0.1, id="mixed"),
+]
+
+
+@pytest.mark.parametrize("universe, p, p_relabel", CANONICAL_CASES)
+def test_canonical_key_classifies_like_brute_force(universe, p, p_relabel):
     # the key layouts differ; what matters is that both keys induce the
-    # same partition into isomorphism classes
+    # same partition into isomorphism classes.  Relabelled copies of the
+    # first draws make sure the sample has isomorphic pairs with
+    # different edge sets.
     rng = random.Random(SEED + 1)
-    sample = [random_graph(u, rng.randint(0, 4), 0.5, rng) for _ in range(40)]
-    for a in sample:
-        for b in sample:
-            assert (canonical_key(a) == canonical_key(b)) \
-                == (brute_canonical_key(a) == brute_canonical_key(b))
+    sample = [random_graph(universe, rng.randint(0, 4), p, rng) for _ in range(40)]
+    for a in sample[:20]:
+        sample.append(relabel(a, rng.sample(range(a.n), a.n)))
+    lib = [canonical_key(a) for a in sample]
+    brute = [brute_canonical_key(a) for a in sample]
+    twins = 0
+    for i, a in enumerate(sample):
+        for j, b in enumerate(sample):
+            assert (lib[i] == lib[j]) == (brute[i] == brute[j])
+            twins += brute[i] == brute[j] and a != b
+    assert twins > 10
 
 
-def test_canonical_key_relabel_invariant(u):
+@pytest.mark.parametrize("universe, p, p_relabel", CANONICAL_CASES)
+def test_canonical_key_relabel_invariant(universe, p, p_relabel):
     rng = random.Random(SEED + 2)
     for _ in range(40):
         n = rng.randint(1, 6)
-        g_ = random_graph(u, n, 0.4, rng)
+        g_ = random_graph(universe, n, p_relabel, rng)
         perm = list(range(n))
         rng.shuffle(perm)
         assert canonical_key(relabel(g_, perm)) == canonical_key(g_)

@@ -1,5 +1,6 @@
 """Enumeration of small hypergraphs and of vertex partitions."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -14,9 +15,11 @@ from hgfactor import (
     canonical_key,
     enumerate_hypergraphs,
     enumerate_partitions,
+    format_hypergraph,
     is_connected,
     simple_universe,
 )
+from hgfactor import generate
 from helpers import bell, count_unlabeled, stirling2
 
 
@@ -122,6 +125,51 @@ def test_connected_only_matches_the_full_stream():
     conn = list(enumerate_hypergraphs(EnumSpec(u, 5, connected_only=True)))
     assert conn == [g for g in full if g.n > 0 and is_connected(g)]
     assert list(enumerate_hypergraphs(EnumSpec(u, 0, connected_only=True))) == full[:1]
+
+
+O, U = EdgeKind.ORDERED, EdgeKind.UNORDERED
+
+
+# sha256 of the concatenated format_hypergraph stream, frozen from the
+# enumeration as it stood before canonical keys were computed from coded
+# edge tuples: the within-size order is canonical-key order, so these pin
+# the key values themselves and not only the classes
+@pytest.mark.parametrize("universe, top, digest", [
+    pytest.param(simple_universe(), 6,
+                 "c606bba620916dfedac5424c815a90d7a44ccf3e7f0a4fd74c6b431027e97c46",
+                 id="simple"),
+    pytest.param(digraph_universe(), 4,
+                 "b9d4022f49585f763f27440c8f61c3d3ec53d0a3b2f0a0cc80bb6fd71b163d87",
+                 id="ordered2"),
+    pytest.param(three_uniform_universe(), 5,
+                 "e7269fa9dbc4238769cf469d3562528b33440e30119018d16c6137dedb2bd370",
+                 id="unordered3"),
+    pytest.param(Universe(frozenset({U}), frozenset({2}), ("r", "b")), 3,
+                 "abbccca2f2439ec4a515fbf9ee43987049c8351e2608b886fdc241ac5d811d0f",
+                 id="two_colour"),
+    pytest.param(Universe(frozenset({O, U}), frozenset({2}), ("e",)), 3,
+                 "d5595c94e782496dfba001a9c5bdfc9c7030796945c89dc29e52a5fd1d28bbfc",
+                 id="both_kinds2"),
+    pytest.param(Universe(frozenset({U}), frozenset({2, 3}), ("e",)), 4,
+                 "b83efbd57e34511df84a8e80cd7d7a710a09c766feef1f8f02eb03e230f6fa86",
+                 id="arities23"),
+])
+def test_enumeration_stream_digest(universe, top, digest):
+    h = hashlib.sha256()
+    for g in enumerate_hypergraphs(EnumSpec(universe, top)):
+        h.update(format_hypergraph(g).encode())
+    assert h.hexdigest() == digest
+
+
+def test_layers_add_no_canonical_key_memo_entries():
+    # both memos cleared, so a candidate keyed through canonical_key would
+    # be a miss and a new entry even if another test had keyed it before
+    generate._layer.cache_clear()
+    canonical_key.cache_clear()
+    for universe, top in ((digraph_universe(), 4), (three_uniform_universe(), 5)):
+        assert list(enumerate_hypergraphs(EnumSpec(universe, top)))
+    info = canonical_key.cache_info()
+    assert (info.currsize, info.misses) == (0, 0)
 
 
 def test_enumeration_cap():
