@@ -114,7 +114,6 @@ from .factor import (
     factor_search,
     ind_part_family,
     irreducibility_test,
-    parallel_map,
     verify_factorisation,
 )
 

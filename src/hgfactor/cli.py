@@ -3,7 +3,8 @@
 Exit codes: 0 on success, 1 on a negative verdict (non-member, no
 partition, dec 0, not strict, no decomposition, no factorization found),
 2 on usage or input-format problems, 3 when a configured cap was hit.
-Reports are byte-identical at every worker count.
+Every search runs serially: --workers and the workers key are accepted
+(at least 1) and ignored, so reports do not depend on them.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .core import (
     CapExceededError,
@@ -25,7 +26,7 @@ from .core import (
     parse_hypergraph,
     simple_universe,
 )
-from .generate import EnumSpec, enumerate_hypergraphs
+from .generate import HARD_VERTEX_CAP, EnumSpec, enumerate_hypergraphs
 from .props import (
     BoundExceededError,
     FiniteForbidden,
@@ -36,6 +37,8 @@ from .props import (
 )
 from .decomp import (
     BOUNDED,
+    DEFAULT_K_MAX,
+    DEFAULT_MEMBER_CAP,
     EXACT,
     Decomposition,
     all_decompositions,
@@ -44,6 +47,7 @@ from .decomp import (
     strictness_witness,
 )
 from .construct import (
+    DEFAULT_SIZE_CAP,
     aligning_super,
     decomposition_blocker,
     forcing_pair,
@@ -67,14 +71,14 @@ class UsageError(Exception):
 
 @dataclass(frozen=True)
 class CliConfig:
-    max_vertices: int = 7
-    join_edge_cap: int = 10**6
-    gstar_size_cap: int = 10**4
-    k_max: int = 3
+    max_vertices: int = HARD_VERTEX_CAP
+    member_cap: int = DEFAULT_MEMBER_CAP
+    gstar_size_cap: int = DEFAULT_SIZE_CAP
+    k_max: int = DEFAULT_K_MAX
     workers: int = 1
 
 
-_INT_KEYS = ("max_vertices", "join_edge_cap", "gstar_size_cap", "k_max", "workers")
+_INT_KEYS = tuple(f.name for f in fields(CliConfig))
 
 
 def parse_config_text(text: str) -> dict:
@@ -223,7 +227,7 @@ def cmd_partition(args, cfg: CliConfig):
 def cmd_dec(args, cfg: CliConfig):
     p = _load_property(args.property)
     g = _load_graph(args.graph)
-    res = dec_number(g, p, _mode_for(args, p), cfg.k_max, cfg.join_edge_cap)
+    res = dec_number(g, p, _mode_for(args, p), cfg.k_max, cfg.member_cap)
     parts = str(res.decomposition) if res.decomposition is not None else "none"
     line = f"dec={res.value}, parts={parts}, confidence={res.confidence}\n"
     return (0 if res.value >= 1 else 1), line
@@ -242,7 +246,7 @@ def cmd_strict(args, cfg: CliConfig):
         at = ", ".join(f"{a}->{b}" for a, b in sorted(rest.items()))
         return 0, (f"strict, witness: {w.forbidden!r} minus vertex "
                    f"{w.removed_vertex} at {at}\n")
-    if is_strict(g, p, cfg.join_edge_cap):
+    if is_strict(g, p, cfg.member_cap):
         return 0, "strict\n"
     return 1, "not strict\n"
 
@@ -253,7 +257,7 @@ def cmd_decompositions(args, cfg: CliConfig):
     p = _load_property(args.property)
     g = _load_graph(args.graph)
     found = all_decompositions(g, p, args.parts, _mode_for(args, p),
-                               cfg.k_max, cfg.join_edge_cap)
+                               cfg.k_max, cfg.member_cap)
     if not found:
         return 1, "none\n"
     return 0, "".join(str(d) + "\n" for d in found)
@@ -281,8 +285,7 @@ def cmd_factorize(args, cfg: CliConfig):
     for n, flag in ((args.bound, "--bound"), (args.forbidden_size, "--forbidden-size")):
         _check_vertex_count(n, flag, cfg)
     p = _load_property(args.property)
-    verdict = irreducibility_test(p, args.bound, args.forbidden_size,
-                                  workers=cfg.workers)
+    verdict = irreducibility_test(p, args.bound, args.forbidden_size)
     bounds = dec_bounds(p, args.bound)
     lines = [f"dec bracket: [{bounds.lower}, {bounds.upper}]",
              f"equality bound: {args.bound}"]
@@ -376,7 +379,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="membership, decomposition and factorization for "
                     "coloured directed hypergraph properties")
     ap.add_argument("--config", help="key=value configuration file")
-    ap.add_argument("--workers", type=int, help="thread count for searches")
+    ap.add_argument("--workers", type=int,
+                    help="accepted and ignored (at least 1); searches run serially")
     ap.add_argument("--output", help="write the report here instead of stdout")
     sub = ap.add_subparsers(dest="command", required=True)
 

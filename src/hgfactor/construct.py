@@ -33,6 +33,7 @@ from .core import (
     FormatError,
     HgError,
     Hypergraph,
+    disjoint_union,
     format_hypergraph,
     induced,
     parse_hypergraph_block,
@@ -343,17 +344,15 @@ def aligning_super(g: Hypergraph, d0, p: Property,
         current = CopyTracked(g, d0, graph, maps)
 
     inner = current
+    body = disjoint_union(inner.graph, replicate(2, g))
     minus = tuple(range(inner.graph.n, inner.graph.n + g.n))
-    plus = tuple(range(inner.graph.n + g.n, inner.graph.n + 2 * g.n))
-    edges = set(inner.graph.edges)
-    for m_new in (minus, plus):
-        for e in g.edges:
-            edges.add(EdgeObject(e.kind, tuple(m_new[v] for v in e.vertices), e.colour))
+    plus = tuple(range(inner.graph.n + g.n, body.n))
+    edges = set(body.edges)
     edges |= _arrow_edges(patterns, d0.parts, src_map=minus, dst_map=plus)
     for mp in inner.copy_maps:
         edges |= _arrow_edges(patterns, d0.parts, src_map=mp, dst_map=minus)
         edges |= _arrow_edges(patterns, d0.parts, src_map=plus, dst_map=mp)
-    graph = Hypergraph(g.universe, inner.graph.n + 2 * g.n, frozenset(edges))
+    graph = Hypergraph(g.universe, body.n, frozenset(edges))
     _assert_member(p, graph)
     return CopyTracked(g, d0, graph, inner.copy_maps + (minus, plus))
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable, Iterator, Optional, Sequence
 
 __all__ = [
@@ -302,8 +302,11 @@ def is_connected(g: Hypergraph) -> bool:
     return len(connected_components(g)) == 1
 
 
+@lru_cache(maxsize=4096)
 def _pattern(f: Hypergraph, anchored: bool = False) -> tuple:
-    """Search plan for f, the pattern side of _find.
+    """Search plan for f, the pattern side of _find, memoised per (f,
+    anchored) and shared read-only; spell calls _pattern(f) or
+    _pattern(f, True), as the memo keys on the spelling.
 
     Returns f's edges as a set of (kind, vertices, colour) keys, with
     unordered edges in every vertex order so host edges need no sorting;
@@ -588,16 +591,10 @@ def join_members(parts: Sequence, edge_cap: int = DEFAULT_JOIN_EDGE_CAP) -> Iter
 
 def _join_stream(parts: Sequence, cands: list) -> Iterator[Hypergraph]:
     """join_members over a crossing_edge_candidates list already built."""
-    u = _check_same_universe(*parts)
-    base = set()
-    off = 0
-    for p in parts:
-        for e in p.edges:
-            base.add(EdgeObject(e.kind, tuple(v + off for v in e.vertices), e.colour))
-        off += p.n
+    base = reduce(disjoint_union, parts)
     for mask in range(1 << len(cands)):
         chosen = {cands[i] for i in range(len(cands)) if mask >> i & 1}
-        yield Hypergraph(u, off, frozenset(base | chosen))
+        yield Hypergraph(base.universe, base.n, base.edges | chosen)
 
 
 # --- text format ----------------------------------------------------------

@@ -33,12 +33,12 @@ from typing import Iterable, Optional, Sequence
 
 from .core import (
     CapExceededError,
-    EdgeObject,
     Embedding,
     HgError,
     Hypergraph,
     canonical_key,
     connected_components,
+    disjoint_union,
     embed_induced,
     induced,
     crossing_edge_candidates,
@@ -245,7 +245,7 @@ def _first_bad_member(p: Property, graphs: Sequence, member_cap: int,
                       what: str) -> Optional[Hypergraph]:
     """First join member over the graphs outside P, or None; raises
     CapExceededError when the join has more than member_cap members."""
-    cands = crossing_edge_candidates(graphs, member_cap)
+    cands = crossing_edge_candidates(graphs)
     if 1 << len(cands) > member_cap:
         raise CapExceededError(
             f"{what} has 2^{len(cands)} members, over the cap")
@@ -461,8 +461,9 @@ def strictness_witness(g: Hypergraph, p: FiniteForbidden) -> Optional[Strictness
     if not p.member(g):
         raise HgError("graph is not in the property")
     for f in p.forbidden:
+        slices = _slices(f)
         for v in range(f.n):
-            rest = induced(f, set(range(f.n)) - {v})
+            _, rest, _ = slices[tuple(w for w in range(f.n) if w != v)]
             emb = embed_induced(rest, g)
             if emb is not None:
                 return StrictnessWitness(f, v, emb)
@@ -501,14 +502,11 @@ def strictify(g: Hypergraph, p: FiniteForbidden) -> Hypergraph:
     if is_strict(g, p):
         return g
     f_min = min(p.forbidden, key=lambda f: (f.n, canonical_key(f)))
+    slices = _slices(f_min)
     best = g
     for i in range(1, f_min.n + 1):
-        prefix = induced(f_min, range(i))
-        cand = Hypergraph(g.universe, g.n + i,
-                          g.edges | frozenset(
-                              EdgeObject(e.kind, tuple(v + g.n for v in e.vertices),
-                                         e.colour)
-                              for e in prefix.edges))
+        _, prefix, _ = slices[tuple(range(i))]
+        cand = disjoint_union(g, prefix)
         if not p.member(cand):
             return best
         best = cand

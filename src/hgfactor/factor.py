@@ -10,7 +10,6 @@ the maximal part count over all strict members.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -60,7 +59,6 @@ __all__ = [
     "factor_search",
     "ind_part_family",
     "case_split",
-    "parallel_map",
 ]
 
 IRREDUCIBLE_CERTIFIED = "IRREDUCIBLE_CERTIFIED"
@@ -73,14 +71,11 @@ class FullMultiplicityError(HgError):
     bounded-multiplicity split does not apply."""
 
 
-def parallel_map(fn, items: Sequence, workers: int = 1) -> list:
-    """Order-preserving map, threaded when workers > 1; the result list
-    is identical at every worker count."""
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))
+def _check_workers(workers: int) -> None:
+    """workers= is accepted and ignored: every search runs serially, in
+    the calling thread.  Values below 1 are still rejected."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
 
 
 def _mode_for(p: Property) -> str:
@@ -137,23 +132,14 @@ class IrreducibilityVerdict:
 def verify_factorisation(p: Property, factors: Sequence, n: int,
                          workers: int = 1) -> VerifyResult:
     """Do P and the product of the factors agree on every graph with at
-    most n vertices?  The reported counterexample is always the first
-    disagreeing graph in enumeration order, at any worker count."""
+    most n vertices?  The reported counterexample is the first
+    disagreeing graph in enumeration order.  workers is accepted and
+    ignored (at least 1): the scan is serial."""
+    _check_workers(workers)
     prod = ProductProperty(tuple(factors))
-    graphs = list(enumerate_hypergraphs(EnumSpec(p.universe, n)))
-
-    def agree(g: Hypergraph) -> bool:
-        return bool(p.member(g)) == bool(prod.member(g))
-
-    if workers <= 1:
-        for g in graphs:
-            if not agree(g):
-                return VerifyResult(False, n, g)
-        return VerifyResult(True, n)
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        for g, ok in zip(graphs, ex.map(agree, graphs)):
-            if not ok:
-                return VerifyResult(False, n, g)
+    for g in enumerate_hypergraphs(EnumSpec(p.universe, n)):
+        if bool(p.member(g)) != bool(prod.member(g)):
+            return VerifyResult(False, n, g)
     return VerifyResult(True, n)
 
 
@@ -256,29 +242,28 @@ def factor_search(p: Property, candidate_forbidden_size: int, equality_bound: in
     to the dec upper bound are verified extensionally; verified factors
     are refined recursively while they test reducible; results are
     deduplicated as unordered multisets under bounded property equality.
+    Combinations are checked one after another in a plain loop; workers
+    is accepted and ignored (at least 1).
     """
+    _check_workers(workers)
     if _depth > 4:
         return []
     bracket = dec_bounds(p, equality_bound)
     if bracket.upper < 2:
         return []
     candidates = _connected_candidates(p, candidate_forbidden_size)
-    combos = []
+    verified = []
     for length in range(2, bracket.upper + 1):
-        combos.extend(itertools.combinations_with_replacement(candidates, length))
-
-    def check(combo) -> bool:
-        return bool(verify_factorisation(p, combo, equality_bound))
-
-    verdicts = parallel_map(check, combos, workers)
-    verified = [combo for combo, ok in zip(combos, verdicts) if ok]
+        for combo in itertools.combinations_with_replacement(candidates, length):
+            if verify_factorisation(p, combo, equality_bound):
+                verified.append(combo)
 
     def refine(factors) -> tuple:
         out = []
         for f in factors:
             verdict = irreducibility_test(f, equality_bound,
                                           candidate_forbidden_size,
-                                          workers=1, _depth=_depth + 1)
+                                          _depth=_depth + 1)
             if verdict.status == REDUCIBLE and verdict.factorisations:
                 out.extend(refine(verdict.factorisations[0].factors))
             else:
@@ -304,13 +289,15 @@ def factor_search(p: Property, candidate_forbidden_size: int, equality_bound: in
 def irreducibility_test(p: Property, n: int, candidate_forbidden_size: int = 2,
                         workers: int = 1, _depth: int = 0) -> IrreducibilityVerdict:
     """Certify irreducibility via a strict member with maximal part
-    count 1, or exhibit a verified factorization, or give up."""
+    count 1, or exhibit a verified factorization, or give up.  workers
+    is accepted and ignored (at least 1)."""
+    _check_workers(workers)
     bracket = dec_bounds(p, n)
     if bracket.upper == 1:
         return IrreducibilityVerdict(
             IRREDUCIBLE_CERTIFIED, witness=bracket.witness,
             note="strict member with maximal part count 1")
-    found = factor_search(p, candidate_forbidden_size, n, workers, _depth=_depth)
+    found = factor_search(p, candidate_forbidden_size, n, _depth=_depth)
     if found:
         return IrreducibilityVerdict(REDUCIBLE, tuple(found))
     return IrreducibilityVerdict(

@@ -8,13 +8,12 @@ from functools import lru_cache
 
 from .core import (
     CapExceededError,
-    EdgeKind,
-    EdgeObject,
     Hypergraph,
     Universe,
     _canon,
     _codes,
     _key_graph,
+    crossing_edge_candidates,
     is_connected,
 )
 
@@ -39,22 +38,6 @@ class EnumSpec:
         if self.max_vertices > HARD_VERTEX_CAP:
             raise CapExceededError(
                 f"enumeration bound {self.max_vertices} exceeds hard cap {HARD_VERTEX_CAP}")
-
-
-def _new_vertex_edges(u: Universe, n: int) -> list:
-    """Admissible edges on vertex set range(n) that touch vertex n-1."""
-    out = []
-    for r in sorted(u.arities):
-        if r > n:
-            continue
-        for rest in itertools.combinations(range(n - 1), r - 1):
-            support = rest + (n - 1,)
-            for kind in sorted(u.kinds, key=lambda k: k.value):
-                tuples = itertools.permutations(support) if kind is EdgeKind.ORDERED else [support]
-                for verts in tuples:
-                    for colour in u.colours:
-                        out.append(EdgeObject(kind, verts, colour))
-    return out
 
 
 def enumerate_hypergraphs(spec: EnumSpec):
@@ -83,14 +66,17 @@ def enumerate_hypergraphs(spec: EnumSpec):
 @lru_cache(maxsize=64)
 def _layer(u: Universe, n: int) -> tuple:
     """Canonical forms of every class on exactly n vertices, in
-    canonical-key order.  Parents and the edges through the new vertex
-    are coded once (core._codes); each candidate, parent codes plus a
-    subset of the new ones, is keyed by core._canon directly, so no graph
-    is built and no canonical_key memo entry is made per candidate, only
-    a graph per class kept."""
+    canonical-key order.  The edges through the new vertex are the
+    crossing edges of n-1 isolated vertices and one more.  Parents and
+    those edges are coded once (core._codes); each candidate, parent
+    codes plus a subset of the new ones, is keyed by core._canon
+    directly, so no graph is built and no canonical_key memo entry is
+    made per candidate, only a graph per class kept."""
     if n == 0:
         return (Hypergraph(u, 0, frozenset()),)
-    new = _codes(Hypergraph(u, n, frozenset(_new_vertex_edges(u, n))))
+    through = crossing_edge_candidates(
+        [Hypergraph(u, n - 1, frozenset()), Hypergraph(u, 1, frozenset())])
+    new = _codes(Hypergraph(u, n, frozenset(through)))
     seen = set()
     for g in _layer(u, n - 1):
         base = _codes(g)
@@ -100,14 +86,12 @@ def _layer(u: Universe, n: int) -> tuple:
     return tuple(_key_graph(u, k) for k in sorted(seen))
 
 
-def enumerate_partitions(vertices, max_parts: int, min_parts: int = 1,
-                         nonempty: bool = True):
-    """All ordered partitions of the vertex collection into part tuples.
+def enumerate_partitions(vertices, max_parts: int, min_parts: int = 1):
+    """All partitions of the vertex collection into min_parts to
+    max_parts nonempty part tuples.
 
     Parts are canonically ordered by smallest member, which makes the
-    stream duplicate-free over unordered partitions.  With nonempty set
-    to False, each nonempty partition is also emitted padded with empty
-    parts up to max_parts (empties at the end).
+    stream duplicate-free over unordered partitions.
     """
     verts = sorted(set(vertices))
     if min_parts < 1 or max_parts < min_parts:
@@ -126,9 +110,5 @@ def enumerate_partitions(vertices, max_parts: int, min_parts: int = 1,
         k = max(assignment) + 1
         parts = tuple(tuple(v for v, c in zip(verts, assignment) if c == i)
                       for i in range(k))
-        if nonempty:
-            if k >= min_parts:
-                yield parts
-        else:
-            for pad in range(max(k, min_parts), max_parts + 1):
-                yield parts + ((),) * (pad - k)
+        if k >= min_parts:
+            yield parts

@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .core import (
@@ -281,12 +280,6 @@ def is_additive(p: Property, search_bound: Optional[int] = None) -> bool:
     return all(is_connected(f) for f in forbidden_up_to(p, search_bound))
 
 
-@lru_cache(maxsize=1024)
-def _patterns(p: FiniteForbidden) -> tuple:
-    """Anchored search plans of p's forbidden graphs (see core._pattern)."""
-    return tuple(_pattern(f, anchored=True) for f in p.forbidden)
-
-
 def partition_solve(g: Hypergraph, factors: Sequence) -> Optional[PartitionAssignment]:
     """First vertex partition (empty blocks allowed) whose i-th block
     induces a member of factors[i]; None when none exists.
@@ -302,7 +295,9 @@ def partition_solve(g: Hypergraph, factors: Sequence) -> Optional[PartitionAssig
     vertex v joined, so only forbidden copies through v can appear, and
     the search looks for those alone, inside the block, on g's incidence
     lists built once per call (the same degree pruning and count-based
-    edge check as embed_induced, candidates kept in ascending order).
+    edge check as embed_induced, candidates kept in ascending order),
+    with each forbidden graph's anchored plan read from core._pattern's
+    memo, _pattern(f, True).
 
     A block larger than a generated factor's bound cannot be decided.
     Such branches are cut; a solution found elsewhere is still definite,
@@ -323,8 +318,8 @@ def partition_solve(g: Hypergraph, factors: Sequence) -> Optional[PartitionAssig
     for e in g.edges:
         for v in e.vertices:
             g_at[v].append(e)
-    patterns = [_patterns(fac) if isinstance(fac, FiniteForbidden) else ()
-                for fac in factors]
+    patterns = [[_pattern(f, True) for f in fac.forbidden]
+                if isinstance(fac, FiniteForbidden) else () for fac in factors]
     cut_bound = None  # bound of a generated factor that cut a branch
 
     def part_ok(i: int, v: int) -> bool:

@@ -73,7 +73,7 @@ def cli(capsys, *argv):
 
 def test_config_defaults():
     cfg = CliConfig()
-    assert (cfg.max_vertices, cfg.join_edge_cap, cfg.gstar_size_cap) == \
+    assert (cfg.max_vertices, cfg.member_cap, cfg.gstar_size_cap) == \
         (7, 10**6, 10**4)
     assert (cfg.k_max, cfg.workers) == (3, 1)
     assert not hasattr(cfg, "format")
@@ -116,12 +116,24 @@ def test_load_config_layering(tmp_path, monkeypatch):
 def test_bad_config_file_exits_2(tmp_path, capsys, files):
     bad = tmp_path / "bad.cfg"
     for text, message in [("max_vertices=0\n", "positive"),
-                          ("format=text\n", "unknown configuration key 'format'")]:
+                          ("format=text\n", "unknown configuration key 'format'"),
+                          ("join_edge_cap=5\n",
+                           "unknown configuration key 'join_edge_cap'")]:
         bad.write_text(text, encoding="utf-8")
         code, out, err = cli(capsys, "--config", str(bad),
                              "member", "-g", files.k2, "-p", files.trifree)
         assert (code, out) == (2, "")
         assert "line 1" in err and message in err
+
+
+def test_member_cap_key_caps_join_members(tmp_path, capsys, files):
+    # k2 joined with one vertex has 2 crossing edges, so 2^2 members
+    cfg = tmp_path / "cap.cfg"
+    cfg.write_text("member_cap=1\n", encoding="utf-8")
+    code, out, err = cli(capsys, "--config", str(cfg),
+                         "strict", "-g", files.k2, "-p", files.two_colour)
+    assert (code, out) == (3, "")
+    assert err == "cap exceeded: one-vertex join has 2^2 members, over the cap\n"
 
 
 def test_workers_flag_validated(capsys, files):

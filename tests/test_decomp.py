@@ -86,6 +86,26 @@ def _universes_beyond_simple():
     ]
 
 
+def _beyond_simple_samples(rng, draws, min_n=0):
+    """Seeded (universe name, graph, property) triples on ORDERED-2,
+    UNORDERED-3 and 2-colour universes.  Per universe: three forbidden
+    sets, each of one or two connected graphs on 2-3 vertices (2-4 on
+    UNORDERED-3, whose only connected graph on 3 vertices is a single
+    edge), then `draws` random graphs on min_n..4 vertices, each paired
+    with every set."""
+    density = {"ORDERED-2": 0.35, "UNORDERED-3": 0.5, "2-colour": 0.4}
+    for name, uu, _ in _universes_beyond_simple():
+        top = 4 if name == "UNORDERED-3" else 3
+        conn = [h for h in enumerate_hypergraphs(EnumSpec(uu, top, connected_only=True))
+                if h.n >= 2]
+        ps = [forbidden_property(uu, rng.sample(conn, min(len(conn), rng.randint(1, 2))))
+              for _ in range(3)]
+        for _ in range(draws):
+            g_ = random_graph(uu, rng.randint(min_n, 4), density[name], rng)
+            for p in ps:
+                yield name, g_, p
+
+
 def _random_parts(uu, rng):
     """One or two random parts of 1..3 vertices: with two parts every
     split of a forbidden graph is tried, with one part only copies."""
@@ -264,17 +284,24 @@ def test_dec_stays_below_min_forbidden_order(u, props):
             assert res.value < min_forbidden_order(p)
 
 
+def _flat_dec(g_, p):
+    """Largest part count over every partition that is a decomposition."""
+    best = 0
+    for parts in enumerate_partitions(g_.vertices, g_.n):
+        if member(p, g_) and is_decomposition(g_, Decomposition(parts), p):
+            best = max(best, len(parts))
+    return best
+
+
 def test_dec_equals_max_over_all_partitions(u, props):
     # lattice walk must agree with a flat scan of every partition
     rng = random.Random(SEED + 3)
     for _ in range(15):
         g_ = random_graph(u, rng.randint(1, 5), 0.45, rng)
         for p in [props.trifree, props.p3free]:
-            best = 0
-            for parts in enumerate_partitions(g_.vertices, g_.n):
-                if member(p, g_) and is_decomposition(g_, Decomposition(parts), p):
-                    best = max(best, len(parts))
-            assert dec_number(g_, p).value == best
+            assert dec_number(g_, p).value == _flat_dec(g_, p)
+    for name, g_, p in _beyond_simple_samples(rng, 6, min_n=1):
+        assert dec_number(g_, p).value == _flat_dec(g_, p), (name, p, g_)
 
 
 def test_merging_parts_keeps_validity(u, props):
@@ -362,6 +389,28 @@ def test_strictness_matches_brute_force(u, props):
             if not member(p, g_):
                 continue
             assert is_strict(g_, p) == brute_strict(g_, lambda h: bool(member(p, h)))
+    strict = 0
+    for name, g_, p in _beyond_simple_samples(rng, 8):
+        if not member(p, g_):
+            continue
+        want = brute_strict(g_, lambda h: bool(member(p, h)))
+        assert is_strict(g_, p) == want, (name, p, g_)
+        w = strictness_witness(g_, p)
+        assert (w is not None) == want
+        if w is not None:
+            strict += 1
+            _assert_witness_leaves(p, g_, w)
+    assert strict > 0
+
+
+def _assert_witness_leaves(p, g_, w):
+    """Gluing a fresh vertex to G along F's edges at the removed vertex
+    gives a graph outside P."""
+    place = dict(w.rest_to_graph())
+    place[w.removed_vertex] = g_.n
+    glued = frozenset(EdgeObject(e.kind, tuple(place[v] for v in e.vertices), e.colour)
+                      for e in w.forbidden.edges if w.removed_vertex in e.vertices)
+    assert not member(p, Hypergraph(g_.universe, g_.n + 1, g_.edges | glued))
 
 
 def test_strictness_brute_force_for_products(g, props):
@@ -372,8 +421,9 @@ def test_strictness_brute_force_for_products(g, props):
 
 def test_strictness_brute_force_respects_member_cap(g, props):
     # K2 plus one vertex has 2 crossing edges, so 2^2 join members
-    with pytest.raises(CapExceededError):
-        is_strict(g.k2, props.two_colour, member_cap=3)
+    for cap in (1, 3):
+        with pytest.raises(CapExceededError, match=r"2\^2 members"):
+            is_strict(g.k2, props.two_colour, member_cap=cap)
     assert is_strict(g.k2, props.two_colour, member_cap=4)
 
 
@@ -398,6 +448,13 @@ def test_strictify_properties(u, props):
             assert is_strict(s, p)
             assert s.n < g_.n + min_forbidden_order(p)
             assert induced(s, range(g_.n)) == g_  # original kept as a prefix
+    for name, g_, p in _beyond_simple_samples(rng, 8):
+        if not member(p, g_):
+            continue
+        s = strictify(g_, p)
+        assert member(p, s) and is_strict(s, p), (name, p, g_)
+        assert s.n < g_.n + min_forbidden_order(p)
+        assert induced(s, range(g_.n)) == g_
 
 
 def test_strictify_fixed_point(g, props):

@@ -1,5 +1,7 @@
 """Bounded factorization: brackets, verification, search, case splits."""
 
+import threading
+
 import pytest
 
 from hgfactor import (
@@ -23,26 +25,39 @@ from hgfactor import (
     irreducibility_test,
     is_isomorphic,
     member,
-    parallel_map,
+    save_property,
     simple_graph,
     verify_factorisation,
 )
+from hgfactor.cli import run
 
 
 # --- plumbing ---------------------------------------------------------------
 
-def test_parallel_map_preserves_order():
-    items = list(range(40))
-    fn = lambda x: x * x
-    assert parallel_map(fn, items, workers=1) == parallel_map(fn, items, workers=8)
-    assert parallel_map(fn, items, workers=4) == [x * x for x in items]
+def test_workers_start_no_thread(props, tmp_path, monkeypatch, capsys):
+    # workers is accepted and ignored: every search stays in this thread
+    def refuse(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert not verify_factorisation(props.trifree, [props.edgeless] * 2, 5,
+                                    workers=8)
+    assert factor_search(props.bip, 2, 5, workers=8) == \
+        factor_search(props.bip, 2, 5, workers=1)
+    prop_file = tmp_path / "bip.prop"
+    save_property(props.bip, str(prop_file), "bip")
+    assert run(["--workers", "8", "factorize", "-p", str(prop_file),
+                "--bound", "5"]) == 0
+    assert "factorisation 1:" in capsys.readouterr().out
 
 
-def test_parallel_map_propagates_errors():
-    def boom(x):
-        raise RuntimeError("no")
-    with pytest.raises(RuntimeError):
-        parallel_map(boom, [1, 2], workers=4)
+def test_workers_below_one_rejected(props):
+    for call in (lambda: verify_factorisation(props.bip, [props.edgeless] * 2, 3,
+                                              workers=0),
+                 lambda: factor_search(props.bip, 2, 3, workers=0),
+                 lambda: irreducibility_test(props.edgeless, 3, workers=0)):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            call()
 
 
 def test_factorisation_validation(u, g, props):

@@ -226,18 +226,6 @@ def test_partition_min_parts_filter():
     assert all(len(p) >= 2 for p in got)
 
 
-def test_partition_padding_with_empty_parts():
-    got = list(enumerate_partitions(range(2), 3, nonempty=False))
-    # {01} padded to 1..3 parts, {0}{1} padded to 2..3 parts
-    assert got == [
-        ((0, 1),),
-        ((0, 1), ()),
-        ((0, 1), (), ()),
-        ((0,), (1,)),
-        ((0,), (1,), ()),
-    ]
-
-
 def test_partition_respects_vertex_collection():
     got = list(enumerate_partitions([4, 2], 2))
     assert got == [((2, 4),), ((2,), (4,))]
