@@ -35,7 +35,6 @@ from .core import (
     Hypergraph,
     disjoint_union,
     format_hypergraph,
-    induced,
     parse_hypergraph_block,
     replicate,
     _numbered_lines,
@@ -226,8 +225,7 @@ def _blocker_analysis(g: Hypergraph, d0: Decomposition, dt: Decomposition,
     for cls in d0.parts:
         for part in dt.parts:
             cells.append(sorted(cls & part))
-    cell_graphs = [induced(g, c) for c in cells]
-    witness = _split_fail_witness(p, cell_graphs)
+    witness = _split_fail_witness(p, g, [sum(1 << v for v in c) for c in cells])
     if witness is None:
         raise HgError("internal error: refined cells admit every join, "
                       "contradicting the maximal decomposition")

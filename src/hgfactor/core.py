@@ -246,7 +246,7 @@ def induced(g: Hypergraph, subset: Iterable) -> Hypergraph:
 
 def disjoint_union(g: Hypergraph, h: Hypergraph) -> Hypergraph:
     _check_same_universe(g, h)
-    shifted = frozenset(_remap_edge(e, {v: v + g.n for v in range(h.n)}) for e in h.edges)
+    shifted = frozenset(_remap_edge(e, range(g.n, g.n + h.n)) for e in h.edges)
     return Hypergraph(g.universe, g.n + h.n, g.edges | shifted)
 
 
@@ -264,12 +264,21 @@ def replicate(k: int, g: Hypergraph) -> Hypergraph:
 
 @lru_cache(maxsize=65536)
 def _incidence(g: Hypergraph) -> tuple:
-    """Edges at each vertex of g, in sorted edge order."""
+    """g's host index for _find: edges at each vertex, in sorted edge
+    order, and each vertex's neighbour bitmask."""
     at = [[] for _ in range(g.n)]
+    nbr = [0] * g.n
     for e in g.sorted_edges():
+        support = sum(1 << v for v in e.vertices)
         for v in e.vertices:
             at[v].append(e)
-    return tuple(tuple(es) for es in at)
+            nbr[v] |= support & ~(1 << v)
+    return tuple(tuple(es) for es in at), tuple(nbr)
+
+
+def _bits(mask: int) -> list:
+    """The set bit positions of a vertex bitmask, ascending."""
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
 
 
 def connected_components(g: Hypergraph) -> list:
@@ -346,58 +355,59 @@ def _pattern(f: Hypergraph, anchored: bool = False) -> tuple:
     if anchored:
         # an embedding with w on the anchor, composed with automorphisms,
         # puts every vertex of w's orbit there, so one start per orbit
-        f_at = [[] for _ in range(f.n)]
-        for e in f.edges:
-            for v in e.vertices:
-                f_at[v].append(e)
         starts = []
         for w in range(f.n):
-            if all(_find((keys, deg, [plans[r]]), f_at, range(f.n), w) is None
-                   for r in starts):
+            if all(_find((keys, deg, [plans[r]]), _incidence(f), (1 << f.n) - 1, w)
+                   is None for r in starts):
                 starts.append(w)
         plans = [plans[w] for w in starts]
     return keys, deg, plans
 
 
-def _find(pattern: tuple, g_at: Sequence, allowed: Sequence,
+def _find(pattern: tuple, host: tuple, allowed: int,
           anchor: Optional[int] = None) -> Optional[tuple]:
     """Induced embedding of a _pattern into the part of a host on `allowed`.
 
-    g_at[u] lists the host's edges at vertex u and `allowed` is a sorted
-    vertex list; edges reaching outside `allowed` are never looked at, so
-    the search runs on the induced subhypergraph without building it.
-    With anchor None the pattern's single ascending order is used and the
-    lexicographically first embedding is returned.  With an anchor (the
-    pattern built with anchored=True) only embeddings whose image
-    contains it count: each start vertex in turn is pinned to it.
+    host is _incidence(g) and `allowed` a vertex bitmask; edges reaching
+    outside `allowed` are never looked at, so the search runs on the
+    induced subhypergraph without building it.  With anchor None the
+    pattern's single ascending order is used and the lexicographically
+    first embedding is returned.  With an anchor (the pattern built with
+    anchored=True) only embeddings whose image contains it count: each
+    start vertex in turn is pinned to it.
 
     No EdgeObject is built.  Placing v on u maps every host edge at u
     whose vertices are all placed back into f's labels; the move stands
     when each lands on an f edge and their number equals v's closing
     count.  Mapping back is injective, so equal counts also prove that
-    every closing edge has its image.  Candidates for v are the allowed
-    vertices of at least v's degree that share a host edge with the image
-    of v's linked f neighbour; both filters keep ascending order.
+    every closing edge has its image.  Candidates for v are the bitmask
+    nbr[image[link]] & free (free allowed vertices next to the image of
+    v's linked f neighbour; bitset domains as in the Glasgow Subgraph
+    Solver, ICGT 2020), taken lowest bit first, so in ascending order,
+    and skipped below v's degree.
     """
     keys, deg, plans = pattern
+    g_at, nbr = host
     n = len(deg)
     pre = [-1] * len(g_at)  # host vertex -> f vertex
     look = pre.__getitem__
     image = [-1] * n
 
-    def extend(i: int) -> bool:
+    def extend(i: int, free: int) -> bool:
         if i == n:
             return True
         v = order[i]
         if i == 0 and anchor is not None:
-            cands = [anchor]
+            cands = free & (1 << anchor)
         elif link[i] is not None:
-            near = {x for e in g_at[image[link[i]]] for x in e.vertices}
-            cands = [u for u in allowed if u in near]
+            cands = nbr[image[link[i]]] & free
         else:
-            cands = allowed
-        for u in cands:
-            if pre[u] >= 0 or len(g_at[u]) < deg[v]:
+            cands = free
+        while cands:
+            bit = cands & -cands
+            cands ^= bit
+            u = bit.bit_length() - 1
+            if len(g_at[u]) < deg[v]:
                 continue
             pre[u] = v
             hits = 0
@@ -411,13 +421,13 @@ def _find(pattern: tuple, g_at: Sequence, allowed: Sequence,
             else:
                 if hits == closing[i]:
                     image[v] = u
-                    if extend(i + 1):
+                    if extend(i + 1, free ^ bit):
                         return True
             pre[u] = -1
         return False
 
     for order, closing, link in plans:
-        if extend(0):
+        if extend(0, allowed):
             return tuple(image)
     return None
 
@@ -438,7 +448,7 @@ def embed_induced(f: Hypergraph, g: Hypergraph) -> Optional[Embedding]:
     _check_same_universe(f, g)
     if f.n > g.n or len(f.edges) > len(g.edges):
         return None
-    image = _find(_pattern(f), _incidence(g), range(g.n))
+    image = _find(_pattern(f), _incidence(g), (1 << g.n) - 1)
     return None if image is None else Embedding(image)
 
 

@@ -17,7 +17,8 @@ graph.  Two fits, one per mode:
   per component suffices and the copy count never needs to exceed
   |V(F)|; conversely the slices of an embedded F inside a join member
   are induced in the copied parts.  The equivalence is validated
-  against the brute-force procedure in the test suite.
+  against the brute-force procedure in the test suite.  Parts are
+  bitmasks of one host graph; no part graph is built.
 * BOUNDED(k_max): each whole slice embeds induced into k copies of its
   part, for k = 1..k_max; other properties scan the join members by
   brute force (_first_bad_member).  A refutation is exact; a pass is
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable, Optional, Sequence
 
 from .core import (
@@ -43,7 +44,12 @@ from .core import (
     induced,
     crossing_edge_candidates,
     replicate,
+    _bits,
+    _codes,
+    _find,
+    _incidence,
     _join_stream,
+    _pattern,
 )
 from .generate import enumerate_partitions
 from .props import (
@@ -223,22 +229,58 @@ def _first_split(p: FiniteForbidden, n_parts: int, fit) -> Optional[DecWitness]:
     return None
 
 
-def _split_fail_witness(p: FiniteForbidden, parts: Sequence) -> Optional[DecWitness]:
-    """The exact criterion: first split whose every slice component
-    embeds induced into its part, or None."""
+@lru_cache(maxsize=65536)
+def _in_host(f: Hypergraph, g: Hypergraph) -> bool:
+    """Does f embed induced in g?  If not, it embeds in no block of g."""
+    return _find(_pattern(f), _incidence(g), (1 << g.n) - 1) is not None
 
-    def fit(i, block, g, comps):
-        # a slice may be larger than its part: components embed into
+
+@lru_cache(maxsize=4096)
+def _coded_edges(g: Hypergraph) -> tuple:
+    """g's sorted _codes as (support bitmask, ordered?, colour index, vertices)."""
+    return tuple((sum(1 << v for v in vs), o, c, vs) for o, c, vs, _, _ in sorted(_codes(g)))
+
+
+_split_memo = {}  # (p, block codes) -> witness; oldest dropped past 120,000
+
+
+def _split_fail_witness(p: FiniteForbidden, g: Hypergraph,
+                        masks: Sequence) -> Optional[DecWitness]:
+    """The exact criterion on the blocks of g given as vertex bitmasks (0
+    for an empty cell): first split whose every slice component embeds
+    induced into its block, or None.  Components are searched on g's
+    index under the block's mask, unless not _in_host at all, and renamed
+    by rank in the block, as induced() labels a part.  Memoised on p and
+    the blocks' orders and edges on ranks; ranks keep _coded_edges'
+    order, so equal part graphs of any hosts share an entry."""
+    codes = []
+    for mask in masks:
+        rank = {v: i for i, v in enumerate(_bits(mask))}
+        codes.append((len(rank), tuple((o, c, *map(rank.__getitem__, vs))
+                                       for sup, o, c, vs in _coded_edges(g)
+                                       if sup & mask == sup)))
+    key = (p, tuple(codes))
+    if key in _split_memo:
+        return _split_memo[key]
+    host = _incidence(g)
+
+    def fit(i, block, sl, comps):
+        # a slice may be larger than its block: components embed into
         # separate copies, so no size-based pruning is sound here
+        mask = masks[i]
         records = []
         for f_verts, comp in comps:
-            emb = embed_induced(comp, parts[i])
-            if emb is None:
+            image = _find(_pattern(comp), host, mask) if _in_host(comp, g) else None
+            if image is None:
                 return None
-            records.append(ComponentEmbedding(i, f_verts, emb))
+            local = tuple((mask & ((1 << u) - 1)).bit_count() for u in image)
+            records.append(ComponentEmbedding(i, f_verts, Embedding(local)))
         return records
 
-    return _first_split(p, len(parts), fit)
+    witness = _split_memo[key] = _first_split(p, len(masks), fit)
+    if len(_split_memo) > 120_000:
+        del _split_memo[next(iter(_split_memo))]
+    return witness
 
 
 def _first_bad_member(p: Property, graphs: Sequence, member_cap: int,
@@ -256,14 +298,9 @@ def _first_bad_member(p: Property, graphs: Sequence, member_cap: int,
 
 
 @lru_cache(maxsize=120_000)
-def _join_cached(p: Property, parts: tuple, mode: str, k_max: Optional[int] = None,
-                 member_cap: Optional[int] = None) -> JoinCheck:
-    """The join memo; exact calls leave k_max and member_cap out of the
-    key.  BOUNDED mode tries k = 1..k_max copies of every part, and its
-    refutations are exact."""
-    if mode == EXACT:
-        witness = _split_fail_witness(p, parts)
-        return JoinCheck(witness is None, EXACT, witness=witness)
+def _join_cached(p: Property, parts: tuple, k_max: int, member_cap: int) -> JoinCheck:
+    """The BOUNDED join memo: tries k = 1..k_max copies of every part;
+    its refutations are exact."""
     for k in range(1, k_max + 1):
         blown = [replicate(k, g) for g in parts]
         if isinstance(p, FiniteForbidden):
@@ -290,8 +327,9 @@ def join_subset_of(p: Property, parts: Sequence, mode: str = EXACT,
     """Does every k-fold join over the parts stay inside the property?
 
     EXACT mode needs a finite forbidden set and decides the question for
-    all k at once.  BOUNDED mode brute-forces k = 1..k_max; a "holds"
-    answer is then only a bounded verdict and says so in confidence.
+    all k at once, the parts laid side by side as blocks of one host.
+    BOUNDED mode brute-forces k = 1..k_max; a "holds" answer is then only
+    a bounded verdict and says so in confidence.
     """
     parts = tuple(parts)
     if not parts:
@@ -302,9 +340,12 @@ def join_subset_of(p: Property, parts: Sequence, mode: str = EXACT,
     if mode == EXACT:
         if not isinstance(p, FiniteForbidden):
             raise HgError("exact join containment needs a finite forbidden set")
-        return _join_cached(p, parts, EXACT)
+        ends = list(itertools.accumulate((g.n for g in parts), initial=0))
+        witness = _split_fail_witness(p, reduce(disjoint_union, parts),
+                                      [(1 << b) - (1 << a) for a, b in zip(ends, ends[1:])])
+        return JoinCheck(witness is None, EXACT, witness=witness)
     if mode == BOUNDED:
-        return _join_cached(p, parts, BOUNDED, k_max, member_cap)
+        return _join_cached(p, parts, k_max, member_cap)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -315,10 +356,16 @@ def _as_decomposition(d) -> Decomposition:
 def is_decomposition(g: Hypergraph, d, p: Property, mode: str = EXACT,
                      k_max: int = DEFAULT_K_MAX,
                      member_cap: int = DEFAULT_MEMBER_CAP) -> JoinCheck:
-    """Is d a valid decomposition of G for P?  Truthy JoinCheck."""
+    """Is d a valid decomposition of G for P?  Truthy JoinCheck.  EXACT
+    mode decides the parts as bitmasks of G; BOUNDED mode, and bad
+    arguments, go to join_subset_of with the induced parts."""
     d = _as_decomposition(d)
     if d.ground != frozenset(g.vertices):
         raise HgError("parts do not partition the vertex set")
+    if mode == EXACT and d.parts and isinstance(p, FiniteForbidden) \
+            and g.universe == p.universe:
+        witness = _split_fail_witness(p, g, [sum(1 << v for v in part) for part in d.parts])
+        return JoinCheck(witness is None, EXACT, witness=witness)
     parts = [induced(g, part) for part in d.parts]
     return join_subset_of(p, parts, mode, k_max, member_cap)
 

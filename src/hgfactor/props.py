@@ -36,7 +36,9 @@ from .core import (
     _numbered_lines,
     _format_universe,
     _parse_universe_spec,
+    _bits,
     _find,
+    _incidence,
     _pattern,
     format_hypergraph,
 )
@@ -175,6 +177,8 @@ class FiniteForbidden(Property):
         ordered = tuple(sorted((canonical_form(f) for f in forb),
                                key=lambda g: (g.n, canonical_key(g))))
         object.__setattr__(self, "forbidden", ordered)
+        # not a field: whether every forbidden graph is connected
+        object.__setattr__(self, "additive", all(is_connected(f) for f in ordered))
 
     def member(self, g: Hypergraph) -> MembershipResult:
         self._check_universe(g)
@@ -274,7 +278,7 @@ def is_additive(p: Property, search_bound: Optional[int] = None) -> bool:
     verdict from forbidden_up_to and need an explicit search_bound.
     """
     if isinstance(p, FiniteForbidden):
-        return all(is_connected(f) for f in p.forbidden)
+        return p.additive
     if search_bound is None:
         raise HgError("additivity for this representation needs a search bound")
     return all(is_connected(f) for f in forbidden_up_to(p, search_bound))
@@ -291,13 +295,13 @@ def partition_solve(g: Hypergraph, factors: Sequence) -> Optional[PartitionAssig
     block that already fails can never recover); product factors are only
     checked on complete blocks.
 
-    A finite-forbidden block is checked incrementally: it was clean before
-    vertex v joined, so only forbidden copies through v can appear, and
-    the search looks for those alone, inside the block, on g's incidence
-    lists built once per call (the same degree pruning and count-based
-    edge check as embed_induced, candidates kept in ascending order),
-    with each forbidden graph's anchored plan read from core._pattern's
-    memo, _pattern(f, True).
+    A finite-forbidden block, a vertex bitmask, is checked incrementally:
+    it was clean before vertex v joined, so only forbidden copies through
+    v can appear, and _find looks for those alone under the block's mask
+    on g's index, built once per call, with each forbidden graph's
+    anchored plan from _pattern(f, True).  If the factor is additive and
+    v has no neighbour in the block, no such copy exists (a disconnected
+    one, say an edge plus a vertex, could) and the search is skipped.
 
     A block larger than a generated factor's bound cannot be decided.
     Such branches are cut; a solution found elsewhere is still definite,
@@ -311,13 +315,12 @@ def partition_solve(g: Hypergraph, factors: Sequence) -> Optional[PartitionAssig
     m = len(factors)
     if m == 0:
         raise ValueError("need at least one factor")
-    parts = [set() for _ in range(m)]
+    parts = [0] * m  # block bitmasks
     deferred = [i for i, fac in enumerate(factors)
                 if not isinstance(fac, (FiniteForbidden, GeneratedBounded))]
-    g_at = [[] for _ in range(g.n)]
-    for e in g.edges:
-        for v in e.vertices:
-            g_at[v].append(e)
+    # built, not memoised: most graphs here are join members seen once
+    host = _incidence.__wrapped__(g)
+    nbr = host[1]
     patterns = [[_pattern(f, True) for f in fac.forbidden]
                 if isinstance(fac, FiniteForbidden) else () for fac in factors]
     cut_bound = None  # bound of a generated factor that cut a branch
@@ -326,27 +329,28 @@ def partition_solve(g: Hypergraph, factors: Sequence) -> Optional[PartitionAssig
         nonlocal cut_bound
         fac = factors[i]
         if isinstance(fac, FiniteForbidden):
-            block = sorted(parts[i])
-            return all(_find(pat, g_at, block, v) is None for pat in patterns[i])
+            if not nbr[v] & parts[i] and fac.additive:
+                return True
+            return all(_find(pat, host, parts[i], v) is None for pat in patterns[i])
         if isinstance(fac, GeneratedBounded):
-            if len(parts[i]) > fac.bound:
+            if parts[i].bit_count() > fac.bound:
                 cut_bound = fac.bound
                 return False
-            return bool(fac.member(induced(g, parts[i])))
+            return bool(fac.member(induced(g, _bits(parts[i]))))
         return True
 
     def place(v: int) -> bool:
         if v == g.n:
-            return all(bool(factors[i].member(induced(g, parts[i]))) for i in deferred)
+            return all(bool(factors[i].member(induced(g, _bits(parts[i])))) for i in deferred)
         for i in range(m):
-            parts[i].add(v)
+            parts[i] |= 1 << v
             if part_ok(i, v) and place(v + 1):
                 return True
-            parts[i].discard(v)
+            parts[i] ^= 1 << v
         return False
 
     if place(0):
-        return PartitionAssignment(tuple(frozenset(p) for p in parts))
+        return PartitionAssignment(tuple(frozenset(_bits(b)) for b in parts))
     if cut_bound is not None:
         raise BoundExceededError(
             f"no partition keeps every block within the declared bound {cut_bound} "

@@ -12,6 +12,10 @@ import pytest
 
 from hgfactor import (
     Decomposition,
+    EdgeKind,
+    EdgeObject,
+    Hypergraph,
+    Universe,
     IRREDUCIBLE_CERTIFIED,
     EnumSpec,
     FiniteForbidden,
@@ -23,6 +27,7 @@ from hgfactor import (
     enumerate_hypergraphs,
     enumerate_partitions,
     factor_search,
+    forbidden_property,
     forcing_pair,
     ind_parts,
     induced,
@@ -284,6 +289,34 @@ def test_criterion_5_aligned_supergraph_unique(g, props):
     print(f"\n[criterion 5] PASS - aligned supergraph on {ct.graph.n} "
           f"vertices has exactly one two-part decomposition out of "
           f"{scanned} scanned, and it extends the reference classes")
+
+
+def test_criterion_5_directed_aligned_supergraph_unique():
+    # the same construction over digraphs: forbid the directed 3-cycle and
+    # align two disjoint arcs, tails in one class and heads in the other
+    du = Universe(frozenset({EdgeKind.ORDERED}), frozenset({2}), ("a",))
+
+    def digraph(n, arcs):
+        return Hypergraph(du, n, frozenset(EdgeObject(EdgeKind.ORDERED, a, "a")
+                                           for a in arcs))
+
+    p = forbidden_property(du, [digraph(3, [(0, 1), (1, 2), (2, 0)])])
+    d0 = Decomposition((frozenset({0, 2}), frozenset({1, 3})))
+    ct = aligning_super(digraph(4, [(0, 1), (2, 3)]), d0, p, 10**4)
+    assert ct.graph.n == 16
+
+    found = []
+    scanned = 0
+    for parts in enumerate_partitions(ct.graph.vertices, 2, min_parts=2):
+        scanned += 1
+        d = Decomposition(parts)
+        if is_decomposition(ct.graph, d, p, EXACT):
+            found.append(d)
+    assert scanned == 2**15 - 1
+    assert found == [ct.class_extension()]
+    print(f"\n[criterion 5, directed] PASS - aligned supergraph of two arcs "
+          f"on {ct.graph.n} vertices has exactly one two-part decomposition "
+          f"out of {scanned} scanned, and it extends the reference classes")
 
 
 def test_criterion_6_factorization_at_desk_scale(u, g, props):

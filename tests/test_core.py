@@ -28,6 +28,7 @@ from hgfactor import (
     simple_graph,
     simple_universe,
 )
+from hgfactor.core import _find, _incidence, _pattern
 from helpers import (
     brute_canonical_key,
     brute_embed,
@@ -57,6 +58,16 @@ def triple_universe():
 def mixed_universe():
     return Universe(frozenset({EdgeKind.ORDERED, EdgeKind.UNORDERED}),
                     frozenset({2, 3}), ("e",))
+
+
+# (universe, edge density) for oracle comparisons on every edge shape
+UNIVERSE_CASES = [
+    pytest.param(simple_universe(), 0.5, id="simple"),
+    pytest.param(digraph_universe(), 0.35, id="digraph"),
+    pytest.param(two_colour_universe(), 0.4, id="two_colour"),
+    pytest.param(triple_universe(), 0.5, id="three_uniform"),
+    pytest.param(mixed_universe(), 0.1, id="mixed"),
+]
 
 
 # --- universe and edge validation ---------------------------------------
@@ -152,6 +163,14 @@ def test_disjoint_union_and_replicate(g):
         replicate(0, g.k2)
 
 
+@pytest.mark.parametrize("universe, p", UNIVERSE_CASES)
+def test_disjoint_union_of_two_copies_is_replicate(universe, p):
+    rng = random.Random(SEED + 4)
+    for _ in range(30):
+        g_ = random_graph(universe, rng.randint(0, 5), p, rng)
+        assert disjoint_union(g_, g_) == replicate(2, g_)
+
+
 def test_connectivity(g):
     assert is_connected(g.c5)
     assert not is_connected(g.two_k2)
@@ -222,6 +241,32 @@ def test_embed_respects_colours():
     blue = Hypergraph(u2, 2, frozenset({EdgeObject(EdgeKind.UNORDERED, (0, 1), "b")}))
     assert embed_induced(red, blue) is None
     assert not is_isomorphic(red, blue)
+
+
+@pytest.mark.parametrize("universe, p", UNIVERSE_CASES)
+def test_find_under_a_block_mask_matches_brute_force(universe, p):
+    # the kernel runs on the whole host's index with a vertex bitmask; it
+    # must return the first embedding into the induced block, in host
+    # labels (the block's ascending order maps part labels to host ones)
+    rng = random.Random(SEED + 3)
+    hits = misses = 0
+    for _ in range(200):
+        g_ = random_graph(universe, rng.randint(0, 7), p, rng)
+        block = sorted(rng.sample(range(g_.n), rng.randint(0, g_.n)))
+        part = induced(g_, block)
+        k = rng.randint(1, 4)
+        if rng.random() < 0.5 and k <= part.n:
+            sub = induced(part, rng.sample(range(part.n), k))
+            f = relabel(sub, rng.sample(range(k), k))
+        else:
+            f = random_graph(universe, k, p, rng)
+        got = _find(_pattern(f), _incidence(g_), sum(1 << v for v in block))
+        want = brute_embed(f, part)
+        assert got == (None if want is None else tuple(block[i] for i in want))
+        if f.edges:
+            hits += got is not None
+            misses += got is None and brute_embed(f, g_) is not None
+    assert hits > 10 and misses > 5
 
 
 # --- canonical forms ------------------------------------------------------

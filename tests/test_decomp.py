@@ -44,6 +44,7 @@ from hgfactor import (
     strictness_witness,
     unique_decomposition,
 )
+from hgfactor import decomp
 from helpers import (
     brute_strict,
     image_triples,
@@ -140,6 +141,13 @@ def test_join_goldens(g, props):
     assert isinstance(w, DecWitness)
     assert w.forbidden == props.trifree.forbidden[0]
     assert tuple(len(b) for b in w.split) == (2, 1)
+
+
+def test_join_memo_tells_an_empty_part_from_a_vertex(g, props):
+    # the exact memo keys each part by its order and edges; K0 and K1
+    # have the same (empty) edges, but only K1 can carry a triangle vertex
+    assert not join_subset_of(props.trifree, [g.k2, g.k1])
+    assert join_subset_of(props.trifree, [g.k2, g.k0])
 
 
 def test_join_witness_embeddings_are_real(g, props):
@@ -253,6 +261,69 @@ def test_is_decomposition(g, props):
     assert not is_decomposition(g.c4, [{0, 1}, {2, 3}], props.trifree)
     with pytest.raises(HgError):
         is_decomposition(g.c4, [{0, 1}], props.trifree)
+
+
+def _kernel_universes(u):
+    """(name, universe, edge density) for the five test universes."""
+    o, un = EdgeKind.ORDERED, EdgeKind.UNORDERED
+    density = {"ORDERED-2": 0.35, "UNORDERED-3": 0.5, "2-colour": 0.4}
+    mixed = Universe(frozenset({o, un}), frozenset({2, 3}), ("e",))
+    return ([("simple", u, 0.45)]
+            + [(name, uu, density[name]) for name, uu, _ in _universes_beyond_simple()]
+            + [("mixed", mixed, 0.15)])
+
+
+def _assert_records_embed(w, parts):
+    for rec in w.components:
+        m = rec.embedding.mapping
+        assert mapped_triples(induced(w.forbidden, rec.component), m) \
+            == image_triples(parts[rec.part_index], m)
+
+
+@pytest.mark.parametrize("name", ["simple", "ORDERED-2", "UNORDERED-3", "2-colour",
+                                  "mixed"])
+def test_exact_blocks_match_part_graphs_and_oracle(u, name):
+    # is_decomposition decides the blocks of G as vertex bitmasks on G's
+    # own index.  Its verdict and witness must be those of join_subset_of
+    # over the induced part graphs (the memo cleared in between, so both
+    # are computed) and agree with the oracle, on hosts in and outside P.
+    # The construct path hands the engine an empty cell as a zero mask.
+    _, uu, dens = next(c for c in _kernel_universes(u) if c[0] == name)
+    lo, hi = (3, 4) if name == "UNORDERED-3" else (2, 3)
+    rng = random.Random(f"{SEED}:{name}")
+    outside = refuted = held = 0
+    for _ in range(100):
+        forb = []
+        while len(forb) < rng.randint(1, 2):
+            f = random_graph(uu, rng.randint(lo, hi), dens, rng)
+            if f.edges:
+                forb.append(f)
+        p = forbidden_property(uu, forb)
+        g_ = random_graph(uu, rng.randint(1, 4), dens, rng)
+        outside += not member(p, g_)
+        assign = [rng.randrange(3) for _ in range(g_.n)]
+        d = Decomposition([{v for v in g_.vertices if assign[v] == i}
+                           for i in set(assign)])
+        parts = [induced(g_, part) for part in d.parts]
+        chk = is_decomposition(g_, d, p)
+        decomp._split_memo.clear()
+        assert chk == join_subset_of(p, parts)
+        assert bool(chk) == (not oracle_join_fails(p.forbidden, parts, k_max=3))
+        if chk:
+            held += 1
+        else:
+            refuted += 1
+            _assert_records_embed(chk.witness, parts)
+        masks = [sum(1 << v for v in part) for part in d.parts]
+        gap = rng.randint(0, len(masks))
+        masks.insert(gap, 0)
+        parts.insert(gap, Hypergraph(uu, 0, frozenset()))
+        w = decomp._split_fail_witness(p, g_, masks)
+        assert (w is None) == (not oracle_join_fails(p.forbidden, parts, k_max=3))
+        if w is not None:
+            assert w.split[gap] == ()
+            _assert_records_embed(w, parts)
+    assert outside > 5 and refuted > outside and held > 5
 
 
 # --- decomposition numbers ---------------------------------------------------

@@ -177,8 +177,13 @@ def test_partition_solve_matches_assignment_scan(u, props):
 def test_partition_solve_matches_assignment_scan_beyond_simple_graphs():
     # directed and 3-uniform factors whose forbidden graphs have 2 to 4
     # vertices, so the search through the newly placed vertex starts from
-    # every position of the forbidden graph
+    # every position of the forbidden graph.  Disconnected forbidden
+    # graphs (2K2, two disjoint arcs, an edge or arc plus a vertex) make
+    # factors that are not additive: a forbidden copy may appear through
+    # a vertex with no neighbour in its block, so the neighbour guard
+    # must not skip the search for them.
     rng = random.Random(SEED + 2)
+    su = Universe(frozenset({EdgeKind.UNORDERED}), frozenset({2}), ("e",))
     du = Universe(frozenset({EdgeKind.ORDERED}), frozenset({2}), ("a",))
     tu = Universe(frozenset({EdgeKind.UNORDERED}), frozenset({3}), ("e",))
 
@@ -194,7 +199,15 @@ def test_partition_solve_matches_assignment_scan_beyond_simple_graphs():
     triple = graph(tu, 3, [(0, 1, 2)])
     pair = graph(tu, 4, [(0, 1, 2), (1, 2, 3)])
     loose = graph(tu, 5, [(0, 1, 2), (2, 3, 4)])
+    two_k2 = graph(su, 4, [(0, 1), (2, 3)])
+    edge_vertex = graph(su, 3, [(0, 1)])
+    two_arcs = graph(du, 4, [(0, 1), (2, 3)])
+    arc_vertex = graph(du, 3, [(0, 1)])
     cases = [
+        (su, 0.35, 7, [forbidden_property(su, [edge_vertex]),
+                       forbidden_property(su, [two_k2])]),
+        (du, 0.3, 6, [forbidden_property(du, [arc_vertex, two_cycle]),
+                      forbidden_property(du, [two_arcs, two_cycle])]),
         (du, 0.4, 6, [forbidden_property(du, [arc, two_cycle]),
                       forbidden_property(du, [path, two_cycle])]),
         (du, 0.8, 6, [forbidden_property(du, [out_star, two_cycle]),
