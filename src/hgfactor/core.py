@@ -459,20 +459,18 @@ def _codes(g: Hypergraph) -> tuple:
                   e.colour) for e in g.edges)
 
 
-def _canon(n: int, codes: Sequence) -> tuple:
-    """canonical_key of the graph on n vertices with these _codes.
+def _cells(n: int, codes: Sequence) -> list:
+    """Refined vertex classes of the graph on n vertices with these _codes,
+    as ascending vertex lists in colour order.
 
-    Refinement: a vertex's profile lists, per incident edge, the kind bit,
-    colour index, arity, own position (ordered edges only) and the current
-    colours of the other members (of all members, in order, for an ordered
-    edge), and colours are ranks of (colour, sorted profile) until the
-    class count stops growing; every isomorphism respects the final
-    classes.  Then each ordering within the classes, in product order,
-    maps the edges to (arity, vertices, kind value, colour) entries, and
-    the least sorted list wins.
+    A vertex's profile lists, per incident edge, the kind bit, colour
+    index, arity, own position (ordered edges only) and the current
+    colours of the other members (of all members, in order, for an
+    ordered edge), and colours are ranks of (colour, sorted profile) until
+    the class count stops growing; every isomorphism, and so every
+    automorphism, respects the final classes.  Raises CapExceededError
+    when the orderings within the classes exceed CANONICAL_ORDER_CAP.
     """
-    if not codes:
-        return (n, ())
     # at[v]: (profile entry head, vertices whose colours it carries, sort?)
     at = [[] for _ in range(n)]
     for ordered, ci, verts, _, _ in codes:
@@ -507,6 +505,19 @@ def _canon(n: int, codes: Sequence) -> tuple:
         if total > CANONICAL_ORDER_CAP:
             raise CapExceededError(
                 f"canonical labelling would try more than {CANONICAL_ORDER_CAP} orderings")
+    return cell_list
+
+
+def _canon(n: int, codes: Sequence) -> tuple:
+    """canonical_key of the graph on n vertices with these _codes.
+
+    Each ordering within the _cells classes, in product order, maps the
+    edges to (arity, vertices, kind value, colour) entries, and the least
+    sorted list wins.
+    """
+    if not codes:
+        return (n, ())
+    cell_list = _cells(n, codes)
     best = None
     mapping = [0] * n
     look = mapping.__getitem__
@@ -522,6 +533,32 @@ def _canon(n: int, codes: Sequence) -> tuple:
         if best is None or key < best:
             best = key
     return (n, tuple(best))
+
+
+def _automorphisms(n: int, codes: Sequence) -> list:
+    """Every automorphism of the graph on n vertices with these _codes, as
+    a tuple whose v-th entry is v's image; the identity comes first.
+
+    An automorphism respects the _cells classes, so only the maps that
+    permute each class among itself are tried (all n! for an edgeless
+    graph, one for a discrete colouring), and the ones that carry every
+    edge onto an edge are kept.  Used on enumeration parents, which have
+    at most 6 vertices, so at most 720 maps.
+    """
+    edges = {(ordered, ci, verts) for ordered, ci, verts, _, _ in codes}
+    cell_list = _cells(n, codes)
+    found = []
+    for combo in itertools.product(*(itertools.permutations(c) for c in cell_list)):
+        sigma = [0] * n
+        for cell, images in zip(cell_list, combo):
+            for v, w in zip(cell, images):
+                sigma[v] = w
+        look = sigma.__getitem__
+        if all((ordered, ci, tuple(map(look, verts)) if ordered
+                else tuple(sorted(map(look, verts)))) in edges
+               for ordered, ci, verts in edges):
+            found.append(tuple(sigma))
+    return found
 
 
 def _key_graph(u: Universe, key: tuple) -> Hypergraph:

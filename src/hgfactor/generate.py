@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -10,6 +9,8 @@ from .core import (
     CapExceededError,
     Hypergraph,
     Universe,
+    _automorphisms,
+    _bits,
     _canon,
     _codes,
     _key_graph,
@@ -45,9 +46,11 @@ def enumerate_hypergraphs(spec: EnumSpec):
 
     Vertex counts ascend; within a count, representatives come in
     canonical-key order.  Classes on n vertices are grown from classes on
-    n-1 vertices by adding a vertex together with every subset of edges
-    through it; every class is reached because deleting the last vertex
-    of any graph gives a graph on one vertex fewer.
+    n-1 vertices by adding a vertex together with a subset of the edges
+    through it.  Only subsets that leave the new vertex of least degree
+    are keyed, one per orbit of the parent's automorphisms; every class
+    is still reached, because deleting a least-degree vertex of any
+    graph gives a graph on one vertex fewer (see _layer).
 
     Layers are memoised per (universe, n) and kept for the life of the
     process, so repeated bounded scans enumerate each layer once.  A layer
@@ -66,24 +69,78 @@ def enumerate_hypergraphs(spec: EnumSpec):
 @lru_cache(maxsize=64)
 def _layer(u: Universe, n: int) -> tuple:
     """Canonical forms of every class on exactly n vertices, in
-    canonical-key order.  The edges through the new vertex are the
-    crossing edges of n-1 isolated vertices and one more.  Parents and
-    those edges are coded once (core._codes); each candidate, parent
-    codes plus a subset of the new ones, is keyed by core._canon
-    directly, so no graph is built and no canonical_key memo entry is
-    made per candidate, only a graph per class kept."""
+    canonical-key order.
+
+    A candidate is a parent (a class on n-1 vertices) plus a subset S of
+    the m edges through the new vertex n-1, the crossing edges of n-1
+    isolated vertices and one more.  Parents and those edges are coded
+    once (core._codes) and a candidate is keyed by core._canon directly,
+    so no graph is built and no canonical_key memo entry is made per
+    candidate, only a graph per class kept.  A candidate is keyed only if
+    it passes two rules, checked in this order:
+
+    (a) least degree: the new vertex has the least degree in the child,
+        counting edges of any kind and colour.  Its degree is |S|; an old
+        vertex w has its degree in the parent plus |S & touch[w]|, where
+        touch[w] marks the new edges through w.  No class is lost: a
+        least-degree vertex v of any graph G leaves a graph G - v
+        isomorphic to some parent P, and the candidate that rebuilds G
+        from P has v as its new vertex.
+    (b) orbit: Aut(P), extended to fix the new vertex, permutes the new
+        edges, and only the first subset of each orbit met is keyed;
+        keying it marks its whole orbit done.  No class is lost: an
+        automorphism a of P that fixes the new vertex maps the child of
+        (P, S) isomorphically onto the child of (P, a(S)), and keeps the
+        new vertex's degree, so an orbit passes rule (a) as a whole.
+
+    Every class keeps at least one keyed candidate, so the set of keys,
+    and the layer, are those of keying every candidate.
+    """
     if n == 0:
         return (Hypergraph(u, 0, frozenset()),)
     through = crossing_edge_candidates(
         [Hypergraph(u, n - 1, frozenset()), Hypergraph(u, 1, frozenset())])
     new = _codes(Hypergraph(u, n, frozenset(through)))
+    index = {(ordered, ci, verts): i for i, (ordered, ci, verts, _, _) in enumerate(new)}
+    touch = [0] * (n - 1)
+    for i, (_, _, verts, _, _) in enumerate(new):
+        for w in verts:
+            if w < n - 1:
+                touch[w] |= 1 << i
     seen = set()
     for g in _layer(u, n - 1):
         base = _codes(g)
-        for r in range(len(new) + 1):
-            for picks in itertools.combinations(new, r):
-                seen.add(_canon(n, base + picks))
+        deg = [0] * (n - 1)
+        for _, _, verts, _, _ in base:
+            for w in verts:
+                deg[w] += 1
+        low = min(deg, default=0)
+        # per automorphism other than the identity, each new edge's image bit
+        images = [_edge_images(new, index, sigma + (n - 1,))
+                  for sigma in _automorphisms(n - 1, base)[1:]]
+        done = bytearray(1 << len(new))
+        for s in range(1 << len(new)):
+            k = s.bit_count()
+            if k > low and any(k > d + (s & t).bit_count() for d, t in zip(deg, touch)):
+                continue
+            if done[s]:
+                continue
+            picks = _bits(s)
+            seen.add(_canon(n, base + tuple(new[i] for i in picks)))
+            for image in images:
+                t = 0
+                for i in picks:
+                    t |= image[i]
+                done[t] = 1
     return tuple(_key_graph(u, k) for k in sorted(seen))
+
+
+def _edge_images(new: tuple, index: dict, sigma: tuple) -> list:
+    """Bit of each new edge's image under the vertex map sigma."""
+    look = sigma.__getitem__
+    return [1 << index[ordered, ci, tuple(map(look, verts)) if ordered
+                       else tuple(sorted(map(look, verts)))]
+            for ordered, ci, verts, _, _ in new]
 
 
 def enumerate_partitions(vertices, max_parts: int, min_parts: int = 1):

@@ -177,8 +177,11 @@ class FiniteForbidden(Property):
         ordered = tuple(sorted((canonical_form(f) for f in forb),
                                key=lambda g: (g.n, canonical_key(g))))
         object.__setattr__(self, "forbidden", ordered)
-        # not a field: whether every forbidden graph is connected
+        # not fields: whether every forbidden graph is connected, and
+        # whether every vertex of each lies on an edge (so additive ones do)
         object.__setattr__(self, "additive", all(is_connected(f) for f in ordered))
+        object.__setattr__(self, "no_isolated", all(
+            len({v for e in f.edges for v in e.vertices}) == f.n for f in ordered))
 
     def member(self, g: Hypergraph) -> MembershipResult:
         self._check_universe(g)
@@ -299,9 +302,12 @@ def partition_solve(g: Hypergraph, factors: Sequence) -> Optional[PartitionAssig
     it was clean before vertex v joined, so only forbidden copies through
     v can appear, and _find looks for those alone under the block's mask
     on g's index, built once per call, with each forbidden graph's
-    anchored plan from _pattern(f, True).  If the factor is additive and
-    v has no neighbour in the block, no such copy exists (a disconnected
-    one, say an edge plus a vertex, could) and the search is skipped.
+    anchored plan from _pattern(f, True).  If no forbidden graph of the
+    factor has an isolated vertex and v has no neighbour in the block, no
+    such copy exists (the vertex mapped to v lies on an edge, whose image
+    would give v a neighbour; an edge plus a vertex could have its
+    isolated vertex at v) and the search is skipped.  Every additive
+    factor qualifies, since forbidden graphs have at least 2 vertices.
 
     A block larger than a generated factor's bound cannot be decided.
     Such branches are cut; a solution found elsewhere is still definite,
@@ -329,7 +335,7 @@ def partition_solve(g: Hypergraph, factors: Sequence) -> Optional[PartitionAssig
         nonlocal cut_bound
         fac = factors[i]
         if isinstance(fac, FiniteForbidden):
-            if not nbr[v] & parts[i] and fac.additive:
+            if not nbr[v] & parts[i] and fac.no_isolated:
                 return True
             return all(_find(pat, host, parts[i], v) is None for pat in patterns[i])
         if isinstance(fac, GeneratedBounded):

@@ -65,6 +65,13 @@ def brute_canonical_key(g):
     return (g.n, best or ())
 
 
+def brute_automorphisms(g):
+    """Every vertex permutation that maps g's edge set onto itself."""
+    own = graph_triples(g)
+    return [perm for perm in itertools.permutations(range(g.n))
+            if mapped_triples(g, perm) == own]
+
+
 def brute_member_ff(forbidden, g):
     return all(brute_embed(f, g) is None for f in forbidden)
 
@@ -147,6 +154,37 @@ def brute_one_vertex_extensions(g):
         for chosen in itertools.combinations(cands, r):
             out.append(Hypergraph(g.universe, g.n + 1, g.edges | frozenset(chosen)))
     return out
+
+
+def unpruned_layer(parents):
+    """Every class one vertex up from the given classes, by unpruned
+    growth: each parent plus every subset of the edges through the new
+    vertex, keyed by the library's canonical_key, deduplicated, as
+    canonical forms in key order."""
+    from hgfactor import canonical_form, canonical_key
+    reps = {}
+    for p in parents:
+        for h in brute_one_vertex_extensions(p):
+            reps.setdefault(canonical_key(h), h)
+    return tuple(canonical_form(reps[k]) for k in sorted(reps))
+
+
+def least_degree_orbits(parent):
+    """How many orbits, under the parent's automorphisms with the new
+    vertex fixed, the one-vertex extensions of the parent in which the
+    new vertex has the least degree (edges at a vertex, of any kind and
+    colour) fall into."""
+    z = parent.n
+    auts = [perm + (z,) for perm in brute_automorphisms(parent)]
+    orbits = set()
+    for h in brute_one_vertex_extensions(parent):
+        deg = [0] * (z + 1)
+        for e in h.edges:
+            for v in e.vertices:
+                deg[v] += 1
+        if deg[z] == min(deg):
+            orbits.add(min(tuple(sorted(mapped_triples(h, a))) for a in auts))
+    return len(orbits)
 
 
 def brute_strict(g, member_fn):

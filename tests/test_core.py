@@ -28,8 +28,10 @@ from hgfactor import (
     simple_graph,
     simple_universe,
 )
-from hgfactor.core import _find, _incidence, _pattern
+from hgfactor.core import _automorphisms, _cells, _codes, _find, _incidence, _pattern
 from helpers import (
+    admissible_edges,
+    brute_automorphisms,
     brute_canonical_key,
     brute_embed,
     brute_iso,
@@ -310,6 +312,28 @@ def test_canonical_key_relabel_invariant(universe, p, p_relabel):
         perm = list(range(n))
         rng.shuffle(perm)
         assert canonical_key(relabel(g_, perm)) == canonical_key(g_)
+
+
+@pytest.mark.parametrize("universe, p", UNIVERSE_CASES)
+def test_automorphisms_match_brute_force(universe, p):
+    # only maps within the refined classes are tried; they must still be
+    # every permutation that keeps the edge set, identity first.  The
+    # edgeless and complete graphs have one class and the whole group.
+    rng = random.Random(SEED + 5)
+    sample = [Hypergraph(universe, 5, frozenset()),
+              Hypergraph(universe, 5, frozenset(admissible_edges(universe, range(5))))]
+    sample += [random_graph(universe, rng.randint(0, 5), p, rng) for _ in range(60)]
+    split = split_symmetric = 0
+    for g_ in sample:
+        codes = _codes(g_)
+        got = _automorphisms(g_.n, codes)
+        assert got[0] == tuple(range(g_.n))
+        assert sorted(got) == sorted(brute_automorphisms(g_))
+        cells = len(_cells(g_.n, codes))
+        split += cells > 1
+        split_symmetric += 1 < cells < g_.n and len(got) > 1
+    assert [len(_automorphisms(5, _codes(h))) for h in sample[:2]] == [120, 120]
+    assert split > 15 and split_symmetric > 0
 
 
 def test_canonical_form_is_idempotent_and_isomorphic(g):

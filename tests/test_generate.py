@@ -10,6 +10,7 @@ from hgfactor import (
     EdgeKind,
     EnumSpec,
     HARD_VERTEX_CAP,
+    Hypergraph,
     Universe,
     canonical_form,
     canonical_key,
@@ -20,7 +21,7 @@ from hgfactor import (
     simple_universe,
 )
 from hgfactor import generate
-from helpers import bell, count_unlabeled, stirling2
+from helpers import bell, count_unlabeled, least_degree_orbits, stirling2, unpruned_layer
 
 
 def digraph_universe():
@@ -170,6 +171,45 @@ def test_layers_add_no_canonical_key_memo_entries():
         assert list(enumerate_hypergraphs(EnumSpec(universe, top)))
     info = canonical_key.cache_info()
     assert (info.currsize, info.misses) == (0, 0)
+
+
+# the edge shapes of the oracle tests, each with the top layer grown; the
+# mixed shape is split in two (arities {2,3}, and both kinds), because
+# both kinds at arity 3 give 13 edges through the third vertex and make
+# the unpruned reference take seconds
+LAYER_CASES = [
+    pytest.param(simple_universe(), 6, id="simple"),
+    pytest.param(digraph_universe(), 4, id="digraph"),
+    pytest.param(Universe(frozenset({U}), frozenset({2}), ("r", "b")), 4, id="two_colour"),
+    pytest.param(three_uniform_universe(), 5, id="three_uniform"),
+    pytest.param(Universe(frozenset({U}), frozenset({2, 3}), ("e",)), 4, id="arities23"),
+    pytest.param(Universe(frozenset({O, U}), frozenset({2}), ("e",)), 3, id="both_kinds2"),
+]
+
+
+@pytest.mark.parametrize("universe, top", LAYER_CASES)
+def test_layers_match_unpruned_growth(universe, top):
+    # the pruned layers key fewer candidates but keep every class: each
+    # equals the reference grown from the reference layer below it
+    layer = (Hypergraph(universe, 0, frozenset()),)
+    for n in range(1, top + 1):
+        layer = unpruned_layer(layer)
+        assert generate._layer(universe, n) == layer
+
+
+@pytest.mark.parametrize("universe, top", LAYER_CASES)
+def test_layer_keys_one_candidate_per_least_degree_orbit(universe, top, monkeypatch):
+    # machine-independent work count: the top layer keys exactly one
+    # candidate per orbit, under each parent's automorphisms, of the
+    # subsets that leave the new vertex of least degree
+    generate._layer.cache_clear()
+    parents = generate._layer(universe, top - 1)  # memoised before counting
+    keyed = []
+    canon = generate._canon
+    monkeypatch.setattr(generate, "_canon", lambda n, codes: keyed.append(n) or canon(n, codes))
+    assert generate._layer(universe, top)
+    assert keyed and set(keyed) == {top}
+    assert len(keyed) == sum(least_degree_orbits(p) for p in parents)
 
 
 def test_enumeration_cap():

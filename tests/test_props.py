@@ -32,6 +32,7 @@ from hgfactor import (
     save_property,
     simple_graph,
 )
+from hgfactor import props as hgprops
 from helpers import (
     brute_member_ff,
     image_triples,
@@ -179,9 +180,11 @@ def test_partition_solve_matches_assignment_scan_beyond_simple_graphs():
     # vertices, so the search through the newly placed vertex starts from
     # every position of the forbidden graph.  Disconnected forbidden
     # graphs (2K2, two disjoint arcs, an edge or arc plus a vertex) make
-    # factors that are not additive: a forbidden copy may appear through
-    # a vertex with no neighbour in its block, so the neighbour guard
-    # must not skip the search for them.
+    # factors that are not additive.  An edge or arc plus a vertex has an
+    # isolated vertex: a forbidden copy may appear through a vertex with
+    # no neighbour in its block, so the neighbour guard must not skip the
+    # search for them.  2K2 and two disjoint arcs have none, so the guard
+    # skips it for them.
     rng = random.Random(SEED + 2)
     su = Universe(frozenset({EdgeKind.UNORDERED}), frozenset({2}), ("e",))
     du = Universe(frozenset({EdgeKind.ORDERED}), frozenset({2}), ("a",))
@@ -233,6 +236,23 @@ def test_partition_solve_matches_assignment_scan_beyond_simple_graphs():
         assert found > 0
         runs, solved = runs + 40, solved + found
     assert solved < runs
+
+
+def test_neighbour_guard_skips_factors_without_isolated_forbidden_vertices(u, monkeypatch):
+    # 2K2-free is not additive, but every vertex of 2K2 lies on an edge,
+    # so a vertex with no neighbour in its block completes no copy and no
+    # search runs; an edge plus a vertex has its isolated vertex free to
+    # land there, so the search runs
+    two_k2 = forbidden_property(u, [simple_graph(4, [(0, 1), (2, 3)])])
+    edge_vertex = forbidden_property(u, [simple_graph(3, [(0, 1)])])
+    assert (two_k2.additive, two_k2.no_isolated) == (False, True)
+    assert (edge_vertex.additive, edge_vertex.no_isolated) == (False, False)
+    calls = []
+    find = hgprops._find
+    monkeypatch.setattr(hgprops, "_find", lambda *a: calls.append(a) or find(*a))
+    edgeless = simple_graph(6, [])
+    assert partition_solve(edgeless, [two_k2]) is not None and not calls
+    assert partition_solve(edgeless, [edge_vertex]) is not None and calls
 
 
 def test_product_of_bounded_factors_is_honest(u, g):
