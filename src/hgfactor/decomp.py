@@ -23,6 +23,12 @@ graph.  Two fits, one per mode:
   part, for k = 1..k_max; other properties scan the join members by
   brute force (_first_bad_member).  A refutation is exact; a pass is
   only "no failure up to k_max" and is marked as such.
+
+One memoised walk of the partition lattice (_level) answers every
+decomposition query: level k holds the valid k-part decompositions, each
+refined from a valid one with one part fewer.  dec_number reads the
+deepest nonempty level, all_decompositions reads one level, and the
+uniqueness queries read the level at dec(G).
 """
 
 from __future__ import annotations
@@ -51,7 +57,6 @@ from .core import (
     _join_stream,
     _pattern,
 )
-from .generate import enumerate_partitions
 from .props import (
     FiniteForbidden,
     Property,
@@ -387,83 +392,74 @@ def _refinements(d: Decomposition):
                 yield Decomposition(d.parts[:idx] + (left, right) + d.parts[idx + 1:])
 
 
+def _rgs(d: Decomposition) -> tuple:
+    """d's restricted growth string: each vertex's part index, vertices
+    ascending.  These strings order partitions as enumerate_partitions
+    yields them."""
+    label = {v: i for i, part in enumerate(d.parts) for v in part}
+    return tuple(label[v] for v in sorted(label))
+
+
+@lru_cache(maxsize=4096)
+def _level(g: Hypergraph, p: Property, mode: str, k_max: int, member_cap: int,
+           k: int) -> tuple:
+    """The valid k-part decompositions of G, in enumerate_partitions order.
+
+    Level 1 is the one-part partition when it is valid: membership of G
+    does not make it valid for a non-additive property, as every k-fold
+    copy union of G must stay in P.  Level k is the valid refinements of
+    level k-1, each decided once.  Merging two parts of a valid
+    decomposition keeps it valid, in EXACT and BOUNDED mode alike
+    (checked in the tests), so every valid partition refines a valid one
+    with one part fewer: a partition the walk never reaches is invalid.
+    """
+    if k == 1:
+        kids = {(0,) * g.n: Decomposition((g.vertices,))} if p.member(g) and g.n else {}
+    else:
+        kids = {_rgs(c): c for d in _level(g, p, mode, k_max, member_cap, k - 1)
+                for c in _refinements(d)}
+    return tuple(d for _, d in sorted(kids.items())
+                 if is_decomposition(g, d, p, mode, k_max, member_cap))
+
+
 def dec_number(g: Hypergraph, p: Property, mode: str = EXACT,
                k_max: int = DEFAULT_K_MAX,
                member_cap: int = DEFAULT_MEMBER_CAP) -> DecResult:
     """Maximum part count over decompositions, with one maximizer.
 
-    Walks the partition lattice from the single-part partition downward,
-    refining only valid nodes: merging parts of a valid decomposition
-    keeps it valid (checked exhaustively in the tests), so every valid
-    partition is reachable through a chain of valid ones.  For finite
-    forbidden sets the part count provably stays below the minimum
-    forbidden order; that bound both prunes the walk and is asserted.
-    The reported maximizer is the first such partition in canonical
-    order.
+    Walks the valid levels of the partition lattice (_level) until one is
+    empty.  For finite forbidden sets the part count provably stays below
+    the minimum forbidden order; that bound is asserted.  The reported
+    maximizer is the least in Decomposition.key order, which need not be
+    the first of all_decompositions at that part count.
     """
-    return _dec_cached(g, p, mode, k_max, member_cap)
-
-
-@lru_cache(maxsize=4096)
-def _dec_cached(g: Hypergraph, p: Property, mode: str,
-                k_max: int, member_cap: int) -> DecResult:
     confidence = EXACT if mode == EXACT else f"bounded k_max={k_max}"
-    if not p.member(g):
+    k = 0
+    while _level(g, p, mode, k_max, member_cap, k + 1):
+        k += 1
+        if isinstance(p, FiniteForbidden) and k >= min_forbidden_order(p):
+            raise HgError("internal error: decomposition at the forbidden-order bound")
+    if k == 0:
         return DecResult(0, None, confidence)
-    if g.n == 0:
-        return DecResult(0, None, confidence)
-    hard_cap = min_forbidden_order(p) if isinstance(p, FiniteForbidden) else g.n
-    top = Decomposition((frozenset(g.vertices),))
-    # membership of G does not make the one-part partition valid for a
-    # non-additive property: all k-fold copy unions of G must stay in P
-    if not is_decomposition(g, top, p, mode, k_max, member_cap):
-        return DecResult(0, None, confidence)
-    best_value = 1
-    best = top
-    seen = {top.key()}
-    stack = [top]
-    while stack:
-        d = stack.pop()
-        if len(d) >= hard_cap:
-            continue
-        for child in _refinements(d):
-            ck = child.key()
-            if ck in seen:
-                continue
-            seen.add(ck)
-            if is_decomposition(g, child, p, mode, k_max, member_cap):
-                if isinstance(p, FiniteForbidden) and len(child) >= hard_cap:
-                    raise HgError(
-                        "internal error: decomposition at the forbidden-order bound")
-                if (len(child), ) > (best_value, ) or \
-                        (len(child) == best_value and child.key() < best.key()):
-                    best_value, best = len(child), child
-                stack.append(child)
-    return DecResult(best_value, best, confidence)
+    best = min(_level(g, p, mode, k_max, member_cap, k), key=Decomposition.key)
+    return DecResult(k, best, confidence)
 
 
 def all_decompositions(g: Hypergraph, p: Property, n_parts: int, mode: str = EXACT,
                        k_max: int = DEFAULT_K_MAX,
                        member_cap: int = DEFAULT_MEMBER_CAP) -> list:
     """All decompositions with exactly n_parts parts, in the canonical
-    partition enumeration order."""
+    partition enumeration order (that of enumerate_partitions).  Decides
+    no partition with more than n_parts parts."""
     if n_parts < 1:
         raise ValueError("need at least one part")
-    return list(_all_decs_cached(g, p, n_parts, mode, k_max, member_cap))
-
-
-@lru_cache(maxsize=4096)
-def _all_decs_cached(g: Hypergraph, p: Property, n_parts: int, mode: str,
-                     k_max: int, member_cap: int) -> tuple:
-    if not p.member(g) or g.n < n_parts:
-        return ()
-    out = []
-    for parts in enumerate_partitions(g.vertices, max_parts=n_parts,
-                                      min_parts=n_parts):
-        d = Decomposition(parts)
-        if is_decomposition(g, d, p, mode, k_max, member_cap):
-            out.append(d)
-    return tuple(out)
+    if n_parts > g.n:
+        p.member(g)  # nothing to decide, but a foreign or over-bound graph still raises
+        return []
+    k = 1
+    while k < n_parts and _level(g, p, mode, k_max, member_cap, k):
+        k += 1
+    return list(_level(g, p, mode, k_max, member_cap, k)) if k == n_parts else []
 
 
 def is_uniquely_decomposable(g: Hypergraph, p: Property, mode: str = EXACT,

@@ -17,6 +17,7 @@ from hgfactor import (
     GeneratedBounded,
     HgError,
     Hypergraph,
+    ProductProperty,
     Universe,
     all_decompositions,
     canonical_form,
@@ -375,22 +376,32 @@ def test_dec_equals_max_over_all_partitions(u, props):
         assert dec_number(g_, p).value == _flat_dec(g_, p), (name, p, g_)
 
 
+def _assert_merges_stay_valid(g_, p, mode=EXACT):
+    for parts in enumerate_partitions(g_.vertices, g_.n):
+        d = Decomposition(parts)
+        if not is_decomposition(g_, d, p, mode, k_max=1):
+            continue
+        for i, j in itertools.combinations(range(len(d.parts)), 2):
+            merged = [pt for k, pt in enumerate(d.parts) if k not in (i, j)]
+            merged.append(d.parts[i] | d.parts[j])
+            assert is_decomposition(g_, Decomposition(merged), p, mode, k_max=1), \
+                (g_, p, d)
+
+
 def test_merging_parts_keeps_validity(u, props):
-    # coarsening: any two parts of a valid decomposition can be merged
+    # coarsening: any two parts of a valid decomposition can be merged, so
+    # the lattice walk reaches every valid partition through valid ones
     rng = random.Random(SEED + 4)
     for _ in range(15):
         g_ = random_graph(u, rng.randint(2, 5), 0.45, rng)
         for p in [props.trifree, props.p3free]:
-            if not member(p, g_):
-                continue
-            for parts in enumerate_partitions(g_.vertices, g_.n):
-                d = Decomposition(parts)
-                if not is_decomposition(g_, d, p):
-                    continue
-                for i, j in itertools.combinations(range(len(d.parts)), 2):
-                    merged = [pt for k, pt in enumerate(d.parts) if k not in (i, j)]
-                    merged.append(d.parts[i] | d.parts[j])
-                    assert is_decomposition(g_, Decomposition(merged), p)
+            if member(p, g_):
+                _assert_merges_stay_valid(g_, p)
+    for name, g_, p in _beyond_simple_samples(rng, 4, min_n=2):
+        _assert_merges_stay_valid(g_, p)
+    for g_ in enumerate_hypergraphs(EnumSpec(u, 5)):
+        if g_.n >= 2:
+            _assert_merges_stay_valid(g_, props.two_colour, BOUNDED)
 
 
 def test_dec_bounded_mode_on_products(g, props):
@@ -406,6 +417,13 @@ def test_all_decompositions_golden(g, props):
     assert all_decompositions(g.k3, props.trifree, 2) == []
     assert all_decompositions(g.c4, props.trifree, 2) == \
         [Decomposition(({0, 2}, {1, 3}))]
+    # the maximizer is the least in Decomposition.key order, which is the
+    # last of all_decompositions (restricted-growth-string order) here
+    e4 = simple_graph(4, [])
+    assert str(dec_number(e4, props.trifree).decomposition) == "{0}|{1,2,3}"
+    assert [str(d) for d in all_decompositions(e4, props.trifree, 2)] == [
+        "{0,1,2}|{3}", "{0,1,3}|{2}", "{0,1}|{2,3}", "{0,2,3}|{1}",
+        "{0,2}|{1,3}", "{0,3}|{1,2}", "{0}|{1,2,3}"]
 
 
 def test_uniqueness_goldens(g, props):
@@ -423,22 +441,47 @@ def test_uniqueness_goldens(g, props):
 
 
 def test_uniqueness_matches_all_decompositions(u, props):
-    # one decomposition at the maximum part count, counted by a flat scan
+    # the lattice walk against a flat scan of every partition, per part count
     du, (cyc, arc_k1) = _universes_beyond_simple()[0][1:]
-    cases = [(u, 5, [props.trifree, props.p3free]), (du, 3, [cyc, arc_k1])]
-    for uu, n, ps in cases:
+    arc_free = forbidden_property(du, [_hg(du, 2, [(EdgeKind.ORDERED, (0, 1), "a")])])
+    arc_free2 = ProductProperty((arc_free, arc_free))
+    cases = [(u, 5, [props.trifree, props.p3free], EXACT),
+             (du, 3, [cyc, arc_k1], EXACT),
+             (u, 5, [props.two_colour], BOUNDED),
+             (du, 3, [arc_free2], BOUNDED)]
+    for uu, n, ps, mode in cases:
         for g_ in enumerate_hypergraphs(EnumSpec(uu, n)):
             for p in ps:
-                dec = dec_number(g_, p).value
-                unique = is_uniquely_decomposable(g_, p)
+                levels = {k: [Decomposition(parts)
+                              for parts in enumerate_partitions(g_.vertices, k, min_parts=k)
+                              if is_decomposition(g_, Decomposition(parts), p, mode, k_max=1)]
+                          for k in range(1, g_.n + 2)}
+                for k, flat in levels.items():
+                    assert all_decompositions(g_, p, k, mode, k_max=1) == flat, (g_, p, k)
+                res = dec_number(g_, p, mode, k_max=1)
+                dec = max((k for k, flat in levels.items() if flat), default=0)
+                assert res.value == dec
+                unique = is_uniquely_decomposable(g_, p, mode, k_max=1)
                 if dec == 0:
-                    assert not unique
+                    assert res.decomposition is None and not unique
                     continue
-                count = sum(
-                    1 for parts in enumerate_partitions(g_.vertices, dec, min_parts=dec)
-                    if is_decomposition(g_, Decomposition(parts), p))
-                assert len(all_decompositions(g_, p, dec)) == count
-                assert unique == (count == 1)
+                assert res.decomposition == min(levels[dec], key=Decomposition.key)
+                assert unique == (len(levels[dec]) == 1)
+
+
+def test_all_decompositions_decides_no_larger_partition(monkeypatch, props):
+    sizes = []
+    check = decomp.is_decomposition
+
+    def recording(g_, d, *args):
+        sizes.append(len(d))
+        return check(g_, d, *args)
+
+    monkeypatch.setattr(decomp, "is_decomposition", recording)
+    decomp._level.cache_clear()
+    e4 = simple_graph(4, [])
+    assert len(all_decompositions(e4, props.trifree, 2)) == 7
+    assert max(sizes) == 2
 
 
 # --- strictness ---------------------------------------------------------
