@@ -561,11 +561,25 @@ def _automorphisms(n: int, codes: Sequence) -> list:
     return found
 
 
+@lru_cache(maxsize=65536)
+def _key_edge(entry: tuple) -> EdgeObject:
+    """The edge of one canonical key entry (arity, vertices, kind value,
+    colour), built through the validating constructor once per distinct
+    entry; the memo is keyed on the plain tuple, so a lookup hashes no enum."""
+    _, verts, kind, colour = entry
+    return EdgeObject(EdgeKind(kind), verts, colour)
+
+
 def _key_graph(u: Universe, key: tuple) -> Hypergraph:
-    """The graph a canonical key spells out, over universe u."""
+    """The graph a canonical key spells out, over universe u.
+
+    Each distinct key entry costs one validated EdgeObject per process
+    (_key_edge), shared by every class that has that edge; edges are
+    frozen, so sharing is safe, and Hypergraph still checks each graph
+    against u.
+    """
     n, edge_key = key
-    return Hypergraph(u, n, frozenset(EdgeObject(EdgeKind(kind), verts, colour)
-                                      for _, verts, kind, colour in edge_key))
+    return Hypergraph(u, n, frozenset(map(_key_edge, edge_key)))
 
 
 @lru_cache(maxsize=200_000)
@@ -750,12 +764,22 @@ def parse_hypergraph(text: str) -> Hypergraph:
     return g
 
 
+@lru_cache(maxsize=65536)
+def _edge_line(e: EdgeObject) -> tuple:
+    """(sort_key, edge line) of one edge, formatted once per distinct edge."""
+    return e.sort_key(), f"edge: {e.kind.value} {' '.join(map(str, e.vertices))} ; {e.colour}"
+
+
 def format_hypergraph(g: Hypergraph) -> str:
-    """Byte-stable serialization; parse(format(g)) == g."""
+    """Byte-stable serialization; parse(format(g)) == g.
+
+    Edge lines come in EdgeObject.sort_key order.  Each distinct edge is
+    formatted once per process (_edge_line), so classes that share edges
+    share their lines; sort_key is unique per edge, so sorting the
+    (sort_key, line) pairs never compares lines.
+    """
     out = ["hypergraph v1",
            f"universe: {_format_universe(g.universe)}",
            f"vertices: {g.n}"]
-    for e in g.sorted_edges():
-        verts = " ".join(str(v) for v in e.vertices)
-        out.append(f"edge: {e.kind.value} {verts} ; {e.colour}")
+    out.extend(line for _, line in sorted(map(_edge_line, g.edges)))
     return "\n".join(out) + "\n"

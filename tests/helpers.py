@@ -72,6 +72,22 @@ def brute_automorphisms(g):
             if mapped_triples(g, perm) == own]
 
 
+def reference_format(g):
+    """The hypergraph v1 text of g, each line written afresh: header,
+    universe, vertex count, then one line per edge in EdgeObject.sort_key
+    order."""
+    u = g.universe
+    kinds = ",".join(sorted(k.value for k in u.kinds))
+    arities = ",".join(str(a) for a in sorted(u.arities))
+    out = ["hypergraph v1",
+           f"universe: kinds={kinds} arities={arities} colours={','.join(u.colours)}",
+           f"vertices: {g.n}"]
+    for e in sorted(g.edges, key=EdgeObject.sort_key):
+        verts = " ".join(str(v) for v in e.vertices)
+        out.append(f"edge: {e.kind.value} {verts} ; {e.colour}")
+    return "\n".join(out) + "\n"
+
+
 def brute_member_ff(forbidden, g):
     return all(brute_embed(f, g) is None for f in forbidden)
 

@@ -40,6 +40,7 @@ from helpers import (
     image_triples,
     mapped_triples,
     random_graph,
+    reference_format,
 )
 
 SEED = 20240811
@@ -423,6 +424,22 @@ def test_format_parse_round_trip(u):
         assert parse_hypergraph(text) == g_
         assert format_hypergraph(parse_hypergraph(text)) == text
         assert text.endswith("\n")
+
+
+@pytest.mark.parametrize("universe, p", UNIVERSE_CASES)
+def test_format_matches_reference_on_fresh_and_shared_edges(universe, p):
+    # random graphs build their edges afresh; canonical forms take theirs
+    # from the per-process store of key entries, so equal edges met
+    # through either route must format to the same bytes
+    rng = random.Random(SEED + 6)
+    for _ in range(30):
+        g_ = random_graph(universe, rng.randint(0, 5), p, rng)
+        c = canonical_form(g_)
+        for h in (g_, c):
+            text = format_hypergraph(h)
+            assert text == reference_format(h)
+            assert parse_hypergraph(text) == h
+        assert brute_iso(c, g_)
 
 
 def test_format_round_trip_rich_universe():

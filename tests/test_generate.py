@@ -8,6 +8,7 @@ import pytest
 from hgfactor import (
     CapExceededError,
     EdgeKind,
+    EdgeObject,
     EnumSpec,
     HARD_VERTEX_CAP,
     Hypergraph,
@@ -20,8 +21,15 @@ from hgfactor import (
     is_connected,
     simple_universe,
 )
-from hgfactor import generate
-from helpers import bell, count_unlabeled, least_degree_orbits, stirling2, unpruned_layer
+from hgfactor import core, generate
+from helpers import (
+    admissible_edges,
+    bell,
+    count_unlabeled,
+    least_degree_orbits,
+    stirling2,
+    unpruned_layer,
+)
 
 
 def digraph_universe():
@@ -171,6 +179,37 @@ def test_layers_add_no_canonical_key_memo_entries():
         assert list(enumerate_hypergraphs(EnumSpec(universe, top)))
     info = canonical_key.cache_info()
     assert (info.currsize, info.misses) == (0, 0)
+
+
+@pytest.mark.parametrize("universe, top, distinct", [
+    pytest.param(digraph_universe(), 4, 12, id="digraph"),  # 4 * 3 arcs
+    pytest.param(three_uniform_universe(), 5, 10, id="three_uniform"),  # C(5, 3)
+])
+def test_layers_build_and_format_each_distinct_edge_once(universe, top, distinct,
+                                                        monkeypatch):
+    # machine-independent work count: with the memos cleared, the classes
+    # cost one EdgeObject validation per distinct key entry, on top of the
+    # edges through each layer's new vertex, share one object per edge,
+    # and format one line per distinct edge
+    through = sum(sum(n - 1 in e.vertices for e in admissible_edges(universe, range(n)))
+                  for n in range(1, top + 1))
+    generate._layer.cache_clear()
+    core._key_edge.cache_clear()
+    core._edge_line.cache_clear()
+    validations = []
+    check = EdgeObject.__post_init__
+    monkeypatch.setattr(EdgeObject, "__post_init__",
+                        lambda e: validations.append(e) or check(e))
+    graphs = list(enumerate_hypergraphs(EnumSpec(universe, top)))
+    edges = [e for g in graphs for e in g.edges]
+    assert len(set(edges)) == distinct
+    assert len(validations) == distinct + through
+    first = {}
+    assert all(first.setdefault(e, e) is e for e in edges)
+    for g in graphs:
+        format_hypergraph(g)
+    info = core._edge_line.cache_info()
+    assert (info.misses, info.hits) == (distinct, len(edges) - distinct)
 
 
 # the edge shapes of the oracle tests, each with the top layer grown; the
