@@ -17,8 +17,12 @@ chosen crossing edges:
   d0 uniformly across the copies.
 * unique_super / unique_respect_super: the uniqueness corollaries.
 
-Everything here requires the exact (finite-forbidden) machinery; see
-the module non-goals for why product-form properties are out.
+Everything here needs P to be a finite forbidden set, and any other
+property raises HgError: the forcing bundles and the blocker's crossing
+edges are read off forbidden graphs (strictness witnesses and the split
+witnesses of failing joins), and every step decides decompositions
+exactly.  A product has no forbidden graphs of its own, and its
+decomposition checks are bounded verdicts.
 """
 
 from __future__ import annotations

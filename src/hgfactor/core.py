@@ -647,20 +647,25 @@ def join_members(parts: Sequence, edge_cap: int = DEFAULT_JOIN_EDGE_CAP) -> Iter
     order is binary counting over the candidate list from
     crossing_edge_candidates, bit 0 first, so runs are reproducible.
     """
-    yield from _join_stream(parts, crossing_edge_candidates(parts, edge_cap))
+    cands = crossing_edge_candidates(parts, edge_cap)
+    yield from _join_stream(parts, cands, range(1 << len(cands)))
 
 
-def _join_stream(parts: Sequence, cands: list) -> Iterator[Hypergraph]:
-    """join_members over a crossing_edge_candidates list already built."""
+def _join_stream(parts: Sequence, cands: list, masks: Iterable) -> Iterator[Hypergraph]:
+    """The join members over the parts that carry the subsets of a
+    crossing_edge_candidates list given by masks, in their order; bit i
+    of a mask chooses cands[i]."""
     base = reduce(disjoint_union, parts)
-    for mask in range(1 << len(cands)):
+    for mask in masks:
         chosen = {cands[i] for i in range(len(cands)) if mask >> i & 1}
         yield Hypergraph(base.universe, base.n, base.edges | chosen)
 
 
 # --- text format ----------------------------------------------------------
 
+@lru_cache(maxsize=256)
 def _format_universe(u: Universe) -> str:
+    """u's spec as on a universe line, built once per universe."""
     kinds = ",".join(sorted(k.value for k in u.kinds))
     arities = ",".join(str(a) for a in sorted(u.arities))
     colours = ",".join(u.colours)

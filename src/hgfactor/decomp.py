@@ -20,9 +20,13 @@ graph.  Two fits, one per mode:
   against the brute-force procedure in the test suite.  Parts are
   bitmasks of one host graph; no part graph is built.
 * BOUNDED(k_max): each whole slice embeds induced into k copies of its
-  part, for k = 1..k_max; other properties scan the join members by
-  brute force (_first_bad_member).  A refutation is exact; a pass is
-  only "no failure up to k_max" and is marked as such.
+  part, for k = 1..k_max.  A product whose factors are all finite
+  forbidden sets first tries a certificate (_product_certificate): the
+  parts grouped by factor, each group passing the exact test.  It proves
+  every k-fold join a member, so "holds" costs no join member.  Other
+  joins are scanned by brute force, densest member first
+  (_first_bad_member).  A refutation is exact; a pass is only "no
+  failure up to k_max" and is marked as such.
 
 One memoised walk of the partition lattice (_level) answers every
 decomposition query: level k holds the valid k-part decompositions, each
@@ -59,6 +63,7 @@ from .core import (
 )
 from .props import (
     FiniteForbidden,
+    ProductProperty,
     Property,
     min_forbidden_order,
 )
@@ -246,18 +251,40 @@ def _coded_edges(g: Hypergraph) -> tuple:
     return tuple((sum(1 << v for v in vs), o, c, vs) for o, c, vs, _, _ in sorted(_codes(g)))
 
 
+def _exact_split(p: FiniteForbidden, host: tuple, masks: Sequence,
+                 in_host=None) -> Optional[DecWitness]:
+    """The exact criterion on blocks of one host index (_incidence) given
+    as vertex bitmasks (0 for an empty cell): first split whose every
+    slice component embeds induced into its block, or None.  Components
+    are renamed by rank in the block, as induced() labels a part.
+    in_host(comp), when given, may rule a component out before any
+    search: False means it embeds nowhere in the host."""
+    def fit(i, block, sl, comps):
+        # a slice may be larger than its block: components embed into
+        # separate copies, so no size-based pruning is sound here
+        mask = masks[i]
+        records = []
+        for f_verts, comp in comps:
+            image = _find(_pattern(comp), host, mask) \
+                if in_host is None or in_host(comp) else None
+            if image is None:
+                return None
+            local = tuple((mask & ((1 << u) - 1)).bit_count() for u in image)
+            records.append(ComponentEmbedding(i, f_verts, Embedding(local)))
+        return records
+
+    return _first_split(p, len(masks), fit)
+
+
 _split_memo = {}  # (p, block codes) -> witness; oldest dropped past 120,000
 
 
 def _split_fail_witness(p: FiniteForbidden, g: Hypergraph,
                         masks: Sequence) -> Optional[DecWitness]:
-    """The exact criterion on the blocks of g given as vertex bitmasks (0
-    for an empty cell): first split whose every slice component embeds
-    induced into its block, or None.  Components are searched on g's
-    index under the block's mask, unless not _in_host at all, and renamed
-    by rank in the block, as induced() labels a part.  Memoised on p and
-    the blocks' orders and edges on ranks; ranks keep _coded_edges'
-    order, so equal part graphs of any hosts share an entry."""
+    """_exact_split on g's memoised index, a component skipped for good
+    once it is not _in_host at all.  Memoised on p and the blocks' orders
+    and edges on ranks; ranks keep _coded_edges' order, so equal part
+    graphs of any hosts share an entry."""
     codes = []
     for mask in masks:
         rank = {v: i for i, v in enumerate(_bits(mask))}
@@ -267,36 +294,77 @@ def _split_fail_witness(p: FiniteForbidden, g: Hypergraph,
     key = (p, tuple(codes))
     if key in _split_memo:
         return _split_memo[key]
-    host = _incidence(g)
-
-    def fit(i, block, sl, comps):
-        # a slice may be larger than its block: components embed into
-        # separate copies, so no size-based pruning is sound here
-        mask = masks[i]
-        records = []
-        for f_verts, comp in comps:
-            image = _find(_pattern(comp), host, mask) if _in_host(comp, g) else None
-            if image is None:
-                return None
-            local = tuple((mask & ((1 << u) - 1)).bit_count() for u in image)
-            records.append(ComponentEmbedding(i, f_verts, Embedding(local)))
-        return records
-
-    witness = _split_memo[key] = _first_split(p, len(masks), fit)
+    witness = _split_memo[key] = _exact_split(p, _incidence(g), masks,
+                                              lambda comp: _in_host(comp, g))
     if len(_split_memo) > 120_000:
         del _split_memo[next(iter(_split_memo))]
     return witness
 
 
+def _factors(p: Property) -> tuple:
+    """p's factors with nested products flattened (composition is
+    associative), or (p,) for a property that is no product."""
+    if not isinstance(p, ProductProperty):
+        return (p,)
+    return tuple(f for q in p.factors for f in _factors(q))
+
+
+def _part_masks(parts: Sequence) -> list:
+    """The vertex bitmask of each part laid side by side, in order."""
+    ends = list(itertools.accumulate((g.n for g in parts), initial=0))
+    return [(1 << b) - (1 << a) for a, b in zip(ends, ends[1:])]
+
+
+def _product_certificate(p: ProductProperty, parts: tuple) -> bool:
+    """Can the parts be grouped by factor, empty groups allowed, so that
+    each factor Fi's group passes the exact join test for Fi?  Needs
+    every factor, nested products flattened, to be a finite forbidden
+    set; False otherwise.
+
+    A yes proves that every member M of every k-fold join over the parts
+    lies in P.  Colour each copied part in M by its group's factor.  The
+    vertices of colour i carry the copies of group i's parts and some
+    edges between different parts, so they induce a member of the k-fold
+    join over group i, which lies in Fi by the exact test.  The colour
+    classes are then the blocks that ProductProperty.member asks for.  No
+    additivity is used.
+
+    Every group is decided as bitmask blocks of the parts' disjoint
+    union, by _exact_split on one index built for this call and kept in
+    no memo: most part tuples are seen once, and the host-keyed memos
+    would grow with them.  Each (factor, group) pair is decided at most
+    once per call.
+    """
+    factors = _factors(p)
+    if not all(isinstance(f, FiniteForbidden) for f in factors):
+        return False
+    host = _incidence.__wrapped__(reduce(disjoint_union, parts))
+    masks = _part_masks(parts)
+    decided = {}
+
+    def fits(i: int, group: tuple) -> bool:
+        if (i, group) not in decided:
+            decided[i, group] = _exact_split(
+                factors[i], host, [masks[j] for j in group]) is None
+        return decided[i, group]
+
+    return any(all(fits(i, tuple(j for j, a in enumerate(assign) if a == i))
+                   for i in range(len(factors)))
+               for assign in itertools.product(range(len(factors)), repeat=len(parts)))
+
+
 def _first_bad_member(p: Property, graphs: Sequence, member_cap: int,
                       what: str) -> Optional[Hypergraph]:
     """First join member over the graphs outside P, or None; raises
-    CapExceededError when the join has more than member_cap members."""
+    CapExceededError when the join has more than member_cap members.
+    Members are streamed densest first, from every crossing edge down to
+    none: any order is complete, and in the measured product joins a bad
+    member comes far sooner this way than in join_members' order."""
     cands = crossing_edge_candidates(graphs)
     if 1 << len(cands) > member_cap:
         raise CapExceededError(
             f"{what} has 2^{len(cands)} members, over the cap")
-    for m in _join_stream(graphs, cands):
+    for m in _join_stream(graphs, cands, range((1 << len(cands)) - 1, -1, -1)):
         if not p.member(m):
             return m
     return None
@@ -305,7 +373,14 @@ def _first_bad_member(p: Property, graphs: Sequence, member_cap: int,
 @lru_cache(maxsize=120_000)
 def _join_cached(p: Property, parts: tuple, k_max: int, member_cap: int) -> JoinCheck:
     """The BOUNDED join memo: tries k = 1..k_max copies of every part;
-    its refutations are exact."""
+    its refutations are exact.
+
+    A product that _product_certificate settles holds for every k, so it
+    gets the same "holds" verdict with no member streamed; the proof is
+    in that function.  Any other product streams its members.
+    """
+    if isinstance(p, ProductProperty) and _product_certificate(p, parts):
+        return JoinCheck(True, f"bounded k_max={k_max}")
     for k in range(1, k_max + 1):
         blown = [replicate(k, g) for g in parts]
         if isinstance(p, FiniteForbidden):
@@ -345,9 +420,7 @@ def join_subset_of(p: Property, parts: Sequence, mode: str = EXACT,
     if mode == EXACT:
         if not isinstance(p, FiniteForbidden):
             raise HgError("exact join containment needs a finite forbidden set")
-        ends = list(itertools.accumulate((g.n for g in parts), initial=0))
-        witness = _split_fail_witness(p, reduce(disjoint_union, parts),
-                                      [(1 << b) - (1 << a) for a, b in zip(ends, ends[1:])])
+        witness = _split_fail_witness(p, reduce(disjoint_union, parts), _part_masks(parts))
         return JoinCheck(witness is None, EXACT, witness=witness)
     if mode == BOUNDED:
         return _join_cached(p, parts, k_max, member_cap)

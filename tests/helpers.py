@@ -92,6 +92,27 @@ def brute_member_ff(forbidden, g):
     return all(brute_embed(f, g) is None for f in forbidden)
 
 
+def induced_block(g, block):
+    """The subgraph of g induced on the given vertices, renamed 0.. in
+    ascending order."""
+    rank = {v: i for i, v in enumerate(sorted(block))}
+    return Hypergraph(g.universe, len(rank), frozenset(
+        EdgeObject(e.kind, tuple(rank[v] for v in e.vertices), e.colour)
+        for e in g.edges if all(v in rank for v in e.vertices)))
+
+
+def brute_member_product(forbidden_lists, g):
+    """Is g in the product of the finite-forbidden factors whose forbidden
+    graphs are given, one list per factor?  Every assignment of g's
+    vertices to the factors is tried, each block checked by
+    brute_member_ff."""
+    return any(
+        all(brute_member_ff(forbidden, induced_block(
+            g, [v for v in range(g.n) if assign[v] == i]))
+            for i, forbidden in enumerate(forbidden_lists))
+        for assign in itertools.product(range(len(forbidden_lists)), repeat=g.n))
+
+
 def admissible_edges(u, vertices):
     """Every edge the universe allows over the given vertex pool."""
     vertices = sorted(vertices)

@@ -1,6 +1,7 @@
 """Core data structures, embeddings, canonical forms and the text format."""
 
 import random
+from functools import reduce
 
 import pytest
 
@@ -28,7 +29,8 @@ from hgfactor import (
     simple_graph,
     simple_universe,
 )
-from hgfactor.core import _automorphisms, _cells, _codes, _find, _incidence, _pattern
+from hgfactor.core import (_automorphisms, _cells, _codes, _find, _format_universe,
+                           _incidence, _pattern)
 from helpers import (
     admissible_edges,
     brute_automorphisms,
@@ -407,6 +409,16 @@ def test_join_members_enumeration(g):
     # all members are distinct and the last one has every crossing edge
     assert len({m.edges for m in members}) == 4
     assert len(members[-1].edges) == 3
+    # the public stream counts in binary over the candidate list, the bare
+    # disjoint union first; only the refutation scan in decomp runs the
+    # other way
+    for parts in ([g.k2, g.k1], [g.p3, g.e2], [g.k1, g.k1, g.k1]):
+        cands = crossing_edge_candidates(parts)
+        base = reduce(disjoint_union, parts)
+        assert list(join_members(parts)) == \
+            [Hypergraph(base.universe, base.n,
+                        base.edges | {c for i, c in enumerate(cands) if mask >> i & 1})
+             for mask in range(1 << len(cands))]
 
 
 def test_join_members_single_part(g):
@@ -431,7 +443,9 @@ def test_format_matches_reference_on_fresh_and_shared_edges(universe, p):
     # random graphs build their edges afresh; canonical forms take theirs
     # from the per-process store of key entries, so equal edges met
     # through either route must format to the same bytes
+    # and the universe line is built once for all of them
     rng = random.Random(SEED + 6)
+    _format_universe.cache_clear()
     for _ in range(30):
         g_ = random_graph(universe, rng.randint(0, 5), p, rng)
         c = canonical_form(g_)
@@ -440,6 +454,7 @@ def test_format_matches_reference_on_fresh_and_shared_edges(universe, p):
             assert text == reference_format(h)
             assert parse_hypergraph(text) == h
         assert brute_iso(c, g_)
+    assert _format_universe.cache_info().misses == 1
 
 
 def test_format_round_trip_rich_universe():

@@ -21,6 +21,7 @@ from hgfactor import (
     Universe,
     all_decompositions,
     canonical_form,
+    crossing_edge_candidates,
     dec_number,
     embed_induced,
     enumerate_hypergraphs,
@@ -32,6 +33,7 @@ from hgfactor import (
     is_isomorphic,
     is_strict,
     is_uniquely_decomposable,
+    join_members,
     join_subset_of,
     member,
     min_forbidden_order,
@@ -47,12 +49,14 @@ from hgfactor import (
 )
 from hgfactor import decomp
 from helpers import (
+    brute_member_product,
     brute_strict,
     image_triples,
     mapped_triples,
     oracle_join_fails,
     random_graph,
 )
+from test_core import UNIVERSE_CASES
 
 SEED = 995511
 
@@ -241,11 +245,72 @@ def _assert_whole_slice_witness(p, parts, chk):
             == image_triples(replicate(k, parts[rec.part_index]), m)
 
 
+def _first_bad_descending(forbidden_lists, parts, k_max):
+    """The first join member outside the product, scanning k = 1..k_max
+    and each join's members from the last of join_members' binary order
+    back to the first, by brute force; None if there is none."""
+    for k in range(1, k_max + 1):
+        for m in reversed(list(join_members([replicate(k, h) for h in parts]))):
+            if not brute_member_product(forbidden_lists, m):
+                return m
+    return None
+
+
 def test_join_bounded_product_counterexample(g, props):
-    chk = join_subset_of(props.two_colour, [g.k2, g.k1], BOUNDED, k_max=2)
-    assert not chk
-    assert chk.counterexample is not None
-    assert not member(props.two_colour, chk.counterexample)
+    edgeless = [f.forbidden for f in props.two_colour.factors]
+    # with [K2, K2] the first bad member in binary order is a triangle
+    # plus an edge, in descending order the complete graph K4
+    for parts in ([g.k2, g.k1], [g.k2, g.k2], [g.p3, g.k1]):
+        chk = join_subset_of(props.two_colour, parts, BOUNDED, k_max=2)
+        assert not chk
+        assert chk.counterexample is not None
+        assert not member(props.two_colour, chk.counterexample)
+        assert not brute_member_product(edgeless, chk.counterexample)
+        assert chk.counterexample == _first_bad_descending(edgeless, parts, 2), parts
+    k4 = simple_graph(4, itertools.combinations(range(4), 2))
+    assert join_subset_of(props.two_colour, [g.k2, g.k2], BOUNDED).counterexample == k4
+
+
+# joins streamed in the certificate oracle test have at most 2^9 members
+_ORACLE_CANDIDATES = 9
+
+
+@pytest.mark.parametrize("uu, density", UNIVERSE_CASES)
+def test_product_certificate_is_sound(uu, density):
+    """Wherever the certificate proves a product of two finite-forbidden
+    factors contains a join, a brute-force scan of the binary-order
+    join_members stream at k = 1, 2 finds no non-member; streaming
+    densest first refutes exactly the joins binary order refutes."""
+    rng = random.Random(SEED + 7)
+    top = 2 if len(uu.kinds) > 1 else max(uu.arities) + 1
+    pool = [h for h in enumerate_hypergraphs(EnumSpec(uu, top)) if h.n >= 2]
+    certified = refuted = 0
+    while certified + refuted < 30:
+        prod = ProductProperty(tuple(forbidden_property(uu, rng.sample(pool, rng.randint(1, 2)))
+                                     for _ in range(2)))
+        forbidden_lists = [f.forbidden for f in prod.factors]
+        parts = [random_graph(uu, rng.randint(1, 2), density, rng)
+                 for _ in range(rng.randint(1, 3))]
+        joins = [[replicate(k, h) for h in parts] for k in (1, 2)]
+        joins = [j for j in joins if len(crossing_edge_candidates(j)) <= _ORACLE_CANDIDATES]
+        if not joins:
+            continue
+        proved = decomp._product_certificate(prod, tuple(parts))
+        bad = None
+        for blown in joins:
+            binary = next((m for m in join_members(blown) if not member(prod, m)), None)
+            dense = decomp._first_bad_member(prod, blown, 1 << _ORACLE_CANDIDATES, "join")
+            assert (binary is None) == (dense is None), (prod, parts)
+            if proved:
+                assert all(brute_member_product(forbidden_lists, m)
+                           for m in join_members(blown)), (prod, parts)
+            bad = dense if bad is None else bad
+        if bad is not None:
+            assert not brute_member_product(forbidden_lists, bad)
+        assert bool(join_subset_of(prod, parts, BOUNDED, k_max=len(joins))) == (bad is None)
+        certified += proved
+        refuted += bad is not None
+    assert certified > 0 and refuted > 0, (certified, refuted)
 
 
 def test_join_mode_errors(g, props):
