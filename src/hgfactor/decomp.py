@@ -589,15 +589,20 @@ def strictness_witness(g: Hypergraph, p: FiniteForbidden) -> Optional[Strictness
 def is_strict(g: Hypergraph, p: Property, member_cap: int = DEFAULT_MEMBER_CAP) -> bool:
     """Is G in P with some one-vertex join extension outside P?
 
-    Exact criterion for finite forbidden sets; brute force over all
-    single-vertex join extensions otherwise, raising CapExceededError
-    when there are more than member_cap of them.
+    Exact criterion for finite forbidden sets.  A product whose factors
+    are all finite forbidden sets first tries _product_certificate on G
+    and one vertex: a certificate proves every one-vertex join extension
+    a member, so G is not strict and no extension is streamed.  Otherwise
+    brute force over all single-vertex join extensions, raising
+    CapExceededError when there are more than member_cap of them.
     """
     if isinstance(p, FiniteForbidden):
         return strictness_witness(g, p) is not None
     if not p.member(g):
         raise HgError("graph is not in the property")
     one = Hypergraph(g.universe, 1, frozenset())
+    if isinstance(p, ProductProperty) and _product_certificate(p, (g, one)):
+        return False
     return _first_bad_member(p, [g, one], member_cap, "one-vertex join") is not None
 
 

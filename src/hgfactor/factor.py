@@ -10,6 +10,7 @@ the maximal part count over all strict members.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -36,6 +37,8 @@ from .decomp import (
     BOUNDED,
     DEFAULT_MEMBER_CAP,
     EXACT,
+    _factors,
+    all_decompositions,
     dec_number,
     ind_parts,
     is_strict,
@@ -134,19 +137,27 @@ def verify_factorisation(p: Property, factors: Sequence, n: int,
     """Do P and the product of the factors agree on every graph with at
     most n vertices?  The reported counterexample is the first
     disagreeing graph in enumeration order.  workers is accepted and
-    ignored (at least 1): the scan is serial."""
+    ignored (at least 1): the scan is serial.
+
+    No graph is scanned when the factors, nested products flattened, are
+    P's own flattened factors in some order and all are finite forbidden
+    sets: composition is associative and commutative for membership (a
+    vertex partition into blocks, one per factor, can be regrouped and
+    reordered), so the two representations agree on every graph.  A
+    factor of any other kind, such as a GeneratedBounded one that raises
+    past its bound, always gets the full scan.
+    """
     _check_workers(workers)
     prod = ProductProperty(tuple(factors))
-    for g in enumerate_hypergraphs(EnumSpec(p.universe, n)):
+    spec = EnumSpec(p.universe, n)  # an over-cap or negative n still raises
+    own = _factors(prod)
+    if all(isinstance(f, FiniteForbidden) for f in own) \
+            and Counter(own) == Counter(_factors(p)):
+        return VerifyResult(True, n)
+    for g in enumerate_hypergraphs(spec):
         if bool(p.member(g)) != bool(prod.member(g)):
             return VerifyResult(False, n, g)
     return VerifyResult(True, n)
-
-
-def _syntactic_lower(p: Property) -> int:
-    if isinstance(p, ProductProperty):
-        return sum(_syntactic_lower(f) for f in p.factors)
-    return 1
 
 
 def _strict_members(p: Property, n: int):
@@ -160,12 +171,24 @@ def _strict_members(p: Property, n: int):
 def dec_bounds(p: Property, n: int, k_max: int = 1) -> DecBounds:
     """Bracket the minimum maximal-part-count over strict members.
 
-    upper scans every strict member with at most n vertices (the true
-    value is a minimum over all strict members, so any finite scan only
-    overshoots); lower comes from the syntactic factor count, each
-    factor contributing at least one part.  Non-forbidden-set
-    representations are scanned in bounded join mode (k_max), which for
-    the shapes handled here is still exact on refutations.
+    upper scans the strict members with at most n vertices in
+    enumeration order and keeps the first of least dec (the true value is
+    a minimum over all strict members, so any finite scan only
+    overshoots); lower is the factor count m, nested products
+    flattened, each factor contributing at least one part.
+    Non-forbidden-set representations are scanned in bounded join mode
+    (k_max), which for the shapes handled here is still exact on
+    refutations.
+
+    The scan stops once the bracket is closed at its proven lower bound:
+    when the factors F1..Fm are all additive finite forbidden sets, dec
+    is additive over the product, so every strict G has bounded dec(G)
+    >= dec(G) >= dec(P) = dec(F1) + ... + dec(Fm) >= m = lower.  No
+    later member can lower upper, and the first witness stays the
+    witness.  A plain additive forbidden set is the case m = 1.  Once
+    upper is set, a member is decided in full only when it has no
+    decomposition into upper parts, the one case in which it could lower
+    upper.
 
     Brackets are memoised per (p, n, k_max) for the life of the process;
     a call that raises is not remembered and raises again when repeated.
@@ -176,16 +199,31 @@ def dec_bounds(p: Property, n: int, k_max: int = 1) -> DecBounds:
 
 @lru_cache(maxsize=256)
 def _dec_bounds(p: Property, n: int, k_max: int) -> DecBounds:
+    """dec_bounds' scan.  It ends at a member with no decomposition, or
+    at upper == lower when every flattened factor is an additive finite
+    forbidden set (dec_bounds has the proof; such a product is additive,
+    so no member has dec 0 and the first exit is never skipped).
+
+    A member with a valid decomposition into upper parts has dec >= upper
+    (dec is the largest valid part count), and the first witness of
+    least dec is kept only on a strict decrease, so skipping it changes
+    nothing.  all_decompositions reads the same memoised lattice levels as
+    dec_number and decides no partition with more than upper parts, so a
+    skipped member costs no level that cannot lower the bracket.
+    """
     mode = _mode_for(p)
-    lower = max(1, _syntactic_lower(p))
-    additive_ff = isinstance(p, FiniteForbidden) and is_additive(p)
+    factors = _factors(p)
+    lower = len(factors)
+    closes = all(isinstance(f, FiniteForbidden) and is_additive(f) for f in factors)
     upper = None
     witness = None
     for g in _strict_members(p, n):
+        if upper is not None and all_decompositions(g, p, upper, mode, k_max):
+            continue  # dec(g) >= upper: it cannot lower the bracket
         res = dec_number(g, p, mode, k_max)
         if upper is None or res.value < upper:
             upper, witness = res.value, (g, res.decomposition)
-        if upper == 0 or (upper == 1 and additive_ff):
+        if upper == 0 or (upper == lower and closes):
             break
     note = ""
     if upper is None:

@@ -10,7 +10,22 @@ from __future__ import annotations
 
 import itertools
 
-from hgfactor import EdgeKind, EdgeObject, Hypergraph
+from hgfactor import (
+    BOUNDED,
+    DecBounds,
+    EXACT,
+    EdgeKind,
+    EdgeObject,
+    EnumSpec,
+    FiniteForbidden,
+    HgError,
+    Hypergraph,
+    ProductProperty,
+    dec_number,
+    enumerate_hypergraphs,
+    is_strict,
+    min_forbidden_order,
+)
 
 
 def edge_triple(e):
@@ -228,6 +243,47 @@ def brute_strict(g, member_fn):
     if not member_fn(g):
         return False
     return any(not member_fn(m) for m in brute_one_vertex_extensions(g))
+
+
+def flat_factors(p):
+    """p's factors with nested products flattened, or [p]."""
+    if not isinstance(p, ProductProperty):
+        return [p]
+    return [f for q in p.factors for f in flat_factors(q)]
+
+
+def reference_dec_bounds(p, n, k_max=1):
+    """The dec bracket by a full scan: dec_number on every strict member
+    with at most n vertices in enumeration order, keeping the first of
+    least dec, with dec_bounds' note and errors and no early exit but
+    the one at a member with no decomposition.  Returns the bracket and
+    the dec of every strict member scanned."""
+    mode = EXACT if isinstance(p, FiniteForbidden) else BOUNDED
+    lower = len(flat_factors(p))
+    upper = witness = None
+    decs = []
+    for g in enumerate_hypergraphs(EnumSpec(p.universe, n)):
+        if g.n == 0 or not p.member(g) or not is_strict(g, p):
+            continue
+        res = dec_number(g, p, mode, k_max)
+        decs.append(res.value)
+        if upper is None or res.value < upper:
+            upper, witness = res.value, (g, res.decomposition)
+        if upper == 0:
+            break
+    note = ""
+    if upper is None:
+        if not isinstance(p, FiniteForbidden):
+            raise HgError(f"no strict member within {n} vertices")
+        upper = min_forbidden_order(p) - 1
+        note = (f"no strict member within {n} vertices; upper bound is the "
+                f"minimum forbidden order minus one")
+    if upper == 0:
+        raise HgError("a strict member has no decomposition; "
+                      "factor bounds need an additive property")
+    if lower > upper:
+        raise HgError("internal error: dec bracket inverted")
+    return DecBounds(lower, upper, witness, note), decs
 
 
 def all_assignments(n, k):

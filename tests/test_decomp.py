@@ -598,6 +598,39 @@ def test_strictness_brute_force_for_products(g, props):
     assert brute_strict(g.k2, lambda h: bool(member(props.two_colour, h)))
 
 
+@pytest.mark.parametrize("uu, density", UNIVERSE_CASES)
+def test_product_strictness_matches_brute_force(uu, density, monkeypatch):
+    """is_strict on a product of two finite-forbidden factors agrees with
+    brute_strict under brute_member_product; a graph the certificate
+    settles streams no one-vertex extension and is not strict, and the
+    other graphs stream theirs."""
+    streamed = []
+    real = decomp._first_bad_member
+    monkeypatch.setattr(decomp, "_first_bad_member",
+                        lambda *a: streamed.append(a) or real(*a))
+    rng = random.Random(SEED + 8)
+    top = 2 if len(uu.kinds) > 1 else max(uu.arities) + 1
+    pool = [h for h in enumerate_hypergraphs(EnumSpec(uu, top)) if h.n >= 2]
+    one = Hypergraph(uu, 1, frozenset())
+    settled = scanned = 0
+    while settled < 8 or scanned < 8:
+        prod = ProductProperty(tuple(forbidden_property(uu, rng.sample(pool, rng.randint(1, 2)))
+                                     for _ in range(2)))
+        forbidden_lists = [f.forbidden for f in prod.factors]
+        g_ = random_graph(uu, rng.randint(0, 3), density, rng)
+        if len(crossing_edge_candidates([g_, one])) > _ORACLE_CANDIDATES \
+                or not brute_member_product(forbidden_lists, g_):
+            continue
+        want = brute_strict(g_, lambda h: brute_member_product(forbidden_lists, h))
+        before = len(streamed)
+        assert is_strict(g_, prod) == want, (prod, g_)
+        proved = decomp._product_certificate(prod, (g_, one))
+        assert (len(streamed) == before) == proved, (prod, g_)
+        assert not (proved and want), (prod, g_)
+        settled += proved
+        scanned += not proved
+
+
 def test_strictness_brute_force_respects_member_cap(g, props):
     # K2 plus one vertex has 2 crossing edges, so 2^2 join members
     for cap in (1, 3):

@@ -7,18 +7,24 @@ import pytest
 from hgfactor import (
     BoundExceededError,
     DecBounds,
+    EdgeKind,
+    EdgeObject,
+    EnumSpec,
     Factorisation,
     FiniteForbidden,
     FullMultiplicityError,
     GeneratedBounded,
     HgError,
+    Hypergraph,
     IRREDUCIBLE_CERTIFIED,
     ProductProperty,
     REDUCIBLE,
     UNKNOWN,
     VerifyResult,
+    Universe,
     case_split,
     dec_bounds,
+    enumerate_hypergraphs,
     factor_search,
     forbidden_property,
     ind_part_family,
@@ -27,9 +33,12 @@ from hgfactor import (
     member,
     save_property,
     simple_graph,
+    simple_universe,
     verify_factorisation,
 )
+from hgfactor import factor
 from hgfactor.cli import run
+from helpers import flat_factors, reference_dec_bounds
 
 
 # --- plumbing ---------------------------------------------------------------
@@ -81,6 +90,9 @@ def test_verify_goldens(props):
     assert bad.counterexample.n == 5  # a 5-cycle separates the two sides
     assert len(bad.counterexample.edges) == 5
     assert verify_factorisation(props.bip, [props.edgeless] * 2, 5)
+    # one factor too many: K3 lies in three independent sets, not in two
+    extra = verify_factorisation(props.two_colour, [props.edgeless] * 3, 3)
+    assert not extra and extra.counterexample.n == 3
 
 
 def test_verify_counterexample_is_stable_across_workers(props):
@@ -97,6 +109,53 @@ def test_refutation_carries_a_concrete_counterexample(props):
     cex = res.counterexample
     assert bool(member(props.trifree, cex)) \
         != bool(member(ProductProperty((props.edgeless,) * 2), cex))
+
+
+def _explicit_scan(p, factors, n):
+    """Does p agree with the product of the factors on every enumerated
+    graph with at most n vertices?"""
+    prod = ProductProperty(tuple(factors))
+    return all(bool(member(p, h)) == bool(member(prod, h))
+               for h in enumerate_hypergraphs(EnumSpec(p.universe, n)))
+
+
+def test_verify_own_factors_scans_nothing(props, monkeypatch):
+    # the target's own forbidden-set factors, permuted or regrouped, hold
+    # at once; an explicit scan agrees
+    e, t = props.edgeless, props.trifree
+    target = ProductProperty((e, t, e))
+    lists = [[t, e, e], [e, ProductProperty((e, t))],
+             [ProductProperty((t, e)), e], [ProductProperty((e, e)), t]]
+    for factors in lists:
+        assert _explicit_scan(target, factors, 5)
+
+    def refuse(spec):
+        raise AssertionError("verify_factorisation scanned graphs")
+
+    monkeypatch.setattr(factor, "enumerate_hypergraphs", refuse)
+    for factors in lists:
+        res = verify_factorisation(target, factors, 5)
+        assert res == VerifyResult(True, 5)
+    assert verify_factorisation(props.two_colour, [e, e], 7) == VerifyResult(True, 7)
+    with pytest.raises(ValueError):  # the bound is still checked
+        verify_factorisation(props.two_colour, [e, e], -1)
+    # a different multiset of factors, even over the same set, is scanned
+    for p, factors in ((props.two_colour, [e, e, e]), (target, [e, t]),
+                       (target, [e, t, t])):
+        with pytest.raises(AssertionError, match="scanned"):
+            verify_factorisation(p, factors, 5)
+
+
+def test_verify_with_generated_factor_still_scans(u, g, props):
+    e = props.edgeless
+    q = GeneratedBounded(u, (g.k2,), 2)
+    target = ProductProperty((e, q))
+    for factors in ([e, q], [q, e]):
+        assert verify_factorisation(target, factors, 3)
+        # a 4-vertex graph with no split inside the generated bound raises,
+        # as it did before the factor lists were compared
+        with pytest.raises(BoundExceededError):
+            verify_factorisation(target, factors, 4)
 
 
 # --- dec brackets -------------------------------------------------------------
@@ -134,6 +193,84 @@ def test_dec_bounds_errors(u, g, props):
     with pytest.raises(HgError) as exc:
         dec_bounds(m2, 4)
     assert "additive" in str(exc.value)
+
+
+def _oracle_cases():
+    """(id, property, bound): plain forbidden sets and products of two or
+    three forbidden-set factors on simple, directed, 3-uniform and
+    2-colour universes, a few with a non-additive factor."""
+    o, un = EdgeKind.ORDERED, EdgeKind.UNORDERED
+
+    def hg(uu, n, edges):
+        return Hypergraph(uu, n, frozenset(EdgeObject(k, vs, c) for k, vs, c in edges))
+
+    su = simple_universe()
+    du = Universe(frozenset({o}), frozenset({2}), ("a",))
+    tu = Universe(frozenset({un}), frozenset({3}), ("e",))
+    cu = Universe(frozenset({un}), frozenset({2}), ("r", "b"))
+    e = forbidden_property(su, [simple_graph(2, [(0, 1)])])
+    t = forbidden_property(su, [simple_graph(3, [(0, 1), (0, 2), (1, 2)])])
+    p3 = forbidden_property(su, [simple_graph(3, [(0, 1), (1, 2)])])
+    m2 = forbidden_property(su, [simple_graph(4, [(0, 1), (2, 3)])])
+    k2k1 = forbidden_property(su, [simple_graph(3, [(1, 2)])])
+    arc = hg(du, 2, [(o, (0, 1), "a")])
+    a = forbidden_property(du, [arc])
+    ad = forbidden_property(du, [arc, hg(du, 2, [(o, (0, 1), "a"), (o, (1, 0), "a")])])
+    path = forbidden_property(du, [hg(du, 3, [(o, (0, 1), "a"), (o, (1, 2), "a")])])
+    x = forbidden_property(tu, [hg(tu, 3, [(un, (0, 1, 2), "e")])])
+    r = forbidden_property(cu, [hg(cu, 2, [(un, (0, 1), "r")])])
+    b = forbidden_property(cu, [hg(cu, 2, [(un, (0, 1), "b")])])
+
+    def prod(*fs):
+        return ProductProperty(fs)
+
+    return [
+        ("simple-edgeless@4", e, 4), ("simple-trifree@5", t, 5),
+        ("simple-2K2free@4", m2, 4), ("simple-K2+K1free@4", k2k1, 4),
+        ("simple-edgeless^2@5", prod(e, e), 5),
+        ("simple-edgeless*trifree@5", prod(e, t), 5),
+        ("simple-edgeless^3@4", prod(e, e, e), 4),
+        ("simple-nested-edgeless^3@4", prod(prod(e, e), e), 4),
+        ("simple-trifree*p3free@4", prod(t, p3), 4),
+        ("simple-edgeless*2K2free@4", prod(e, m2), 4),
+        ("directed-arcfree@3", a, 3), ("directed-arcfree^2@3", prod(a, a), 3),
+        ("directed-two_colour@3", prod(ad, ad), 3),
+        ("directed-arcfree*pathfree@3", prod(a, path), 3),
+        ("directed-arcfree^3@3", prod(a, a, a), 3),
+        ("3-uniform-edgefree@4", x, 4), ("3-uniform-edgefree^2@4", prod(x, x), 4),
+        ("2-colour-redfree@3", r, 3), ("2-colour-redfree*bluefree@3", prod(r, b), 3),
+        ("2-colour-redfree^2@3", prod(r, r), 3),
+        ("2-colour-redfree*bluefree^2@3", prod(r, b, b), 3),
+    ]
+
+
+_ORACLE_CASES = _oracle_cases()
+
+
+@pytest.mark.parametrize("p, n", [c[1:] for c in _ORACLE_CASES],
+                         ids=[c[0] for c in _ORACLE_CASES])
+def test_dec_bounds_matches_full_scan(p, n, monkeypatch):
+    """dec_bounds, which stops at a closed bracket and skips members that
+    cannot lower it, gives the full scan's bracket, witness, note and
+    error; every full scan has min dec at least the factor count."""
+    try:
+        want, decs = reference_dec_bounds(p, n)
+    except HgError as exc:
+        with pytest.raises(type(exc)) as got:
+            factor._dec_bounds.__wrapped__(p, n, 1)
+        assert str(got.value) == str(exc)
+        return
+    # the theorem the early exit rests on: dec(P) >= the factor count
+    assert min(decs, default=want.upper) >= len(flat_factors(p))
+    calls = []
+    real = factor.dec_number
+    monkeypatch.setattr(factor, "dec_number",
+                        lambda *a: calls.append(a) or real(*a))
+    got = factor._dec_bounds.__wrapped__(p, n, 1)
+    assert got == want
+    assert len(calls) <= len(decs)
+    if want.lower == want.upper and isinstance(p, ProductProperty) and len(decs) > 1:
+        assert len(calls) < len(decs)  # the closed bracket ended the scan
 
 
 def test_dec_bounds_superadditive_for_products(props):
