@@ -254,10 +254,24 @@ def _blocker_analysis(g: Hypergraph, d0: Decomposition, dt: Decomposition,
     return copies_needed, specs, witness
 
 
-def _cross_edges_flat(specs, n: int) -> set:
-    """Cross edges over position-consecutive copies of an n-vertex base."""
-    return {EdgeObject(kind, tuple(pos * n + v for pos, v in endpoints), colour)
-            for kind, colour, endpoints in specs}
+def _stage(prev: CopyTracked, count: int, specs, p: Property) -> CopyTracked:
+    """count position-consecutive copies of prev with the blocker's cross
+    edges, each spec placed over every choice of one base copy of prev
+    per position it touches."""
+    n = prev.graph.n
+    body = replicate(count, prev.graph)
+    edges = set(body.edges)
+    for kind, colour, endpoints in specs:
+        positions = sorted({pos for pos, _ in endpoints})
+        for choice in itertools.product(prev.copy_maps, repeat=len(positions)):
+            chosen = dict(zip(positions, choice))
+            verts = tuple(pos * n + chosen[pos][v] for pos, v in endpoints)
+            edges.add(EdgeObject(kind, verts, colour))
+    graph = Hypergraph(prev.graph.universe, body.n, frozenset(edges))
+    _assert_member(p, graph)
+    maps = tuple(tuple(pos * n + w for w in mp)
+                 for pos in range(count) for mp in prev.copy_maps)
+    return CopyTracked(prev.base, prev.base_classes, graph, maps)
 
 
 def decomposition_blocker(g: Hypergraph, d0, dt, p: Property,
@@ -280,13 +294,8 @@ def decomposition_blocker(g: Hypergraph, d0, dt, p: Property,
     copies_per_class, specs, witness = _blocker_analysis(g, d0, dt, p)
     if witness_out is not None:
         witness_out.append(witness)
-    m = len(d0)
-    total = m * copies_per_class
-    body = replicate(total, g)
-    result = Hypergraph(g.universe, body.n, body.edges | _cross_edges_flat(specs, g.n))
-    _assert_member(p, result)
-    maps = tuple(tuple(range(c * g.n, (c + 1) * g.n)) for c in range(total))
-    return CopyTracked(g, d0, result, maps)
+    single = CopyTracked(g, d0, g, (tuple(range(g.n)),))
+    return _stage(single, len(d0) * copies_per_class, specs, p)
 
 
 def _projected_size(g: Hypergraph, stage_copy_counts) -> int:
@@ -315,8 +324,9 @@ def aligning_super(g: Hypergraph, d0, p: Property,
     patterns, _ = _witness_patterns(g, p)
     n_max = dec_number(g, p).value
     offenders = [d for d in all_decompositions(g, p, n_max) if not respects(d, d0)]
+    current = CopyTracked(g, d0, g, (tuple(range(g.n)),))
     if not offenders:
-        return CopyTracked(g, d0, g, (tuple(range(g.n)),))
+        return current
     analyses = [_blocker_analysis(g, d0, dt, p) for dt in offenders]
     m = len(d0)
     stage_counts = [m * copies_needed for copies_needed, _, _ in analyses]
@@ -325,38 +335,20 @@ def aligning_super(g: Hypergraph, d0, p: Property,
         raise CapExceededError(
             f"projected construction size {projected} exceeds the cap {size_cap}")
 
-    current = decomposition_blocker(g, d0, offenders[0], p)
-    for (copies_needed, specs, _), dt in zip(analyses[1:], offenders[1:]):
-        count = m * copies_needed
-        prev = current
-        body = replicate(count, prev.graph)
-        edges = set(body.edges)
-        base_count = len(prev.copy_maps)
-        for kind, colour, endpoints in specs:
-            positions = sorted({pos for pos, _ in endpoints})
-            for choice in itertools.product(range(base_count), repeat=len(positions)):
-                chosen = dict(zip(positions, choice))
-                verts = tuple(pos * prev.graph.n + prev.copy_maps[chosen[pos]][v]
-                              for pos, v in endpoints)
-                edges.add(EdgeObject(kind, verts, colour))
-        maps = tuple(tuple(pos * prev.graph.n + mp[v] for v in range(g.n))
-                     for pos in range(count) for mp in prev.copy_maps)
-        graph = Hypergraph(g.universe, body.n, frozenset(edges))
-        _assert_member(p, graph)
-        current = CopyTracked(g, d0, graph, maps)
+    for count, (_, specs, _) in zip(stage_counts, analyses):
+        current = _stage(current, count, specs, p)
 
-    inner = current
-    body = disjoint_union(inner.graph, replicate(2, g))
-    minus = tuple(range(inner.graph.n, inner.graph.n + g.n))
-    plus = tuple(range(inner.graph.n + g.n, body.n))
+    body = disjoint_union(current.graph, replicate(2, g))
+    minus = tuple(range(current.graph.n, current.graph.n + g.n))
+    plus = tuple(range(current.graph.n + g.n, body.n))
     edges = set(body.edges)
     edges |= _arrow_edges(patterns, d0.parts, src_map=minus, dst_map=plus)
-    for mp in inner.copy_maps:
+    for mp in current.copy_maps:
         edges |= _arrow_edges(patterns, d0.parts, src_map=mp, dst_map=minus)
         edges |= _arrow_edges(patterns, d0.parts, src_map=plus, dst_map=mp)
     graph = Hypergraph(g.universe, body.n, frozenset(edges))
     _assert_member(p, graph)
-    return CopyTracked(g, d0, graph, inner.copy_maps + (minus, plus))
+    return CopyTracked(g, d0, graph, current.copy_maps + (minus, plus))
 
 
 def unique_super(g: Hypergraph, d0, p: Property,

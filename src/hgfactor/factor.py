@@ -4,7 +4,9 @@ Nothing here decides property equality in general: every verdict is
 relative to an explicit vertex bound and says so.  A factorization
 "verified at n" means both sides agree on every graph with at most n
 vertices; a dec bracket (lower, upper) sandwiches the true minimum of
-the maximal part count over all strict members.
+the maximal part count over all strict members.  Two candidate factors
+are the same at n when their forbidden antichains have the same graphs
+on at most n vertices (factor_search has the proof).
 """
 
 from __future__ import annotations
@@ -40,11 +42,7 @@ from .decomp import (
     _factors,
     all_decompositions,
     dec_number,
-    ind_parts,
     is_strict,
-    is_uniquely_decomposable,
-    multiplicity,
-    unique_decomposition,
 )
 
 __all__ = [
@@ -262,12 +260,9 @@ def _connected_candidates(p: Property, max_size: int) -> list:
     return out
 
 
-def _fingerprint(p: Property, n: int) -> tuple:
-    """Bounded extensional identity: the canonical keys of all members
-    with at most n vertices."""
-    return tuple(sorted(canonical_key(g)
-                        for g in enumerate_hypergraphs(EnumSpec(p.universe, n))
-                        if p.member(g)))
+def _antichain_key(f: FiniteForbidden, n: int) -> tuple:
+    """f's identity on graphs up to n vertices (proof: factor_search)."""
+    return tuple(canonical_key(h) for h in f.forbidden if h.n <= n)
 
 
 def factor_search(p: Property, candidate_forbidden_size: int, equality_bound: int,
@@ -282,6 +277,22 @@ def factor_search(p: Property, candidate_forbidden_size: int, equality_bound: in
     deduplicated as unordered multisets under bounded property equality.
     Combinations are checked one after another in a plain loop; workers
     is accepted and ignored (at least 1).
+
+    A refined tuple is not verified again.  Refining swaps a factor F
+    for factors verified to multiply to F on every graph with at most n
+    vertices.  A product's verdict on a graph H reads only its factors'
+    verdicts on blocks of H, none larger than H, so swapping block by
+    block the refined tuple verifies whenever the original did.
+
+    Bounded equality comes from the forbidden antichains (_antichain_key),
+    with no graph enumerated.  Every factor that reaches the dedupe is a
+    FiniteForbidden from _connected_candidates.  Its forbidden graphs on
+    at most n vertices are exactly its minimal non-members on at most n
+    vertices: they form an antichain, so each is a non-member whose
+    proper induced subgraphs are members.  A non-member on at most n
+    vertices contains one, so two factors agree on every graph up to n
+    iff their keys, the canonical keys of those forbidden graphs in
+    stored order, are equal.
     """
     _check_workers(workers)
     if _depth > 4:
@@ -312,10 +323,7 @@ def factor_search(p: Property, candidate_forbidden_size: int, equality_bound: in
     seen = set()
     for combo in verified:
         refined = refine(combo)
-        if refined != tuple(combo) and not verify_factorisation(p, refined, equality_bound):
-            refined = tuple(combo)
-        prints = sorted(_fingerprint(f, equality_bound) for f in refined)
-        key = tuple(prints)
+        key = tuple(sorted(_antichain_key(f, equality_bound) for f in refined))
         if key in seen:
             continue
         seen.add(key)
@@ -351,9 +359,9 @@ def _strict_unique_family(p: Property, n: int, k_max: int) -> list:
     for g in _strict_members(p, n):
         if dec_number(g, p, mode, k_max).value != ub:
             continue
-        if not is_uniquely_decomposable(g, p, mode, k_max):
-            continue
-        fam.append((g, unique_decomposition(g, p, mode, k_max)))
+        found = all_decompositions(g, p, ub, mode, k_max)
+        if len(found) == 1:
+            fam.append((g, found[0]))
     return fam
 
 
@@ -364,11 +372,11 @@ def ind_part_family(p: Property, n: int, k_max: int = 1) -> tuple:
     forbidden sets, at the same bound otherwise)."""
     if not is_additive(p, search_bound=None if isinstance(p, FiniteForbidden) else n):
         raise HgError("the property is not additive")
-    mode = _mode_for(p)
     parts = {}
     for g, d in _strict_unique_family(p, n, k_max):
-        for part in ind_parts(g, p, mode, k_max):
-            parts.setdefault(canonical_key(part), part)
+        for part in d.parts:
+            h = induced(g, part)
+            parts.setdefault(canonical_key(h), h)
     return tuple(sorted((canonical_form(parts[k]) for k in parts),
                         key=lambda h: (h.n, canonical_key(h))))
 
@@ -385,11 +393,10 @@ def case_split(p: Property, f: Hypergraph, n: int, k_max: int = 1) -> tuple:
     """
     if not is_additive(p, search_bound=None if isinstance(p, FiniteForbidden) else n):
         raise HgError("the property is not additive")
-    mode = _mode_for(p)
     ub = dec_bounds(p, n, k_max).upper
-    fam = _strict_unique_family(p, n, k_max)
-    mults = [(g, d, multiplicity(f, g, p, mode, k_max)) for g, d in fam]
-    peak = max((m for _, _, m in mults), default=0)
+    fam = [(g, d, [part for part in d.parts if embed_induced(f, induced(g, part)) is not None])
+           for g, d in _strict_unique_family(p, n, k_max)]
+    peak = max((len(carrying) for _, _, carrying in fam), default=0)
     if peak == 0:
         raise HgError("the graph appears in no ind-part over the family")
     if peak == ub:
@@ -397,11 +404,9 @@ def case_split(p: Property, f: Hypergraph, n: int, k_max: int = 1) -> tuple:
             "the graph hits every ind-part of some family member")
     with_gens = {}
     without_gens = {}
-    for g, d, m in mults:
-        if m != peak:
+    for g, d, carrying in fam:
+        if len(carrying) != peak:
             continue
-        carrying = [part for part in d.parts
-                    if embed_induced(f, induced(g, part)) is not None]
         rest = [part for part in d.parts if part not in carrying]
         hit = induced(g, frozenset().union(*carrying))
         miss = induced(g, frozenset().union(*rest) if rest else frozenset())

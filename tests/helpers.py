@@ -17,14 +17,28 @@ from hgfactor import (
     EdgeKind,
     EdgeObject,
     EnumSpec,
+    Factorisation,
     FiniteForbidden,
+    FullMultiplicityError,
+    GeneratedBounded,
     HgError,
     Hypergraph,
     ProductProperty,
+    canonical_form,
+    canonical_key,
+    dec_bounds,
     dec_number,
+    embed_induced,
     enumerate_hypergraphs,
+    induced,
+    ind_parts,
     is_strict,
+    is_uniquely_decomposable,
+    member,
     min_forbidden_order,
+    multiplicity,
+    unique_decomposition,
+    verify_factorisation,
 )
 
 
@@ -322,3 +336,98 @@ def stirling2(n, k):
         for j in range(1, k + 1):
             table[i][j] = j * table[i - 1][j] + table[i - 1][j - 1]
     return table[n][k]
+
+
+def reference_fingerprint(p, n):
+    """Bounded extensional identity by enumeration: the sorted canonical
+    keys of p's members with at most n vertices."""
+    return tuple(sorted(canonical_key(g)
+                        for g in enumerate_hypergraphs(EnumSpec(p.universe, n))
+                        if member(p, g)))
+
+
+def reference_factor_search(p, candidate_forbidden_size, n, _depth=0):
+    """factor_search with factor identity by enumeration: verified tuples
+    of candidate factors are refined, each refined tuple is verified
+    again (and the unrefined tuple kept if that fails), and results are
+    deduplicated by reference_fingerprint.  Returns the factorisations
+    and, for every top-level tuple that refinement changed, the tuple,
+    its refinement and whether the refinement verified."""
+    from hgfactor.factor import _connected_candidates
+    if _depth > 4:
+        return [], []
+    bracket = dec_bounds(p, n)
+    if bracket.upper < 2:
+        return [], []
+    candidates = _connected_candidates(p, candidate_forbidden_size)
+    verified = [combo for length in range(2, bracket.upper + 1)
+                for combo in itertools.combinations_with_replacement(candidates, length)
+                if verify_factorisation(p, combo, n)]
+
+    def refine(factors):
+        out = []
+        for f in factors:
+            # irreducibility_test: certified at dec 1, else reducible when
+            # a factorisation is found
+            found = [] if dec_bounds(f, n).upper == 1 else \
+                reference_factor_search(f, candidate_forbidden_size, n, _depth + 1)[0]
+            out.extend(refine(found[0].factors) if found else (f,))
+        return tuple(out)
+
+    results, refinements, seen = [], [], set()
+    for combo in verified:
+        refined = refine(combo)
+        if refined != tuple(combo):
+            holds = bool(verify_factorisation(p, refined, n))
+            refinements.append((combo, refined, holds))
+            if not holds:
+                refined = tuple(combo)
+        key = tuple(sorted(reference_fingerprint(f, n) for f in refined))
+        if key not in seen:
+            seen.add(key)
+            results.append(Factorisation(refined, n, (bracket.lower, bracket.upper)))
+    return results, refinements
+
+
+def _reference_family(p, n, k_max):
+    """Strict members with at most n vertices whose dec meets the dec
+    upper bound and which are uniquely decomposable, with the bound."""
+    mode = EXACT if isinstance(p, FiniteForbidden) else BOUNDED
+    ub = dec_bounds(p, n, k_max).upper
+    fam = [g for g in enumerate_hypergraphs(EnumSpec(p.universe, n))
+           if g.n and member(p, g) and is_strict(g, p)
+           and dec_number(g, p, mode, k_max).value == ub
+           and is_uniquely_decomposable(g, p, mode, k_max)]
+    return fam, mode, ub
+
+
+def reference_ind_part_family(p, n, k_max=1):
+    """ind_part_family from decomp.ind_parts on every family member."""
+    fam, mode, _ = _reference_family(p, n, k_max)
+    parts = {canonical_key(h): h for g in fam for h in ind_parts(g, p, mode, k_max)}
+    return tuple(sorted((canonical_form(h) for h in parts.values()),
+                        key=lambda h: (h.n, canonical_key(h))))
+
+
+def reference_case_split(p, f, n, k_max=1):
+    """case_split from decomp.multiplicity on every family member, with
+    the same errors; the generators come from unique_decomposition."""
+    fam, mode, ub = _reference_family(p, n, k_max)
+    mults = [multiplicity(f, g, p, mode, k_max) for g in fam]
+    peak = max(mults, default=0)
+    if peak == 0:
+        raise HgError("the graph appears in no ind-part over the family")
+    if peak == ub:
+        raise FullMultiplicityError("the graph hits every ind-part of some family member")
+    with_gens, without_gens = {}, {}
+    for g, m in zip(fam, mults):
+        if m != peak:
+            continue
+        parts = unique_decomposition(g, p, mode, k_max).parts
+        hit = frozenset().union(*(q for q in parts
+                                  if embed_induced(f, induced(g, q)) is not None))
+        for gens, block in ((with_gens, hit), (without_gens, frozenset(range(g.n)) - hit)):
+            h = induced(g, block)
+            gens.setdefault(canonical_key(h), canonical_form(h))
+    return (GeneratedBounded(p.universe, tuple(with_gens.values()), n),
+            GeneratedBounded(p.universe, tuple(without_gens.values()), n))

@@ -1,5 +1,7 @@
 """Bounded factorization: brackets, verification, search, case splits."""
 
+import random
+import re
 import threading
 
 import pytest
@@ -38,7 +40,18 @@ from hgfactor import (
 )
 from hgfactor import factor
 from hgfactor.cli import run
-from helpers import flat_factors, reference_dec_bounds
+from helpers import (
+    flat_factors,
+    random_graph,
+    reference_case_split,
+    reference_dec_bounds,
+    reference_factor_search,
+    reference_fingerprint,
+    reference_ind_part_family,
+)
+from test_core import UNIVERSE_CASES
+
+SEED = 424242
 
 
 # --- plumbing ---------------------------------------------------------------
@@ -364,6 +377,75 @@ def test_bounded_equivalence_flips_with_evidence(props):
     assert member(target, w5)
 
 
+@pytest.mark.parametrize("uu, density", UNIVERSE_CASES)
+def test_antichain_key_matches_enumerated_fingerprint(uu, density):
+    """Two forbidden-set properties have equal antichain keys at n iff
+    they have the same members on at most n vertices.  Forbidden graphs
+    on n+1 vertices are drawn too, so a key that reads them would fail."""
+    rng = random.Random(SEED)
+    n = 2 if len(uu.kinds) > 1 else max(uu.arities) + 1
+    outcomes = []
+    for _ in range(100):
+        pool = [random_graph(uu, rng.randint(2, n + 1), density, rng) for _ in range(3)]
+        p, q = (forbidden_property(uu, rng.sample(pool, rng.randint(1, 3)))
+                for _ in range(2))
+        same = factor._antichain_key(p, n) == factor._antichain_key(q, n)
+        assert same == (reference_fingerprint(p, n) == reference_fingerprint(q, n)), (p, q)
+        outcomes.append(same)
+    assert outcomes.count(True) >= 5 and outcomes.count(False) >= 5
+
+
+def _search_battery():
+    su = simple_universe()
+    k3 = simple_graph(3, [(0, 1), (0, 2), (1, 2)])
+    c5 = simple_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    e = forbidden_property(su, [simple_graph(2, [(0, 1)])])
+    t = forbidden_property(su, [k3])
+    return [("trifree^2", ProductProperty((t, t)), 3, 4),
+            ("edgeless*trifree", ProductProperty((e, t)), 3, 4),
+            ("bip", forbidden_property(su, [k3, c5]), 2, 5),
+            ("two_colour", ProductProperty((e, e)), 2, 4),
+            ("edgeless^3", ProductProperty((e, e, e)), 2, 4)]
+
+
+def test_factor_search_matches_reference_search():
+    """factor_search, which keys factors by their antichains and does not
+    verify a refined tuple again, equals the search that fingerprints
+    every factor by enumeration and re-verifies; some tuples are refined,
+    and every refinement verified."""
+    refinements = []
+    for name, p, size, n in _search_battery():
+        want, refined = reference_factor_search(p, size, n)
+        assert factor_search(p, size, n) == want, name
+        refinements += refined
+    assert refinements
+    assert all(holds for _, _, holds in refinements)
+
+
+def test_factor_search_enumerates_nothing_past_the_bracket(monkeypatch):
+    """Directed two-colouring at bound 6: the bracket closes early and the
+    search enumerates under 1,000 classes, not the digraphs on up to 6
+    vertices, to tell its one factorisation apart."""
+    du = Universe(frozenset({EdgeKind.ORDERED}), frozenset({2}), ("e",))
+    arc = EdgeObject(EdgeKind.ORDERED, (0, 1), "e")
+    back = EdgeObject(EdgeKind.ORDERED, (1, 0), "e")
+    ad = forbidden_property(du, [Hypergraph(du, 2, frozenset({arc})),
+                                 Hypergraph(du, 2, frozenset({arc, back}))])
+    real = factor.enumerate_hypergraphs
+    yielded = []
+
+    def counted(spec):
+        for h in real(spec):
+            yielded.append(h)
+            if len(yielded) >= 1000:
+                raise AssertionError("factor_search enumerated 1,000 classes")
+            yield h
+
+    monkeypatch.setattr(factor, "enumerate_hypergraphs", counted)
+    assert factor_search(ProductProperty((ad, ad)), 2, 6) \
+        == [Factorisation((ad, ad), 6, (2, 2))]
+
+
 # --- part families and case splits ------------------------------------------
 
 def test_ind_part_family_golden(g, props):
@@ -400,3 +482,33 @@ def test_case_split_rejects_full_multiplicity(g, props):
 def test_case_split_rejects_absent_graph(g, props):
     with pytest.raises(HgError):
         case_split(props.two_colour, g.k2, 5)
+
+
+def _products_beyond_simple():
+    o, un = EdgeKind.ORDERED, EdgeKind.UNORDERED
+    du = Universe(frozenset({o}), frozenset({2}), ("a",))
+    cu = Universe(frozenset({un}), frozenset({2}), ("r", "b"))
+    a = forbidden_property(du, [Hypergraph(du, 2, frozenset({EdgeObject(o, (0, 1), "a")}))])
+    r = forbidden_property(cu, [Hypergraph(cu, 2, frozenset({EdgeObject(un, (0, 1), "r")}))])
+    return [pytest.param(ProductProperty((a, a)), 3, id="directed-arcfree^2@3"),
+            pytest.param(ProductProperty((r, r)), 3, id="2-colour-redfree^2@3")]
+
+
+@pytest.mark.parametrize("p, n", _products_beyond_simple())
+def test_family_and_case_split_match_decomp_reference(p, n):
+    """ind_part_family and case_split, which read parts off the family's
+    own decompositions, agree with ind_parts and multiplicity, errors
+    included, for every graph on at most 3 vertices."""
+    fam = ind_part_family(p, n)
+    assert fam and fam == reference_ind_part_family(p, n)
+    splits = 0
+    for f in enumerate_hypergraphs(EnumSpec(p.universe, 3)):
+        try:
+            want = reference_case_split(p, f, n)
+        except HgError as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                case_split(p, f, n)
+            continue
+        assert case_split(p, f, n) == want, f
+        splits += 1
+    assert splits
