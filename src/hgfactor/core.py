@@ -470,26 +470,39 @@ def _cells(n: int, codes: Sequence) -> list:
     the class count stops growing; every isomorphism, and so every
     automorphism, respects the final classes.  Raises CapExceededError
     when the orderings within the classes exceed CANONICAL_ORDER_CAP.
+
+    The first round ranks profiles of entry heads alone, built with the
+    incidence lists.  Every colour is 0 in that round, so an entry's
+    colours are a run of zeros whose length its kind bit and arity fix,
+    and the signature's leading colour is 0 for every vertex: dropping
+    both changes no comparison between signatures, so the ranks, the
+    colours and the cells are those of the full round.
     """
     # at[v]: (profile entry head, vertices whose colours it carries, sort?)
     at = [[] for _ in range(n)]
+    heads = [[] for _ in range(n)]
     for ordered, ci, verts, _, _ in codes:
         r = len(verts)
         for i, v in enumerate(verts):
             if ordered:
                 at[v].append((0, ci, r, i, verts, False))
+                heads[v].append((0, ci, r, i))
             else:
                 at[v].append((1, ci, r, -1, verts[:i] + verts[i + 1:], r > 2))
+                heads[v].append((1, ci, r, -1))
     colours = [0] * n
     n_classes = 1
     while n_classes < n:  # a discrete colouring cannot split further
-        look = colours.__getitem__
-        sigs = []
-        for v in range(n):
-            prof = [(o, ci, r, i, tuple(sorted(map(look, ws))) if srt
-                     else tuple(map(look, ws))) for o, ci, r, i, ws, srt in at[v]]
-            prof.sort()
-            sigs.append((colours[v], tuple(prof)))
+        if n_classes == 1:  # the first round, and only it, starts from one class
+            sigs = [tuple(sorted(prof)) for prof in heads]
+        else:
+            look = colours.__getitem__
+            sigs = []
+            for v in range(n):
+                prof = [(o, ci, r, i, tuple(sorted(map(look, ws))) if srt
+                         else tuple(map(look, ws))) for o, ci, r, i, ws, srt in at[v]]
+                prof.sort()
+                sigs.append((colours[v], tuple(prof)))
         rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
         if len(rank) == n_classes:
             break
@@ -511,28 +524,125 @@ def _cells(n: int, codes: Sequence) -> list:
 def _canon(n: int, codes: Sequence) -> tuple:
     """canonical_key of the graph on n vertices with these _codes.
 
-    Each ordering within the _cells classes, in product order, maps the
-    edges to (arity, vertices, kind value, colour) entries, and the least
-    sorted list wins.
+    An ordering hands out labels 0..n-1 to the _cells classes in class
+    order, each class's vertices in some order; it maps the edges to
+    (arity, vertices, kind value, colour) entries, and the least sorted
+    entry list over every such ordering is the key.  A discrete
+    refinement has one ordering and is keyed directly.  Otherwise a
+    depth-first search places one vertex per label, and its leaves are
+    the orderings; a label whose class has one vertex left is placed
+    without branching.
+
+    The search skips subtrees whose least key it has already seen.  A
+    leaf whose entry list equals that of the first or the best leaf, the
+    lead, gives an automorphism s = lead^-1 . this (v goes to the vertex
+    that carries v's label in the lead): both orderings send the edge set
+    onto the same entries.  For any automorphism s, the ordering that
+    places s(v) wherever another places v has the same key, since s
+    permutes the edges; s keeps every class (refinement is
+    isomorphism-invariant), so it maps orderings to orderings.  If s
+    fixes the vertices placed at a node, it maps the subtree under child
+    v onto the subtree under child s(v) key for key, and so does every
+    product of such automorphisms.  Hence:
+
+    - a child in the orbit of an explored sibling, under the
+      automorphisms found so far that fix every placed vertex, is
+      skipped: its least key is that sibling's, already seen;
+    - once a leaf yields s, the search resumes at the node where this
+      leaf and the lead part: s fixes that node's placed vertices and
+      maps the current child there onto the lead's, an explored sibling,
+      so the rest of the current child's subtree holds no key below the
+      best.
+
+    Only subtrees whose keys all occur in explored ones are skipped, so
+    the least key is the least over every ordering, as if each were
+    tried; the cap on their number is checked by _cells all the same.
     """
     if not codes:
         return (n, ())
     cell_list = _cells(n, codes)
-    best = None
-    mapping = [0] * n
+    mapping = [-1] * n  # vertex -> label, -1 while unplaced
     look = mapping.__getitem__
-    for combo in itertools.product(*(itertools.permutations(c) for c in cell_list)):
-        i = 0
-        for cell_perm in combo:
-            for v in cell_perm:
-                mapping[v] = i
-                i += 1
-        key = sorted((len(verts), tuple(map(look, verts)) if ordered
-                      else tuple(sorted(map(look, verts))), kind, colour)
-                     for ordered, _, verts, kind, colour in codes)
-        if best is None or key < best:
-            best = key
-    return (n, tuple(best))
+
+    def key() -> list:
+        return sorted((len(verts), tuple(map(look, verts)) if ordered
+                       else tuple(sorted(map(look, verts))), kind, colour)
+                      for ordered, _, verts, kind, colour in codes)
+
+    if len(cell_list) == n:
+        for i, (v,) in enumerate(cell_list):
+            mapping[v] = i
+        return (n, tuple(key()))
+    cell_at, end_at = [], []  # per label: its class, and the label after the class
+    for cell in cell_list:
+        cell_at += [cell] * len(cell)
+        end_at += [len(end_at) + len(cell)] * len(cell)
+    seq = [0] * n  # label -> vertex
+    first = best = None  # (entry list, seq) of the first and the least leaf
+    gens = []  # automorphisms found, as image tuples
+
+    def search(i: int) -> int:
+        """Explore the node with seq[:i] placed; return the depth to resume
+        at, n when the search goes on as usual."""
+        nonlocal first, best
+        if i == n:
+            k = key()
+            if best is None:
+                first = best = k, seq[:]
+                return n
+            if k == first[0]:
+                lead = first[1]
+            elif k == best[0]:
+                lead = best[1]
+            else:
+                if k < best[0]:
+                    best = k, seq[:]
+                return n
+            gens.append(tuple(lead[mapping[v]] for v in range(n)))
+            d = 0
+            while seq[d] == lead[d]:
+                d += 1
+            return d
+        single = end_at[i] - i == 1
+        tried = []
+        stab = []  # the automorphisms among gens that fix seq[:i]
+        known = 0
+        for v in cell_at[i]:
+            if mapping[v] >= 0:
+                continue
+            if tried:
+                if known < len(gens):
+                    fixed = seq[:i]
+                    stab += [s for s in gens[known:] if all(s[w] == w for w in fixed)]
+                    known = len(gens)
+                if stab and v in _orbit(tried, stab):
+                    continue
+            seq[i] = v
+            mapping[v] = i
+            back = search(i + 1)
+            mapping[v] = -1
+            if back < i or single:
+                return back
+            tried.append(v)
+        return n
+
+    search(0)
+    return (n, tuple(best[0]))
+
+
+def _orbit(points: list, gens: list) -> set:
+    """The orbit of the points under the group the vertex maps gens
+    generate."""
+    seen = set(points)
+    todo = list(points)
+    while todo:
+        v = todo.pop()
+        for s in gens:
+            w = s[v]
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return seen
 
 
 def _automorphisms(n: int, codes: Sequence) -> list:
@@ -575,11 +685,17 @@ def _key_graph(u: Universe, key: tuple) -> Hypergraph:
 
     Each distinct key entry costs one validated EdgeObject per process
     (_key_edge), shared by every class that has that edge; edges are
-    frozen, so sharing is safe, and Hypergraph still checks each graph
-    against u.
+    frozen, so sharing is safe.  The graph skips Hypergraph's per-edge
+    universe checks: every caller passes a key whose entries are edges of
+    a graph already checked over u (canonical_key(g) with g.universe, or
+    an enumeration candidate over u), relabelled onto 0..n-1.
     """
     n, edge_key = key
-    return Hypergraph(u, n, frozenset(map(_key_edge, edge_key)))
+    g = object.__new__(Hypergraph)
+    object.__setattr__(g, "universe", u)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "edges", frozenset(map(_key_edge, edge_key)))
+    return g
 
 
 @lru_cache(maxsize=200_000)
@@ -589,11 +705,15 @@ def canonical_key(g: Hypergraph) -> tuple:
     (n, sorted (arity, vertices, kind value, colour) edge entries) under
     the least ordering within the refined vertex classes, computed by
     _canon from g's edges coded once as plain tuples, with no EdgeObject
-    or enum access per ordering.  Key values are output (enumerate lists
-    each size in key order), so profiles, colour numbering, cell order and
-    ordering order are fixed, and the tuples change no value compared.
-    Raises CapExceededError beyond CANONICAL_ORDER_CAP orderings
-    (symmetric graphs on roughly 10+ vertices).
+    or enum access per ordering.  _canon finds that ordering by a
+    depth-first search that skips the subtrees automorphisms found on
+    the way map onto explored ones, so a symmetric graph sorts its edges
+    under a fraction of the orderings.  Key values are output (enumerate
+    lists each size in key order), so profiles, colour numbering, cell
+    order and the key's definition are fixed, and the tuples change no
+    value compared.  Raises CapExceededError when the classes admit more
+    than CANONICAL_ORDER_CAP orderings (symmetric graphs on roughly 10+
+    vertices), before any is tried.
     """
     return _canon(g.n, _codes(g))
 

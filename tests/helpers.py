@@ -9,9 +9,12 @@ with the implementation under test.
 from __future__ import annotations
 
 import itertools
+from typing import Sequence
 
 from hgfactor import (
     BOUNDED,
+    CANONICAL_ORDER_CAP,
+    CapExceededError,
     DecBounds,
     EXACT,
     EdgeKind,
@@ -431,3 +434,83 @@ def reference_case_split(p, f, n, k_max=1):
             gens.setdefault(canonical_key(h), canonical_form(h))
     return (GeneratedBounded(p.universe, tuple(with_gens.values()), n),
             GeneratedBounded(p.universe, tuple(without_gens.values()), n))
+
+
+# core._cells and core._canon as they stood before the ordering loop became
+# a pruned search, copied verbatim: the keys and cells that every stored
+# key, enumeration order and digest were frozen from
+
+def reference_cells(n: int, codes: Sequence) -> list:
+    """Refined vertex classes of the graph on n vertices with these _codes,
+    as ascending vertex lists in colour order.
+
+    A vertex's profile lists, per incident edge, the kind bit, colour
+    index, arity, own position (ordered edges only) and the current
+    colours of the other members (of all members, in order, for an
+    ordered edge), and colours are ranks of (colour, sorted profile) until
+    the class count stops growing; every isomorphism, and so every
+    automorphism, respects the final classes.  Raises CapExceededError
+    when the orderings within the classes exceed CANONICAL_ORDER_CAP.
+    """
+    # at[v]: (profile entry head, vertices whose colours it carries, sort?)
+    at = [[] for _ in range(n)]
+    for ordered, ci, verts, _, _ in codes:
+        r = len(verts)
+        for i, v in enumerate(verts):
+            if ordered:
+                at[v].append((0, ci, r, i, verts, False))
+            else:
+                at[v].append((1, ci, r, -1, verts[:i] + verts[i + 1:], r > 2))
+    colours = [0] * n
+    n_classes = 1
+    while n_classes < n:  # a discrete colouring cannot split further
+        look = colours.__getitem__
+        sigs = []
+        for v in range(n):
+            prof = [(o, ci, r, i, tuple(sorted(map(look, ws))) if srt
+                     else tuple(map(look, ws))) for o, ci, r, i, ws, srt in at[v]]
+            prof.sort()
+            sigs.append((colours[v], tuple(prof)))
+        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        if len(rank) == n_classes:
+            break
+        colours, n_classes = [rank[s] for s in sigs], len(rank)
+    cells = {}
+    for v in range(n):
+        cells.setdefault(colours[v], []).append(v)
+    cell_list = [cells[c] for c in sorted(cells)]
+    total = 1
+    for cell in cell_list:
+        for i in range(2, len(cell) + 1):
+            total *= i
+        if total > CANONICAL_ORDER_CAP:
+            raise CapExceededError(
+                f"canonical labelling would try more than {CANONICAL_ORDER_CAP} orderings")
+    return cell_list
+
+
+def reference_canon(n: int, codes: Sequence) -> tuple:
+    """canonical_key of the graph on n vertices with these _codes.
+
+    Each ordering within the _cells classes, in product order, maps the
+    edges to (arity, vertices, kind value, colour) entries, and the least
+    sorted list wins.
+    """
+    if not codes:
+        return (n, ())
+    cell_list = reference_cells(n, codes)
+    best = None
+    mapping = [0] * n
+    look = mapping.__getitem__
+    for combo in itertools.product(*(itertools.permutations(c) for c in cell_list)):
+        i = 0
+        for cell_perm in combo:
+            for v in cell_perm:
+                mapping[v] = i
+                i += 1
+        key = sorted((len(verts), tuple(map(look, verts)) if ordered
+                      else tuple(sorted(map(look, verts))), kind, colour)
+                     for ordered, _, verts, kind, colour in codes)
+        if best is None or key < best:
+            best = key
+    return (n, tuple(best))

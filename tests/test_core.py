@@ -1,5 +1,6 @@
 """Core data structures, embeddings, canonical forms and the text format."""
 
+import itertools
 import random
 from functools import reduce
 
@@ -29,7 +30,7 @@ from hgfactor import (
     simple_graph,
     simple_universe,
 )
-from hgfactor.core import (_automorphisms, _cells, _codes, _find, _format_universe,
+from hgfactor.core import (_automorphisms, _canon, _cells, _codes, _find, _format_universe,
                            _incidence, _pattern)
 from helpers import (
     admissible_edges,
@@ -42,6 +43,8 @@ from helpers import (
     image_triples,
     mapped_triples,
     random_graph,
+    reference_canon,
+    reference_cells,
     reference_format,
 )
 
@@ -367,6 +370,63 @@ def test_canonical_key_distinguishes_on_digraphs():
     assert len(lib_classes) == len(brute_classes) > 5
     for a in sample:
         assert is_isomorphic(a, canonical_form(a))
+
+
+def cycle(n, start=0):
+    return [(start + i, start + (i + 1) % n) for i in range(n)]
+
+
+def symmetric_family():
+    """Graphs whose refinement leaves large cells, so that the canonical
+    search has many orderings to choose from."""
+    three = triple_universe()
+    red_matching = {(0, 1), (2, 3)}
+    k4 = Hypergraph(two_colour_universe(), 4, frozenset(
+        EdgeObject(EdgeKind.UNORDERED, pair, "r" if pair in red_matching else "b")
+        for pair in itertools.combinations(range(4), 2)))
+    return [
+        simple_graph(6, cycle(6)),
+        simple_graph(7, cycle(7)),
+        simple_graph(8, cycle(8)),
+        simple_graph(6, [(a, b) for a in range(3) for b in range(3, 6)]),  # K3,3
+        simple_graph(6, cycle(3) + cycle(3, 3) + [(0, 3), (1, 4), (2, 5)]),  # prism
+        simple_graph(6, cycle(3) + cycle(3, 3)),  # 2K3
+        simple_graph(8, cycle(4) + cycle(4, 4)),  # C4+C4
+        k4,
+        Hypergraph(three, 5, frozenset(admissible_edges(three, range(5)))),
+        Hypergraph(three, 6, frozenset(admissible_edges(three, range(6)))),
+    ]
+
+
+def assert_keys_as_reference(graphs):
+    for g_ in graphs:
+        codes = _codes(g_)
+        assert _cells(g_.n, codes) == reference_cells(g_.n, codes)
+        assert _canon(g_.n, codes) == reference_canon(g_.n, codes)
+
+
+@pytest.mark.parametrize("universe, p", UNIVERSE_CASES)
+def test_canonical_keys_equal_the_ordering_product_on_random_graphs(universe, p):
+    # the pruned search must return the very key of the least ordering in
+    # the cell product, not just some class invariant: keys are output
+    rng = random.Random(SEED + 6)
+    assert_keys_as_reference([random_graph(universe, rng.randint(6, 8), p, rng)
+                              for _ in range(100)])
+
+
+def test_canonical_keys_equal_the_ordering_product_on_symmetric_graphs():
+    assert_keys_as_reference(symmetric_family())
+
+
+def test_canonical_order_cap_raises_unchanged():
+    # 10 vertices that refinement cannot split: 10! orderings in the cells
+    petersen = cycle(5) + [(5, 7), (7, 9), (9, 6), (6, 8), (8, 5)] \
+        + [(i, i + 5) for i in range(5)]
+    for g_ in (simple_graph(10, cycle(10)), simple_graph(10, petersen),
+               simple_graph(10, [(2 * i, 2 * i + 1) for i in range(5)])):
+        with pytest.raises(CapExceededError) as err:
+            canonical_key(g_)
+        assert str(err.value) == "canonical labelling would try more than 2000000 orderings"
 
 
 def test_unlabeled_counts_small(u):

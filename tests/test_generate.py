@@ -27,6 +27,8 @@ from helpers import (
     bell,
     count_unlabeled,
     least_degree_orbits,
+    reference_canon,
+    reference_cells,
     stirling2,
     unpruned_layer,
 )
@@ -143,7 +145,7 @@ O, U = EdgeKind.ORDERED, EdgeKind.UNORDERED
 # enumeration as it stood before canonical keys were computed from coded
 # edge tuples: the within-size order is canonical-key order, so these pin
 # the key values themselves and not only the classes
-@pytest.mark.parametrize("universe, top, digest", [
+DIGEST_CASES = [
     pytest.param(simple_universe(), 6,
                  "c606bba620916dfedac5424c815a90d7a44ccf3e7f0a4fd74c6b431027e97c46",
                  id="simple"),
@@ -162,12 +164,34 @@ O, U = EdgeKind.ORDERED, EdgeKind.UNORDERED
     pytest.param(Universe(frozenset({U}), frozenset({2, 3}), ("e",)), 4,
                  "b83efbd57e34511df84a8e80cd7d7a710a09c766feef1f8f02eb03e230f6fa86",
                  id="arities23"),
-])
+]
+
+
+@pytest.mark.parametrize("universe, top, digest", DIGEST_CASES)
 def test_enumeration_stream_digest(universe, top, digest):
     h = hashlib.sha256()
     for g in enumerate_hypergraphs(EnumSpec(universe, top)):
         h.update(format_hypergraph(g).encode())
     assert h.hexdigest() == digest
+
+
+def test_enumeration_keys_equal_the_ordering_product(monkeypatch):
+    # every keying made while enumerating the pinned universes gets the
+    # cells and the key of the least ordering in the cell product; the
+    # classes, built without the per-edge universe checks, pass them
+    keyings = []
+    canon = generate._canon
+    monkeypatch.setattr(generate, "_canon",
+                        lambda n, codes: keyings.append((n, codes)) or canon(n, codes))
+    generate._layer.cache_clear()
+    for case in DIGEST_CASES:
+        universe, top, _ = case.values
+        for g in enumerate_hypergraphs(EnumSpec(universe, top)):
+            assert Hypergraph(universe, g.n, g.edges) == g
+    assert len(keyings) > 500
+    for n, codes in keyings:
+        assert core._cells(n, codes) == reference_cells(n, codes)
+        assert core._canon(n, codes) == reference_canon(n, codes)
 
 
 def test_layers_add_no_canonical_key_memo_entries():
