@@ -11,13 +11,12 @@ captured.  Per enumeration it prints, as one JSON object per line:
 - leaves: the orderings core._canon keys, counted as calls of its
   nested key function.
 
+Only candidate keyings, the calls of generate._canon, are counted; the
+searches that find each parent's automorphisms are not.
+
 Run from the repository root:
 
-    PYTHONHASHSEED=0 PYTHONPATH=src python3 scripts/canon_counts.py
-
-Which labelled candidate of an orbit enumeration keys follows the order
-of a frozenset of edges, so leaves move a little with the hash seed;
-PYTHONHASHSEED=0 is what the benchmark's jobs run with.
+    PYTHONPATH=src python3 scripts/canon_counts.py
 """
 
 import json
@@ -33,7 +32,7 @@ CASES = [
     ("simple<=6", simple_universe(), 6),
 ]
 
-KEY_CODE = next(c for c in core._canon.__code__.co_consts
+KEY_CODE = next(c for c in core._canon_search.__code__.co_consts
                 if getattr(c, "co_name", None) == "key")
 
 

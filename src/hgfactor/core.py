@@ -48,8 +48,9 @@ __all__ = [
 
 DEFAULT_JOIN_EDGE_CAP = 10**6
 
-# Upper bound on candidate vertex orderings tried by canonical_form.  The
-# bound is only reachable for highly symmetric graphs on ~10+ vertices.
+# Cap on the orderings in the product of the refined cells' permutations,
+# checked by _cells before the canonical search tries a fraction of them;
+# reachable only for highly symmetric graphs on ~10+ vertices.
 CANONICAL_ORDER_CAP = 2_000_000
 
 
@@ -321,10 +322,12 @@ def _pattern(f: Hypergraph, anchored: bool = False) -> tuple:
     unordered edges in every vertex order so host edges need no sorting;
     f's vertex degrees; and the placement orders to try.  Unanchored,
     that is the ascending order alone.  Anchored, it is one order per
-    automorphism orbit of f: an orbit representative first, the others
-    ascending.  Each order carries, per position, the number of "closing"
-    f edges completed there and the earliest placed f vertex sharing an
-    edge with the one placed there (None if there is none).
+    automorphism orbit of f, by the generators _canon_search finds (f is
+    a FiniteForbidden graph, keyed already, so it stays under the cap):
+    the orbit's least vertex first, the others ascending, and the orbits
+    ascending by that vertex.  Each order carries, per position, the
+    number of "closing" f edges completed there and the earliest placed f
+    vertex sharing an edge with the one placed there (None if none).
     """
     keys = set()
     deg = [0] * f.n
@@ -334,8 +337,14 @@ def _pattern(f: Hypergraph, anchored: bool = False) -> tuple:
         keys.update((e.kind, vs, e.colour) for vs in orders)
         for v in e.vertices:
             deg[v] += 1
+    starts = [None]
+    if anchored:
+        # an embedding with w on the anchor, composed with an automorphism
+        # a, puts a(w) there, so one start per orbit
+        gens = _canon_search(f.n, _codes(f.universe, f.edges))[1]
+        starts = [w for w in range(f.n) if w == min(_orbit([w], gens))]
     plans = []
-    for w in (range(f.n) if anchored else [None]):
+    for w in starts:
         order = list(range(f.n))
         if w is not None:
             order.remove(w)
@@ -352,15 +361,6 @@ def _pattern(f: Hypergraph, anchored: bool = False) -> tuple:
                 if link[r] is None or rank[link[r]] > ranks[0]:
                     link[r] = order[ranks[0]]
         plans.append((order, closing, link))
-    if anchored:
-        # an embedding with w on the anchor, composed with automorphisms,
-        # puts every vertex of w's orbit there, so one start per orbit
-        starts = []
-        for w in range(f.n):
-            if all(_find((keys, deg, [plans[r]]), _incidence(f), (1 << f.n) - 1, w)
-                   is None for r in starts):
-                starts.append(w)
-        plans = [plans[w] for w in starts]
     return keys, deg, plans
 
 
@@ -452,11 +452,11 @@ def embed_induced(f: Hypergraph, g: Hypergraph) -> Optional[Embedding]:
     return None if image is None else Embedding(image)
 
 
-def _codes(g: Hypergraph) -> tuple:
-    """g's edges as (ordered?, colour index, vertices, kind value, colour)."""
-    index = {c: i for i, c in enumerate(g.universe.colours)}
+def _codes(u: Universe, edges: Iterable) -> tuple:
+    """Edges over u, in order, as (ordered?, colour index, vertices, kind value, colour)."""
+    index = {c: i for i, c in enumerate(u.colours)}
     return tuple((e.kind is EdgeKind.ORDERED, index[e.colour], e.vertices, e.kind.value,
-                  e.colour) for e in g.edges)
+                  e.colour) for e in edges)
 
 
 def _cells(n: int, codes: Sequence) -> list:
@@ -522,28 +522,36 @@ def _cells(n: int, codes: Sequence) -> list:
 
 
 def _canon(n: int, codes: Sequence) -> tuple:
-    """canonical_key of the graph on n vertices with these _codes.
+    """canonical_key of the graph on n vertices with these _codes."""
+    return _canon_search(n, codes)[0]
+
+
+def _canon_search(n: int, codes: Sequence) -> tuple:
+    """(canonical_key, automorphism generators) of the graph on n vertices
+    with these _codes; a generator is a tuple whose v-th entry is v's
+    image.
 
     An ordering hands out labels 0..n-1 to the _cells classes in class
     order, each class's vertices in some order; it maps the edges to
     (arity, vertices, kind value, colour) entries, and the least sorted
-    entry list over every such ordering is the key.  A discrete
-    refinement has one ordering and is keyed directly.  Otherwise a
-    depth-first search places one vertex per label, and its leaves are
-    the orderings; a label whose class has one vertex left is placed
-    without branching.
+    entry list over every such ordering is the key.  An edgeless graph,
+    whose group S_n a transposition and an n-cycle generate, and a
+    discrete refinement, whose group is trivial, are keyed directly.
+    Otherwise a depth-first search places one vertex per label, and its
+    leaves are the orderings; a label whose class has one vertex left is
+    placed without branching.
 
     The search skips subtrees whose least key it has already seen.  A
     leaf whose entry list equals that of the first or the best leaf, the
     lead, gives an automorphism s = lead^-1 . this (v goes to the vertex
     that carries v's label in the lead): both orderings send the edge set
-    onto the same entries.  For any automorphism s, the ordering that
-    places s(v) wherever another places v has the same key, since s
-    permutes the edges; s keeps every class (refinement is
-    isomorphism-invariant), so it maps orderings to orderings.  If s
-    fixes the vertices placed at a node, it maps the subtree under child
-    v onto the subtree under child s(v) key for key, and so does every
-    product of such automorphisms.  Hence:
+    onto the same entries; these are the generators.  For any
+    automorphism s, the ordering that places s(v) wherever another places
+    v has the same key, since s permutes the edges; s keeps every class
+    (refinement is isomorphism-invariant), so it maps orderings to
+    orderings.  If s fixes the vertices placed at a node, it maps the
+    subtree under child v onto the subtree under child s(v) key for key,
+    and so does every product of such automorphisms.  Hence:
 
     - a child in the orbit of an explored sibling, under the
       automorphisms found so far that fix every placed vertex, is
@@ -557,9 +565,17 @@ def _canon(n: int, codes: Sequence) -> tuple:
     Only subtrees whose keys all occur in explored ones are skipped, so
     the least key is the least over every ordering, as if each were
     tried; the cap on their number is checked by _cells all the same.
+    The generators span the whole group, as in McKay and Piperno's search
+    trees: on the first leaf's path, a child in the orbit of the path's
+    child, under the automorphisms fixing the placed vertices, is skipped
+    as the image of a tried sibling or holds a leaf equal to the first,
+    which the search meets unless a skip maps it onto an earlier one.
+    Callers rely only on each being an automorphism; a subgroup would
+    cost work, not answers.
     """
     if not codes:
-        return (n, ())
+        gens = [(1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,)] if n > 1 else []
+        return (n, ()), gens
     cell_list = _cells(n, codes)
     mapping = [-1] * n  # vertex -> label, -1 while unplaced
     look = mapping.__getitem__
@@ -572,7 +588,7 @@ def _canon(n: int, codes: Sequence) -> tuple:
     if len(cell_list) == n:
         for i, (v,) in enumerate(cell_list):
             mapping[v] = i
-        return (n, tuple(key()))
+        return (n, tuple(key())), []
     cell_at, end_at = [], []  # per label: its class, and the label after the class
     for cell in cell_list:
         cell_at += [cell] * len(cell)
@@ -627,7 +643,7 @@ def _canon(n: int, codes: Sequence) -> tuple:
         return n
 
     search(0)
-    return (n, tuple(best[0]))
+    return (n, tuple(best[0])), gens
 
 
 def _orbit(points: list, gens: list) -> set:
@@ -643,32 +659,6 @@ def _orbit(points: list, gens: list) -> set:
                 seen.add(w)
                 todo.append(w)
     return seen
-
-
-def _automorphisms(n: int, codes: Sequence) -> list:
-    """Every automorphism of the graph on n vertices with these _codes, as
-    a tuple whose v-th entry is v's image; the identity comes first.
-
-    An automorphism respects the _cells classes, so only the maps that
-    permute each class among itself are tried (all n! for an edgeless
-    graph, one for a discrete colouring), and the ones that carry every
-    edge onto an edge are kept.  Used on enumeration parents, which have
-    at most 6 vertices, so at most 720 maps.
-    """
-    edges = {(ordered, ci, verts) for ordered, ci, verts, _, _ in codes}
-    cell_list = _cells(n, codes)
-    found = []
-    for combo in itertools.product(*(itertools.permutations(c) for c in cell_list)):
-        sigma = [0] * n
-        for cell, images in zip(cell_list, combo):
-            for v, w in zip(cell, images):
-                sigma[v] = w
-        look = sigma.__getitem__
-        if all((ordered, ci, tuple(map(look, verts)) if ordered
-                else tuple(sorted(map(look, verts)))) in edges
-               for ordered, ci, verts in edges):
-            found.append(tuple(sigma))
-    return found
 
 
 @lru_cache(maxsize=65536)
@@ -715,7 +705,7 @@ def canonical_key(g: Hypergraph) -> tuple:
     than CANONICAL_ORDER_CAP orderings (symmetric graphs on roughly 10+
     vertices), before any is tried.
     """
-    return _canon(g.n, _codes(g))
+    return _canon(g.n, _codes(g.universe, g.edges))
 
 
 def canonical_form(g: Hypergraph) -> Hypergraph:

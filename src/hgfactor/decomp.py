@@ -248,7 +248,8 @@ def _in_host(f: Hypergraph, g: Hypergraph) -> bool:
 @lru_cache(maxsize=4096)
 def _coded_edges(g: Hypergraph) -> tuple:
     """g's sorted _codes as (support bitmask, ordered?, colour index, vertices)."""
-    return tuple((sum(1 << v for v in vs), o, c, vs) for o, c, vs, _, _ in sorted(_codes(g)))
+    return tuple((sum(1 << v for v in vs), o, c, vs)
+                 for o, c, vs, _, _ in sorted(_codes(g.universe, g.edges)))
 
 
 def _exact_split(p: FiniteForbidden, host: tuple, masks: Sequence,

@@ -9,9 +9,9 @@ from .core import (
     CapExceededError,
     Hypergraph,
     Universe,
-    _automorphisms,
     _bits,
     _canon,
+    _canon_search,
     _codes,
     _key_graph,
     crossing_edge_candidates,
@@ -88,10 +88,12 @@ def _layer(u: Universe, n: int) -> tuple:
         from P has v as its new vertex.
     (b) orbit: Aut(P), extended to fix the new vertex, permutes the new
         edges, and only the first subset of each orbit met is keyed;
-        keying it marks its whole orbit done.  No class is lost: an
-        automorphism a of P that fixes the new vertex maps the child of
-        (P, S) isomorphically onto the child of (P, a(S)), and keeps the
-        new vertex's degree, so an orbit passes rule (a) as a whole.
+        keying it marks its whole orbit done, closing it under the edge
+        images of the generators core._canon_search finds for P.  No
+        class is lost: an automorphism a of P that fixes the new vertex
+        maps the child of (P, S) isomorphically onto the child of
+        (P, a(S)), and keeps the new vertex's degree, so an orbit passes
+        rule (a) as a whole.
 
     Every class keeps at least one keyed candidate, so the set of keys,
     and the layer, are those of keying every candidate.
@@ -100,7 +102,7 @@ def _layer(u: Universe, n: int) -> tuple:
         return (Hypergraph(u, 0, frozenset()),)
     through = crossing_edge_candidates(
         [Hypergraph(u, n - 1, frozenset()), Hypergraph(u, 1, frozenset())])
-    new = _codes(Hypergraph(u, n, frozenset(through)))
+    new = _codes(u, through)  # in a fixed order, so every process keys alike
     index = {(ordered, ci, verts): i for i, (ordered, ci, verts, _, _) in enumerate(new)}
     touch = [0] * (n - 1)
     for i, (_, _, verts, _, _) in enumerate(new):
@@ -109,15 +111,15 @@ def _layer(u: Universe, n: int) -> tuple:
                 touch[w] |= 1 << i
     seen = set()
     for g in _layer(u, n - 1):
-        base = _codes(g)
+        base = _codes(u, g.edges)
         deg = [0] * (n - 1)
         for _, _, verts, _, _ in base:
             for w in verts:
                 deg[w] += 1
         low = min(deg, default=0)
-        # per automorphism other than the identity, each new edge's image bit
+        # per generator of Aut(P), each new edge's image bit
         images = [_edge_images(new, index, sigma + (n - 1,))
-                  for sigma in _automorphisms(n - 1, base)[1:]]
+                  for sigma in _canon_search(n - 1, base)[1]]
         done = bytearray(1 << len(new))
         for s in range(1 << len(new)):
             k = s.bit_count()
@@ -127,11 +129,15 @@ def _layer(u: Universe, n: int) -> tuple:
                 continue
             picks = _bits(s)
             seen.add(_canon(n, base + tuple(new[i] for i in picks)))
-            for image in images:
-                t = 0
-                for i in picks:
-                    t |= image[i]
-                done[t] = 1
+            done[s] = 1
+            orbit = [picks]  # mark s's orbit done: close it under the generators
+            while orbit:
+                picks = orbit.pop()
+                for image in images:
+                    t = sum(map(image.__getitem__, picks))  # distinct bits
+                    if not done[t]:
+                        done[t] = 1
+                        orbit.append(_bits(t))
     return tuple(_key_graph(u, k) for k in sorted(seen))
 
 

@@ -10,6 +10,7 @@ from hgfactor import (
     CapExceededError,
     EdgeKind,
     EdgeObject,
+    EnumSpec,
     FormatError,
     Hypergraph,
     Universe,
@@ -19,6 +20,7 @@ from hgfactor import (
     crossing_edge_candidates,
     disjoint_union,
     embed_induced,
+    enumerate_hypergraphs,
     format_hypergraph,
     induced,
     is_connected,
@@ -30,7 +32,7 @@ from hgfactor import (
     simple_graph,
     simple_universe,
 )
-from hgfactor.core import (_automorphisms, _canon, _cells, _codes, _find, _format_universe,
+from hgfactor.core import (_canon, _canon_search, _cells, _codes, _find, _format_universe,
                            _incidence, _pattern)
 from helpers import (
     admissible_edges,
@@ -320,26 +322,68 @@ def test_canonical_key_relabel_invariant(universe, p, p_relabel):
         assert canonical_key(relabel(g_, perm)) == canonical_key(g_)
 
 
+def generated_group(gens, n):
+    """Every product of the vertex maps gens, the identity included."""
+    group = {tuple(range(n))}
+    todo = list(group)
+    while todo:
+        a = todo.pop()
+        for s in gens:
+            b = tuple(s[v] for v in a)
+            if b not in group:
+                group.add(b)
+                todo.append(b)
+    return group
+
+
 @pytest.mark.parametrize("universe, p", UNIVERSE_CASES)
-def test_automorphisms_match_brute_force(universe, p):
-    # only maps within the refined classes are tried; they must still be
-    # every permutation that keeps the edge set, identity first.  The
-    # edgeless and complete graphs have one class and the whole group.
+def test_canon_search_generators_span_the_automorphism_group(universe, p):
+    # each generator keeps the edge set, and together they span every
+    # permutation that does: the edgeless and complete graphs have one
+    # class and the whole group, a discrete refinement has no generators
+    # (the graphs on 7 vertices make some of those on every edge shape)
     rng = random.Random(SEED + 5)
     sample = [Hypergraph(universe, 5, frozenset()),
               Hypergraph(universe, 5, frozenset(admissible_edges(universe, range(5))))]
     sample += [random_graph(universe, rng.randint(0, 5), p, rng) for _ in range(60)]
-    split = split_symmetric = 0
+    sample += [random_graph(universe, 7, p, rng) for _ in range(6)]
+    split = split_symmetric = discrete = 0
     for g_ in sample:
-        codes = _codes(g_)
-        got = _automorphisms(g_.n, codes)
-        assert got[0] == tuple(range(g_.n))
-        assert sorted(got) == sorted(brute_automorphisms(g_))
-        cells = len(_cells(g_.n, codes))
+        codes = _codes(g_.universe, g_.edges)
+        key, gens = _canon_search(g_.n, codes)
+        assert key == canonical_key(g_)
+        own = graph_triples(g_)
+        assert all(mapped_triples(g_, s) == own for s in gens)
+        group = generated_group(gens, g_.n)
+        assert group == set(brute_automorphisms(g_))
+        cells = len(_cells(g_.n, codes)) if codes else 1
+        if cells == g_.n:
+            assert gens == []
+            discrete += g_.n > 1
         split += cells > 1
-        split_symmetric += 1 < cells < g_.n and len(got) > 1
-    assert [len(_automorphisms(5, _codes(h))) for h in sample[:2]] == [120, 120]
-    assert split > 15 and split_symmetric > 0
+        split_symmetric += 1 < cells < g_.n and len(group) > 1
+    assert [len(generated_group(_canon_search(5, _codes(universe, h.edges))[1], 5))
+            for h in sample[:2]] == [120, 120]
+    assert split > 15 and split_symmetric > 0 and discrete > 0
+
+
+# every class up to 5 vertices where that layer is small, fewer where not
+PATTERN_CASES = [pytest.param(case.values[0], top, id=case.id)
+                 for case, top in zip(UNIVERSE_CASES, (5, 4, 4, 5, 3))]
+
+
+@pytest.mark.parametrize("universe, top", PATTERN_CASES)
+def test_anchored_plans_start_at_each_orbit_minimum(universe, top):
+    # one anchored start per automorphism orbit: its least vertex, the
+    # starts ascending; the edgeless graphs of every size are included
+    classes = list(enumerate_hypergraphs(EnumSpec(universe, top)))
+    assert sum(not f.edges for f in classes) == top + 1
+    for f in classes:
+        auts = brute_automorphisms(f)
+        want = [w for w in range(f.n) if w == min(a[w] for a in auts)]
+        _, _, plans = _pattern(f, True)
+        assert [order[0] for order, _, _ in plans] == want
+        assert all(order[1:] == sorted(order[1:]) for order, _, _ in plans)
 
 
 def test_canonical_form_is_idempotent_and_isomorphic(g):
@@ -400,7 +444,7 @@ def symmetric_family():
 
 def assert_keys_as_reference(graphs):
     for g_ in graphs:
-        codes = _codes(g_)
+        codes = _codes(g_.universe, g_.edges)
         assert _cells(g_.n, codes) == reference_cells(g_.n, codes)
         assert _canon(g_.n, codes) == reference_canon(g_.n, codes)
 

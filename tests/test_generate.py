@@ -2,6 +2,9 @@
 
 import hashlib
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -273,6 +276,31 @@ def test_layer_keys_one_candidate_per_least_degree_orbit(universe, top, monkeypa
     assert generate._layer(universe, top)
     assert keyed and set(keyed) == {top}
     assert len(keyed) == sum(least_degree_orbits(p) for p in parents)
+
+
+# prints a digest of every candidate _layer keys for 3-uniform
+# hypergraphs up to 5 vertices, each as (n, sorted codes): the order of a
+# candidate's codes changes no work, which candidate of an orbit is keyed does
+KEYINGS_DIGEST = """
+import hashlib
+from hgfactor import EdgeKind, Universe, generate
+h = hashlib.sha256()
+canon = generate._canon
+generate._canon = lambda n, codes: h.update(repr((n, sorted(codes))).encode()) or canon(n, codes)
+generate._layer(Universe(frozenset({EdgeKind.UNORDERED}), frozenset({3}), ("e",)), 5)
+print(h.hexdigest())
+"""
+
+
+def test_layers_key_the_same_candidates_under_any_hash_seed():
+    # machine-independent work must not follow set iteration order
+    src = os.path.dirname(os.path.dirname(os.path.abspath(core.__file__)))
+    digests = [subprocess.run([sys.executable, "-c", KEYINGS_DIGEST], check=True,
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)).stdout
+               for seed in ("1", "2")]
+    assert len(digests[0].strip()) == 64
+    assert digests[0] == digests[1]
 
 
 def test_enumeration_cap():
