@@ -474,26 +474,36 @@ def _rgs(d: Decomposition) -> tuple:
     return tuple(label[v] for v in sorted(label))
 
 
-@lru_cache(maxsize=4096)
-def _level(g: Hypergraph, p: Property, mode: str, k_max: int, member_cap: int,
-           k: int) -> tuple:
-    """The valid k-part decompositions of G, in enumerate_partitions order.
+def _valid(g: Hypergraph, p: Property, mode: str, k_max: int, member_cap: int,
+           k: int):
+    """Yield the valid k-part decompositions of G, in enumerate_partitions
+    order, deciding each partition only when the caller asks for the next.
 
     Level 1 is the one-part partition when it is valid: membership of G
     does not make it valid for a non-additive property, as every k-fold
     copy union of G must stay in P.  Level k is the valid refinements of
-    level k-1, each decided once.  Merging two parts of a valid
-    decomposition keeps it valid, in EXACT and BOUNDED mode alike
-    (checked in the tests), so every valid partition refines a valid one
-    with one part fewer: a partition the walk never reaches is invalid.
+    level k-1 (read from _level), each decided once.  Merging two parts
+    of a valid decomposition keeps it valid, in EXACT and BOUNDED mode
+    alike (checked in the tests), so every valid partition refines a
+    valid one with one part fewer: a partition the walk never reaches is
+    invalid.
     """
     if k == 1:
         kids = {(0,) * g.n: Decomposition((g.vertices,))} if p.member(g) and g.n else {}
     else:
         kids = {_rgs(c): c for d in _level(g, p, mode, k_max, member_cap, k - 1)
                 for c in _refinements(d)}
-    return tuple(d for _, d in sorted(kids.items())
-                 if is_decomposition(g, d, p, mode, k_max, member_cap))
+    for _, d in sorted(kids.items()):
+        if is_decomposition(g, d, p, mode, k_max, member_cap):
+            yield d
+
+
+@lru_cache(maxsize=4096)
+def _level(g: Hypergraph, p: Property, mode: str, k_max: int, member_cap: int,
+           k: int) -> tuple:
+    """The valid k-part decompositions of G, in enumerate_partitions order
+    (_valid, memoised in full)."""
+    return tuple(_valid(g, p, mode, k_max, member_cap, k))
 
 
 def dec_number(g: Hypergraph, p: Property, mode: str = EXACT,
@@ -525,15 +535,33 @@ def all_decompositions(g: Hypergraph, p: Property, n_parts: int, mode: str = EXA
     """All decompositions with exactly n_parts parts, in the canonical
     partition enumeration order (that of enumerate_partitions).  Decides
     no partition with more than n_parts parts."""
+    if not _below_filled(g, p, n_parts, mode, k_max, member_cap):
+        return []
+    return list(_level(g, p, mode, k_max, member_cap, n_parts))
+
+
+def _has_decomposition(g: Hypergraph, p: Property, n_parts: int, mode: str,
+                       k_max: int, member_cap: int = DEFAULT_MEMBER_CAP) -> bool:
+    """bool(all_decompositions(...)), deciding level n_parts only up to
+    its first valid partition and keeping no memo of it.  Since merging
+    two parts of a valid decomposition keeps it valid, it is true iff G
+    has a decomposition with at least n_parts parts, that is iff
+    dec(G) >= n_parts.  Levels below n_parts come from _level."""
+    return _below_filled(g, p, n_parts, mode, k_max, member_cap) and \
+        next(_valid(g, p, mode, k_max, member_cap, n_parts), None) is not None
+
+
+def _below_filled(g: Hypergraph, p: Property, n_parts: int, mode: str,
+                  k_max: int, member_cap: int) -> bool:
+    """Are levels 1..n_parts-1 of G's lattice all nonempty, with n_parts
+    at most |V(G)|?  Otherwise level n_parts is empty, with nothing of it
+    decided."""
     if n_parts < 1:
         raise ValueError("need at least one part")
     if n_parts > g.n:
         p.member(g)  # nothing to decide, but a foreign or over-bound graph still raises
-        return []
-    k = 1
-    while k < n_parts and _level(g, p, mode, k_max, member_cap, k):
-        k += 1
-    return list(_level(g, p, mode, k_max, member_cap, k)) if k == n_parts else []
+        return False
+    return all(_level(g, p, mode, k_max, member_cap, k) for k in range(1, n_parts))
 
 
 def is_uniquely_decomposable(g: Hypergraph, p: Property, mode: str = EXACT,

@@ -40,6 +40,7 @@ from .decomp import (
     DEFAULT_MEMBER_CAP,
     EXACT,
     _factors,
+    _has_decomposition,
     all_decompositions,
     dec_number,
     is_strict,
@@ -144,16 +145,38 @@ def verify_factorisation(p: Property, factors: Sequence, n: int,
     reordered), so the two representations agree on every graph.  A
     factor of any other kind, such as a GeneratedBounded one that raises
     past its bound, always gets the full scan.
+
+    When P is a finite forbidden set and so is every flattened factor,
+    the product is not asked about a non-member G of P whose witness,
+    the forbidden graph F that P.member finds in G, lies outside the
+    product; whether F does is decided once per forbidden graph.  Such a
+    product is induced-hereditary: partition_solve allows empty blocks,
+    so a valid partition of G restricted to an induced subgraph H is a
+    valid partition of H, each block of H inducing a subgraph of the
+    same block of G and each factor being hereditary.  So G, which
+    contains F, is outside the product too, and P and the product agree
+    on G.  A skipped graph never disagrees, so the first disagreeing
+    graph is still the one reported.  Any other P, or a factor of any
+    other kind, gets the full scan.
     """
     _check_workers(workers)
     prod = ProductProperty(tuple(factors))
     spec = EnumSpec(p.universe, n)  # an over-cap or negative n still raises
     own = _factors(prod)
-    if all(isinstance(f, FiniteForbidden) for f in own) \
-            and Counter(own) == Counter(_factors(p)):
+    forbidden_only = all(isinstance(f, FiniteForbidden) for f in own)
+    if forbidden_only and Counter(own) == Counter(_factors(p)):
         return VerifyResult(True, n)
+    settles = forbidden_only and isinstance(p, FiniteForbidden)
+    outside = {}  # forbidden graph of P -> is it outside the product?
     for g in enumerate_hypergraphs(spec):
-        if bool(p.member(g)) != bool(prod.member(g)):
+        res = p.member(g)
+        if settles and not res:
+            f = res.detail.forbidden
+            if f not in outside:
+                outside[f] = not prod.member(f)
+            if outside[f]:
+                continue  # g contains f, so it is outside the product too
+        if bool(res) != bool(prod.member(g)):
             return VerifyResult(False, n, g)
     return VerifyResult(True, n)
 
@@ -205,9 +228,15 @@ def _dec_bounds(p: Property, n: int, k_max: int) -> DecBounds:
     A member with a valid decomposition into upper parts has dec >= upper
     (dec is the largest valid part count), and the first witness of
     least dec is kept only on a strict decrease, so skipping it changes
-    nothing.  all_decompositions reads the same memoised lattice levels as
-    dec_number and decides no partition with more than upper parts, so a
-    skipped member costs no level that cannot lower the bracket.
+    nothing.  The skip test asks only whether level upper of the
+    member's partition lattice is nonempty: merging two parts of a valid
+    decomposition keeps it valid, so dec >= upper iff that level has a
+    valid partition.  decomp._has_decomposition reads levels 1..upper-1
+    from the same memoised lattice as dec_number and decides level upper
+    in enumerate_partitions order only up to its first valid partition,
+    so a skipped member costs no level that cannot lower the bracket and
+    at most a prefix of level upper.  In bounded mode a partition past
+    that prefix is not decided, so it cannot raise CapExceededError.
     """
     mode = _mode_for(p)
     factors = _factors(p)
@@ -216,7 +245,7 @@ def _dec_bounds(p: Property, n: int, k_max: int) -> DecBounds:
     upper = None
     witness = None
     for g in _strict_members(p, n):
-        if upper is not None and all_decompositions(g, p, upper, mode, k_max):
+        if upper is not None and _has_decomposition(g, p, upper, mode, k_max):
             continue  # dec(g) >= upper: it cannot lower the bracket
         res = dec_number(g, p, mode, k_max)
         if upper is None or res.value < upper:

@@ -27,6 +27,7 @@ from hgfactor import (
     HgError,
     Hypergraph,
     ProductProperty,
+    VerifyResult,
     canonical_form,
     canonical_key,
     dec_bounds,
@@ -301,6 +302,26 @@ def reference_dec_bounds(p, n, k_max=1):
     if lower > upper:
         raise HgError("internal error: dec bracket inverted")
     return DecBounds(lower, upper, witness, note), decs
+
+
+def reference_verify_factorisation(p, factors, n):
+    """verify_factorisation by a full scan: P and the product of the
+    factors asked about every graph with at most n vertices in
+    enumeration order, the first disagreeing graph reported."""
+    prod = ProductProperty(tuple(factors))
+    for g in enumerate_hypergraphs(EnumSpec(p.universe, n)):
+        if bool(member(p, g)) != bool(member(prod, g)):
+            return VerifyResult(False, n, g)
+    return VerifyResult(True, n)
+
+
+def forbidden_up_to(p, n):
+    """p's minimal non-members with at most n vertices: every non-member
+    whose one-vertex-deleted subgraphs are all members.  For a hereditary
+    p, the finite forbidden set on them agrees with p up to n."""
+    return [g for g in enumerate_hypergraphs(EnumSpec(p.universe, n))
+            if not member(p, g)
+            and all(member(p, induced(g, set(range(g.n)) - {v})) for v in range(g.n))]
 
 
 def all_assignments(n, k):

@@ -549,6 +549,36 @@ def test_all_decompositions_decides_no_larger_partition(monkeypatch, props):
     assert max(sizes) == 2
 
 
+@pytest.mark.parametrize("uu, density", UNIVERSE_CASES)
+def test_has_decomposition_matches_all_decompositions(uu, density):
+    """The existence test, which decides level k only up to its first
+    valid partition, equals bool(all_decompositions) at every part count
+    from 1 to |V(G)|: for a forbidden set in EXACT mode and for a product
+    in BOUNDED mode, on random members.  Products are asked about smaller
+    graphs, whose bounded joins stream fewer members; on the mixed
+    universe those have at most 2 vertices, and a product of two
+    forbidden sets contains every such join."""
+    rng = random.Random(SEED + 11)
+    top = 2 if len(uu.kinds) > 1 else max(uu.arities) + 1
+    pool = [h for h in enumerate_hypergraphs(EnumSpec(uu, top)) if h.n >= 2]
+    answers = set()
+    for _ in range(40):
+        f1, f2 = (forbidden_property(uu, rng.sample(pool, rng.randint(1, 2)))
+                  for _ in range(2))
+        for p, mode, size in ((f1, EXACT, top + 1), (ProductProperty((f1, f2)), BOUNDED, top)):
+            g_ = random_graph(uu, rng.randint(1, size), density, rng)
+            if not member(p, g_):
+                continue
+            for k in range(1, g_.n + 1):
+                has = decomp._has_decomposition(g_, p, k, mode, k_max=1)
+                assert has == bool(all_decompositions(g_, p, k, mode, k_max=1)), (g_, p, k)
+                answers.add((mode, has))
+    want = {(EXACT, True), (EXACT, False), (BOUNDED, True), (BOUNDED, False)}
+    if len(uu.kinds) > 1:
+        want.discard((BOUNDED, False))
+    assert want <= answers
+
+
 # --- strictness ---------------------------------------------------------
 
 def test_strictness_goldens(g, props):

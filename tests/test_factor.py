@@ -38,18 +38,20 @@ from hgfactor import (
     simple_universe,
     verify_factorisation,
 )
-from hgfactor import factor
+from hgfactor import decomp, factor, props as props_module
 from hgfactor.cli import run
 from helpers import (
     flat_factors,
+    forbidden_up_to,
     random_graph,
     reference_case_split,
     reference_dec_bounds,
     reference_factor_search,
     reference_fingerprint,
     reference_ind_part_family,
+    reference_verify_factorisation,
 )
-from test_core import UNIVERSE_CASES
+from test_core import UNIVERSE_CASES, mixed_universe, triple_universe
 
 SEED = 424242
 
@@ -171,6 +173,77 @@ def test_verify_with_generated_factor_still_scans(u, g, props):
             verify_factorisation(target, factors, 4)
 
 
+def _count_solves(monkeypatch):
+    """Count partition_solve calls, which every product membership makes."""
+    calls = []
+    real = props_module.partition_solve
+    monkeypatch.setattr(props_module, "partition_solve",
+                        lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+@pytest.mark.parametrize("uu, density", UNIVERSE_CASES)
+def test_verify_matches_full_scan(uu, density, monkeypatch):
+    """verify_factorisation, which skips graphs whose forbidden witness
+    lies outside the product, returns what the full scan returns,
+    counterexample included: on targets equal to the product up to n, on
+    targets with a forbidden graph inside the product, on random targets,
+    and with a generated factor, where it makes the full scan's product
+    checks.  A product of two forbidden sets contains every graph on two
+    vertices, so on the mixed universe, scanned to 2 vertices, nothing
+    can be skipped and only the fallback is met."""
+    rng = random.Random(SEED)
+    n = {simple_universe(): 5, triple_universe(): 5, mixed_universe(): 2}.get(uu, 4)
+    calls = _count_solves(monkeypatch)
+    skipped = fallback = False
+    for _ in range(8):
+        # small forbidden graphs leave graphs up to n outside the product
+        small = [random_graph(uu, rng.randint(2, 3), density, rng) for _ in range(3)]
+        small = [h for h in small if h.edges] or [random_graph(uu, 2, 1.0, rng)]
+        factors = tuple(forbidden_property(uu, rng.sample(small, rng.randint(1, len(small))))
+                        for _ in range(2))
+        pool = [random_graph(uu, rng.randint(2, n + 1), density, rng) for _ in range(4)]
+        pool = [h for h in pool if h.edges] or small
+        prod = ProductProperty(factors)
+        inside = [h for h in enumerate_hypergraphs(EnumSpec(uu, n))
+                  if h.n >= 2 and member(prod, h)]
+        exact = forbidden_up_to(prod, n)
+        targets = [forbidden_property(uu, rng.sample(pool, rng.randint(1, len(pool))))]
+        if exact:
+            targets.append(forbidden_property(uu, exact))
+        if inside:
+            targets.append(forbidden_property(uu, exact + [rng.choice(inside)]))
+        for p in targets:
+            del calls[:]
+            want = reference_verify_factorisation(p, factors, n)
+            scanned = len(calls)
+            del calls[:]
+            assert verify_factorisation(p, factors, n) == want, (p, factors)
+            skipped |= want.holds and len(calls) < scanned
+            fallback |= not want.holds and any(f.n <= n and member(prod, f)
+                                               for f in p.forbidden)
+        gen = GeneratedBounded(uu, tuple(rng.sample(pool, min(2, len(pool)))), n)
+        del calls[:]
+        want = reference_verify_factorisation(targets[0], (factors[0], gen), n)
+        scanned = len(calls)
+        del calls[:]
+        assert verify_factorisation(targets[0], (factors[0], gen), n) == want
+        assert len(calls) == scanned
+    assert fallback
+    assert skipped or uu == mixed_universe()
+
+
+def test_verify_decides_the_product_only_where_it_can_differ(props, monkeypatch):
+    """bip against edgeless^2 at 6: the 62 members of bip and its two
+    forbidden graphs, not all 209 graphs, are asked about the product."""
+    calls = _count_solves(monkeypatch)
+    assert verify_factorisation(props.bip, [props.edgeless] * 2, 6)
+    assert len(calls) == 64
+    del calls[:]
+    assert reference_verify_factorisation(props.bip, [props.edgeless] * 2, 6)
+    assert len(calls) == 209
+
+
 # --- dec brackets -------------------------------------------------------------
 
 def test_dec_bounds_goldens(props):
@@ -284,6 +357,20 @@ def test_dec_bounds_matches_full_scan(p, n, monkeypatch):
     assert len(calls) <= len(decs)
     if want.lower == want.upper and isinstance(p, ProductProperty) and len(decs) > 1:
         assert len(calls) < len(decs)  # the closed bracket ended the scan
+
+
+def test_dec_bounds_skip_test_stops_at_the_first_decomposition(props, monkeypatch):
+    """bip at 6: a strict member with a decomposition into upper parts is
+    skipped once the first is found, so the scan decides 569 partitions
+    where reading all of level upper decided 1,338."""
+    calls = []
+    real = decomp.is_decomposition
+    monkeypatch.setattr(decomp, "is_decomposition",
+                        lambda *a: calls.append(a) or real(*a))
+    decomp._level.cache_clear()
+    got = factor._dec_bounds.__wrapped__(props.bip, 6, 1)
+    assert tuple(got) == (1, 2)
+    assert len(calls) == 569
 
 
 def test_dec_bounds_superadditive_for_products(props):
