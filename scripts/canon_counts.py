@@ -9,7 +9,10 @@ captured.  Per enumeration it prints, as one JSON object per line:
 - orderings: the orderings in the product of the refined cells, summed
   (the leaves of a search that pruned nothing);
 - leaves: the orderings core._canon keys, counted as calls of its
-  nested key function.
+  nested key function;
+- profiles: the vertex profiles that the refinement rounds after the
+  first build (a vertex alone in its cell gets none), counted as calls
+  of the nested profile function of core._cells.
 
 Only candidate keyings, the calls of generate._canon, are counted; the
 searches that find each parent's automorphisms are not.
@@ -32,8 +35,13 @@ CASES = [
     ("simple<=6", simple_universe(), 6),
 ]
 
-KEY_CODE = next(c for c in core._canon_search.__code__.co_consts
-                if getattr(c, "co_name", None) == "key")
+
+def nested_code(f, name):
+    return next(c for c in f.__code__.co_consts if getattr(c, "co_name", None) == name)
+
+
+KEY_CODE = nested_code(core._canon_search, "key")
+PROFILE_CODE = nested_code(core._cells, "profile")
 
 
 def counts(universe, top):
@@ -46,12 +54,13 @@ def counts(universe, top):
             pass
     finally:
         generate._canon = canon
-    leaves = 0
+    leaves = profiles = 0
 
     def profile(frame, event, arg):
-        nonlocal leaves
-        if event == "call" and frame.f_code is KEY_CODE:
-            leaves += 1
+        nonlocal leaves, profiles
+        if event == "call":
+            leaves += frame.f_code is KEY_CODE
+            profiles += frame.f_code is PROFILE_CODE
 
     orderings = discrete = 0
     for n, codes in keyings:
@@ -66,7 +75,7 @@ def counts(universe, top):
         finally:
             sys.setprofile(None)
     return {"keyings": len(keyings), "discrete": discrete,
-            "orderings": orderings, "leaves": leaves}
+            "orderings": orderings, "leaves": leaves, "profiles": profiles}
 
 
 if __name__ == "__main__":

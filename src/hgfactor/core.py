@@ -477,6 +477,16 @@ def _cells(n: int, codes: Sequence) -> list:
     and the signature's leading colour is 0 for every vertex: dropping
     both changes no comparison between signatures, so the ranks, the
     colours and the cells are those of the full round.
+
+    Later rounds refine cell by cell, a colour being its cell's index.
+    Ranking every signature (colour, sorted profile) orders signatures
+    of different cells by their old colour alone, so the ranked set is,
+    cell by cell in colour order, the sorted distinct profiles of that
+    cell.  A one-vertex cell has one signature whatever its profile, so
+    it is carried over with no profile built, and a larger cell is split
+    in place into its distinct profiles in profile order.  The colours,
+    the cells and their order are those of ranking every signature, and
+    "no cell split" is the test that the class count stopped growing.
     """
     # at[v]: (profile entry head, vertices whose colours it carries, sort?)
     at = [[] for _ in range(n)]
@@ -490,27 +500,38 @@ def _cells(n: int, codes: Sequence) -> list:
             else:
                 at[v].append((1, ci, r, -1, verts[:i] + verts[i + 1:], r > 2))
                 heads[v].append((1, ci, r, -1))
-    colours = [0] * n
-    n_classes = 1
-    while n_classes < n:  # a discrete colouring cannot split further
-        if n_classes == 1:  # the first round, and only it, starts from one class
-            sigs = [tuple(sorted(prof)) for prof in heads]
-        else:
-            look = colours.__getitem__
-            sigs = []
-            for v in range(n):
-                prof = [(o, ci, r, i, tuple(sorted(map(look, ws))) if srt
-                         else tuple(map(look, ws))) for o, ci, r, i, ws, srt in at[v]]
-                prof.sort()
-                sigs.append((colours[v], tuple(prof)))
-        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        if len(rank) == n_classes:
+    sigs = [tuple(sorted(prof)) for prof in heads]
+    rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
+    colours = [rank[s] for s in sigs]
+    cell_list = [[] for _ in rank]
+    for v, c in enumerate(colours):
+        cell_list[c].append(v)
+    look = colours.__getitem__
+
+    def profile(v: int) -> tuple:
+        prof = [(o, ci, r, i, tuple(sorted(map(look, ws))) if srt
+                 else tuple(map(look, ws))) for o, ci, r, i, ws, srt in at[v]]
+        prof.sort()
+        return tuple(prof)
+
+    # a first round that splits nothing ends refinement, and a discrete
+    # colouring cannot split further
+    while 1 < len(cell_list) < n:
+        refined = []
+        for cell in cell_list:
+            if len(cell) == 1:
+                refined.append(cell)
+                continue
+            pieces = {}
+            for v in cell:
+                pieces.setdefault(profile(v), []).append(v)
+            refined += [pieces[p] for p in sorted(pieces)]
+        if len(refined) == len(cell_list):
             break
-        colours, n_classes = [rank[s] for s in sigs], len(rank)
-    cells = {}
-    for v in range(n):
-        cells.setdefault(colours[v], []).append(v)
-    cell_list = [cells[c] for c in sorted(cells)]
+        cell_list = refined
+        for c, cell in enumerate(cell_list):
+            for v in cell:
+                colours[v] = c
     total = 1
     for cell in cell_list:
         for i in range(2, len(cell) + 1):
@@ -681,10 +702,17 @@ def _key_graph(u: Universe, key: tuple) -> Hypergraph:
     an enumeration candidate over u), relabelled onto 0..n-1.
     """
     n, edge_key = key
+    return _unchecked_graph(u, n, frozenset(map(_key_edge, edge_key)))
+
+
+def _unchecked_graph(u: Universe, n: int, edges: frozenset) -> Hypergraph:
+    """The Hypergraph with these fields, built without __post_init__'s
+    per-edge checks; for callers whose edges are known to fit u and
+    range(n)."""
     g = object.__new__(Hypergraph)
     object.__setattr__(g, "universe", u)
     object.__setattr__(g, "n", n)
-    object.__setattr__(g, "edges", frozenset(map(_key_edge, edge_key)))
+    object.__setattr__(g, "edges", edges)
     return g
 
 
@@ -764,11 +792,16 @@ def join_members(parts: Sequence, edge_cap: int = DEFAULT_JOIN_EDGE_CAP) -> Iter
 def _join_stream(parts: Sequence, cands: list, masks: Iterable) -> Iterator[Hypergraph]:
     """The join members over the parts that carry the subsets of a
     crossing_edge_candidates list given by masks, in their order; bit i
-    of a mask chooses cands[i]."""
+    of a mask chooses cands[i].
+
+    Members skip Hypergraph's per-edge universe checks: the base is a
+    disjoint union of the parts, checked on construction, and every
+    candidate has a kind, arity and colour of the parts' universe and
+    vertices below the base's vertex count, by construction."""
     base = reduce(disjoint_union, parts)
     for mask in masks:
         chosen = {cands[i] for i in range(len(cands)) if mask >> i & 1}
-        yield Hypergraph(base.universe, base.n, base.edges | chosen)
+        yield _unchecked_graph(base.universe, base.n, base.edges | chosen)
 
 
 # --- text format ----------------------------------------------------------

@@ -627,6 +627,15 @@ def is_strict(g: Hypergraph, p: Property, member_cap: int = DEFAULT_MEMBER_CAP) 
     """
     if isinstance(p, FiniteForbidden):
         return strictness_witness(g, p) is not None
+    return _is_strict_join(g, p, member_cap)
+
+
+@lru_cache(maxsize=65536)
+def _is_strict_join(g: Hypergraph, p: Property, member_cap: int) -> bool:
+    """is_strict for a property that is no finite forbidden set, memoised:
+    factor._strict_members asks again about every member on each pass,
+    and without a certificate each answer streams every one-vertex
+    extension.  A raise is not memoised."""
     if not p.member(g):
         raise HgError("graph is not in the property")
     one = Hypergraph(g.universe, 1, frozenset())

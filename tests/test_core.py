@@ -462,6 +462,41 @@ def test_canonical_keys_equal_the_ordering_product_on_symmetric_graphs():
     assert_keys_as_reference(symmetric_family())
 
 
+def cells_or_cap_error(cells, n, codes):
+    try:
+        return cells(n, codes)
+    except CapExceededError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("universe, p", UNIVERSE_CASES)
+def test_cells_equal_the_reference_on_larger_random_graphs(universe, p):
+    # graphs too large for the ordering product: refinement alone, with
+    # the same cap error where the cells admit too many orderings
+    rng = random.Random(SEED + 7)
+    for _ in range(100):
+        g_ = random_graph(universe, rng.randint(9, 14), p, rng)
+        codes = _codes(g_.universe, g_.edges)
+        assert cells_or_cap_error(_cells, g_.n, codes) \
+            == cells_or_cap_error(reference_cells, g_.n, codes)
+
+
+def test_cells_equal_the_reference_over_several_rounds():
+    # each needs three or more rounds, with one-vertex cells beside larger
+    # ones, so the order of split pieces decides the colours that follow
+    o, un = EdgeKind.ORDERED, EdgeKind.UNORDERED
+    legs = [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)]
+    coloured = Hypergraph(two_colour_universe(), 7, frozenset(
+        EdgeObject(un, (i, i + 1), "rrbrrb"[i]) for i in range(6)))
+    mixed = Hypergraph(mixed_universe(), 7, frozenset(
+        [EdgeObject(un, (i, i + 1), "e") for i in range(6)]
+        + [EdgeObject(o, (0, 6), "e"), EdgeObject(un, (1, 3, 5), "e")]))
+    for g_ in (simple_graph(7, [(i, i + 1) for i in range(6)]), simple_graph(7, legs),
+               coloured, mixed):
+        codes = _codes(g_.universe, g_.edges)
+        assert _cells(g_.n, codes) == reference_cells(g_.n, codes)
+
+
 def test_canonical_order_cap_raises_unchanged():
     # 10 vertices that refinement cannot split: 10! orderings in the cells
     petersen = cycle(5) + [(5, 7), (7, 9), (9, 6), (6, 8), (8, 5)] \

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from functools import reduce
 
 import pytest
 
@@ -23,6 +24,7 @@ from hgfactor import (
     canonical_form,
     crossing_edge_candidates,
     dec_number,
+    disjoint_union,
     embed_induced,
     enumerate_hypergraphs,
     enumerate_partitions,
@@ -311,6 +313,36 @@ def test_product_certificate_is_sound(uu, density):
         certified += proved
         refuted += bad is not None
     assert certified > 0 and refuted > 0, (certified, refuted)
+
+
+@pytest.mark.parametrize("uu, density", UNIVERSE_CASES)
+def test_join_streams_equal_validated_members(uu, density):
+    """join_members and _first_bad_member's dense-first stream build their
+    members without per-edge universe checks; each member equals the
+    validated Hypergraph of the same edges, in the stream's order."""
+    rng = random.Random(SEED + 9)
+    checked = 0
+    while checked < 12:
+        parts = [random_graph(uu, rng.randint(0, 2), density, rng)
+                 for _ in range(rng.randint(1, 3))]
+        cands = crossing_edge_candidates(parts)
+        if len(cands) > _ORACLE_CANDIDATES:
+            continue
+        base = reduce(disjoint_union, parts)
+        want = [Hypergraph(base.universe, base.n,
+                           base.edges | {c for i, c in enumerate(cands) if mask >> i & 1})
+                for mask in range(1 << len(cands))]
+        members = list(join_members(parts))
+        assert members == want
+        assert all(type(m.edges) is frozenset for m in members)
+        seen = []
+
+        class Recorder:
+            member = staticmethod(lambda m: seen.append(m) or True)
+
+        assert decomp._first_bad_member(Recorder(), parts, 1 << len(cands), "join") is None
+        assert seen == want[::-1]
+        checked += 1
 
 
 def test_join_mode_errors(g, props):
@@ -652,6 +684,7 @@ def test_product_strictness_matches_brute_force(uu, density, monkeypatch):
                 or not brute_member_product(forbidden_lists, g_):
             continue
         want = brute_strict(g_, lambda h: brute_member_product(forbidden_lists, h))
+        decomp._is_strict_join.cache_clear()  # a memoised answer streams nothing
         before = len(streamed)
         assert is_strict(g_, prod) == want, (prod, g_)
         proved = decomp._product_certificate(prod, (g_, one))

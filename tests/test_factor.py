@@ -333,6 +333,23 @@ def _oracle_cases():
 _ORACLE_CASES = _oracle_cases()
 
 
+def test_strict_members_second_pass_streams_nothing(monkeypatch):
+    # redfree*bluefree has members whose one-vertex joins no product
+    # certificate settles, so their strictness is decided by streaming
+    # those joins, once per process
+    p, n = next((p, n) for name, p, n in _ORACLE_CASES
+                if name == "2-colour-redfree*bluefree@3")
+    streamed = []
+    real = decomp._first_bad_member
+    monkeypatch.setattr(decomp, "_first_bad_member", lambda *a: streamed.append(a) or real(*a))
+    decomp._is_strict_join.cache_clear()
+    first = list(factor._strict_members(p, n))
+    assert first and streamed
+    before = len(streamed)
+    assert list(factor._strict_members(p, n)) == first
+    assert len(streamed) == before
+
+
 @pytest.mark.parametrize("p, n", [c[1:] for c in _ORACLE_CASES],
                          ids=[c[0] for c in _ORACLE_CASES])
 def test_dec_bounds_matches_full_scan(p, n, monkeypatch):
