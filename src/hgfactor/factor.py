@@ -26,7 +26,7 @@ from .core import (
     embed_induced,
     induced,
 )
-from .generate import EnumSpec, enumerate_hypergraphs
+from .generate import EnumSpec, _members_up_to, enumerate_hypergraphs
 from .props import (
     FiniteForbidden,
     GeneratedBounded,
@@ -147,17 +147,21 @@ def verify_factorisation(p: Property, factors: Sequence, n: int,
     past its bound, always gets the full scan.
 
     When P is a finite forbidden set and so is every flattened factor,
-    the product is not asked about a non-member G of P whose witness,
-    the forbidden graph F that P.member finds in G, lies outside the
-    product; whether F does is decided once per forbidden graph.  Such a
-    product is induced-hereditary: partition_solve allows empty blocks,
-    so a valid partition of G restricted to an induced subgraph H is a
-    valid partition of H, each block of H inducing a subgraph of the
-    same block of G and each factor being hereditary.  So G, which
-    contains F, is outside the product too, and P and the product agree
-    on G.  A skipped graph never disagrees, so the first disagreeing
-    graph is still the one reported.  Any other P, or a factor of any
-    other kind, gets the full scan.
+    the product is induced-hereditary: partition_solve allows empty
+    blocks, so a valid partition of G restricted to an induced subgraph H
+    is a valid partition of H, each block of H inducing a subgraph of the
+    same block of G and each factor being hereditary.  So a non-member G
+    of P whose witness, the forbidden graph F that P.member finds in G,
+    lies outside the product lies outside it too, and P and the product
+    agree on G.  If every forbidden graph of P on at most n vertices lies
+    outside the product (asked in P's order, each once), every non-member
+    of P up to n is such a G, and only P's members are scanned, from
+    generate._members_up_to: the full stream filtered to members, in the
+    same order.  Otherwise the full stream is scanned, and the product is
+    not asked about a non-member whose witness lies outside it.  Either
+    way a skipped graph never disagrees, so the first disagreeing graph
+    is still the one reported.  Any other P, or a factor of any other
+    kind, gets the full scan.
     """
     _check_workers(workers)
     prod = ProductProperty(tuple(factors))
@@ -168,24 +172,32 @@ def verify_factorisation(p: Property, factors: Sequence, n: int,
         return VerifyResult(True, n)
     settles = forbidden_only and isinstance(p, FiniteForbidden)
     outside = {}  # forbidden graph of P -> is it outside the product?
+
+    def lies_outside(f) -> bool:
+        if f not in outside:
+            outside[f] = not prod.member(f)
+        return outside[f]
+
+    if settles and all(lies_outside(f) for f in p.forbidden if f.n <= n):
+        for g in _members_up_to(p, n):
+            if not prod.member(g):
+                return VerifyResult(False, n, g)
+        return VerifyResult(True, n)
     for g in enumerate_hypergraphs(spec):
         res = p.member(g)
-        if settles and not res:
-            f = res.detail.forbidden
-            if f not in outside:
-                outside[f] = not prod.member(f)
-            if outside[f]:
-                continue  # g contains f, so it is outside the product too
+        if settles and not res and lies_outside(res.detail.forbidden):
+            continue  # g contains its witness, so it is outside the product too
         if bool(res) != bool(prod.member(g)):
             return VerifyResult(False, n, g)
     return VerifyResult(True, n)
 
 
 def _strict_members(p: Property, n: int):
-    for g in enumerate_hypergraphs(EnumSpec(p.universe, n)):
-        if g.n == 0 or not p.member(g):
-            continue
-        if is_strict(g, p):
+    """P's strict members on 1 to n vertices, in enumeration order.  Only
+    P's members are enumerated (generate._members_up_to, which has the
+    proof that they are the full stream's members in the same order)."""
+    for g in _members_up_to(p, n):
+        if g.n and is_strict(g, p):
             yield g
 
 

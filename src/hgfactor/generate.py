@@ -50,7 +50,7 @@ def enumerate_hypergraphs(spec: EnumSpec):
     through it.  Only subsets that leave the new vertex of least degree
     are keyed, one per orbit of the parent's automorphisms; every class
     is still reached, because deleting a least-degree vertex of any
-    graph gives a graph on one vertex fewer (see _layer).
+    graph gives a graph on one vertex fewer (see _grow).
 
     Layers are memoised per (universe, n) and kept for the life of the
     process, so repeated bounded scans enumerate each layer once.  A layer
@@ -69,23 +69,35 @@ def enumerate_hypergraphs(spec: EnumSpec):
 @lru_cache(maxsize=64)
 def _layer(u: Universe, n: int) -> tuple:
     """Canonical forms of every class on exactly n vertices, in
-    canonical-key order.
+    canonical-key order: the null graph, then each layer grown from the
+    whole layer below it (_grow)."""
+    if n == 0:
+        return (Hypergraph(u, 0, frozenset()),)
+    return _grow(u, n, _layer(u, n - 1))
 
-    A candidate is a parent (a class on n-1 vertices) plus a subset S of
-    the m edges through the new vertex n-1, the crossing edges of n-1
-    isolated vertices and one more.  Parents and those edges are coded
-    once (core._codes) and a candidate is keyed by core._canon directly,
-    so no graph is built and no canonical_key memo entry is made per
-    candidate, only a graph per class kept.  A candidate is keyed only if
-    it passes two rules, checked in this order:
+
+def _grow(u: Universe, n: int, parents) -> tuple:
+    """Canonical forms of the classes on exactly n vertices that have a
+    least-degree vertex whose deletion leaves one of the parents, in
+    canonical-key order.  The parents are canonical forms of distinct
+    classes on n-1 vertices; given every such class, the result is every
+    class on n vertices.
+
+    A candidate is a parent P plus a subset S of the m edges through the
+    new vertex n-1, the crossing edges of n-1 isolated vertices and one
+    more.  Parents and those edges are coded once (core._codes) and a
+    candidate is keyed by core._canon directly, so no graph is built and
+    no canonical_key memo entry is made per candidate, only a graph per
+    class kept.  A candidate is keyed only if it passes two rules,
+    checked in this order:
 
     (a) least degree: the new vertex has the least degree in the child,
         counting edges of any kind and colour.  Its degree is |S|; an old
         vertex w has its degree in the parent plus |S & touch[w]|, where
         touch[w] marks the new edges through w.  No class is lost: a
-        least-degree vertex v of any graph G leaves a graph G - v
-        isomorphic to some parent P, and the candidate that rebuilds G
-        from P has v as its new vertex.
+        least-degree vertex v of a graph G leaves a graph G - v; if it is
+        isomorphic to a parent P, the candidate that rebuilds G from P
+        has v as its new vertex.
     (b) orbit: Aut(P), extended to fix the new vertex, permutes the new
         edges, and only the first subset of each orbit met is keyed;
         keying it marks its whole orbit done, closing it under the edge
@@ -95,11 +107,9 @@ def _layer(u: Universe, n: int) -> tuple:
         (P, a(S)), and keeps the new vertex's degree, so an orbit passes
         rule (a) as a whole.
 
-    Every class keeps at least one keyed candidate, so the set of keys,
-    and the layer, are those of keying every candidate.
+    Every class with a candidate keeps at least one keyed candidate, so
+    the set of keys is that of keying every candidate.
     """
-    if n == 0:
-        return (Hypergraph(u, 0, frozenset()),)
     through = crossing_edge_candidates(
         [Hypergraph(u, n - 1, frozenset()), Hypergraph(u, 1, frozenset())])
     new = _codes(u, through)  # in a fixed order, so every process keys alike
@@ -110,7 +120,7 @@ def _layer(u: Universe, n: int) -> tuple:
             if w < n - 1:
                 touch[w] |= 1 << i
     seen = set()
-    for g in _layer(u, n - 1):
+    for g in parents:
         base = _codes(u, g.edges)
         deg = [0] * (n - 1)
         for _, _, verts, _, _ in base:
@@ -147,6 +157,69 @@ def _edge_images(new: tuple, index: dict, sigma: tuple) -> list:
     return [1 << index[ordered, ci, tuple(map(look, verts)) if ordered
                        else tuple(sorted(map(look, verts)))]
             for ordered, ci, verts, _, _ in new]
+
+
+# (property, n) -> its members on n vertices, kept once the layer is complete
+_member_layers = {}
+_MEMBER_LAYERS_KEPT = 256
+
+
+def _members_up_to(p, max_vertices: int):
+    """Yield the members of the property p with at most max_vertices
+    vertices: the classes enumerate_hypergraphs yields that p contains,
+    as the same graphs in the same order.
+
+    p must be closed under induced subgraphs and contain the null graph,
+    as every representation in props is.  Then deleting a least-degree
+    vertex of a member G on n vertices leaves a member on n-1, so G is
+    isomorphic to a class that _grow reaches from p's members on n-1
+    (rules (a) and (b) of _grow hold unchanged).  _grow sorts by
+    canonical key, so each layer is the full layer filtered to members,
+    in the same order.
+
+    p is asked only about classes with a member parent, when the stream
+    reaches them: a subset of the classes the full stream has, in the
+    same order.  A class with no member parent is outside p, since its
+    least-degree deletions are all non-members.  A consumer that stops
+    early has asked p about nothing past its stopping point.
+    """
+    EnumSpec(p.universe, max_vertices)  # an over-cap or negative bound raises
+    for n in range(max_vertices + 1):
+        yield from _members_on(p, n)
+
+
+def _members_on(p, n: int):
+    """p's members on n vertices: the memoised layer, or a lazy stream."""
+    done = _member_layers.get((p, n))
+    return done if done is not None else (g for g, holds in _verdicts(p, n) if holds)
+
+
+def _verdicts(p, n: int):
+    """(class, is it in p?) for each class on n vertices grown from p's
+    members on n-1, in canonical-key order; the null graph is in p.
+
+    p is asked about a class only when the consumer reaches it.  The
+    layer's members are memoised per (p, n) once every class is asked
+    about, and its classes are memoised per (p, n) by _children.
+    """
+    if n == 0:
+        yield _layer(p.universe, 0)[0], True
+        return
+    kept = []
+    for g in _children(p, n):
+        holds = bool(p.member(g))
+        if holds:
+            kept.append(g)
+        yield g, holds
+    if len(_member_layers) >= _MEMBER_LAYERS_KEPT:
+        del _member_layers[next(iter(_member_layers))]  # the oldest
+    _member_layers[p, n] = tuple(kept)
+
+
+@lru_cache(maxsize=256)
+def _children(p, n: int) -> tuple:
+    """The classes on n >= 1 vertices grown from p's members on n-1."""
+    return _grow(p.universe, n, tuple(_members_on(p, n - 1)))
 
 
 def enumerate_partitions(vertices, max_parts: int, min_parts: int = 1):

@@ -42,7 +42,7 @@ from .core import (
     _pattern,
     format_hypergraph,
 )
-from .generate import EnumSpec, enumerate_hypergraphs
+from .generate import EnumSpec, _verdicts
 
 __all__ = [
     "BoundExceededError",
@@ -370,14 +370,19 @@ def forbidden_up_to(p: Property, n: int) -> tuple:
 
     A non-member F is minimal when every one-vertex deletion is a member;
     heredity makes that equivalent to all proper induced subgraphs being
-    members.
+    members.  So a least-degree deletion of F is a member, and F is among
+    the classes grown from the members on one vertex fewer
+    (generate._verdicts, in the full stream's order): only those classes
+    are asked about, and the non-members among them are checked for
+    minimality.
     """
+    EnumSpec(p.universe, n)  # an over-cap or negative bound raises
     out = []
-    for g in enumerate_hypergraphs(EnumSpec(p.universe, n)):
-        if p.member(g):
-            continue
-        if all(p.member(induced(g, set(g.vertices) - {v})) for v in g.vertices):
-            out.append(g)
+    for m in range(n + 1):
+        for g, holds in _verdicts(p, m):
+            if not holds and all(p.member(induced(g, set(g.vertices) - {v}))
+                                 for v in g.vertices):
+                out.append(g)
     return tuple(out)
 
 

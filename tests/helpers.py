@@ -34,6 +34,7 @@ from hgfactor import (
     dec_number,
     embed_induced,
     enumerate_hypergraphs,
+    forbidden_property,
     induced,
     ind_parts,
     is_strict,
@@ -165,6 +166,20 @@ def random_graph(u, n, p, rng):
     """Random graph over u: each admissible edge kept with probability p."""
     pool = admissible_edges(u, range(n))
     return Hypergraph(u, n, frozenset(e for e in pool if rng.random() < p))
+
+
+def random_hereditary(u, n, p, rng):
+    """Three random hereditary properties over u: a forbidden set, a
+    product of two forbidden sets, and a GeneratedBounded of bound n - 1
+    with a generator on n - 1 vertices, so that some graph on n vertices
+    has a member parent and asking about it raises."""
+    def forbidden():
+        graphs = [random_graph(u, rng.randint(2, 3), p, rng) for _ in range(3)]
+        return forbidden_property(u, rng.sample(graphs, rng.randint(1, 3)))
+
+    gens = [random_graph(u, n - 1, p, rng)] + [random_graph(u, rng.randint(1, n - 1), p, rng)]
+    return (forbidden(), ProductProperty((forbidden(), forbidden())),
+            GeneratedBounded(u, tuple(gens), n - 1))
 
 
 def all_labeled_graphs(u, n):

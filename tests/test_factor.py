@@ -38,7 +38,7 @@ from hgfactor import (
     simple_universe,
     verify_factorisation,
 )
-from hgfactor import decomp, factor, props as props_module
+from hgfactor import decomp, factor, generate, props as props_module
 from hgfactor.cli import run
 from helpers import (
     flat_factors,
@@ -390,6 +390,27 @@ def test_dec_bounds_skip_test_stops_at_the_first_decomposition(props, monkeypatc
     assert len(calls) == 569
 
 
+def test_cold_dec_bounds_keys_only_children_of_members(props, monkeypatch):
+    """bip at 6 from cold memos: the strict-member scan grows each layer
+    from bip's members alone, so enumeration keys 74 candidates where
+    every class on up to 6 vertices needs 239, and the bracket and its
+    witness are the full scan's."""
+    keyed = []
+    canon = generate._canon
+    monkeypatch.setattr(generate, "_canon", lambda *a: keyed.append(a) or canon(*a))
+    generate._layer.cache_clear()
+    assert len(list(enumerate_hypergraphs(EnumSpec(props.bip.universe, 6)))) == 209
+    assert len(keyed) == 239
+    del keyed[:]
+    generate._layer.cache_clear()
+    generate._children.cache_clear()
+    generate._member_layers.clear()
+    got = factor._dec_bounds.__wrapped__(props.bip, 6, 1)
+    assert len(keyed) == 74
+    assert got == reference_dec_bounds(props.bip, 6)[0]
+    assert tuple(got) == (1, 2)
+
+
 def test_dec_bounds_superadditive_for_products(props):
     three = ProductProperty((props.edgeless,) * 3)
     res = dec_bounds(three, 4)
@@ -529,23 +550,27 @@ def test_factor_search_matches_reference_search():
 def test_factor_search_enumerates_nothing_past_the_bracket(monkeypatch):
     """Directed two-colouring at bound 6: the bracket closes early and the
     search enumerates under 1,000 classes, not the digraphs on up to 6
-    vertices, to tell its one factorisation apart."""
+    vertices, to tell its one factorisation apart.  Classes are counted
+    from both streams factor reads: every class, and a property's
+    members."""
     du = Universe(frozenset({EdgeKind.ORDERED}), frozenset({2}), ("e",))
     arc = EdgeObject(EdgeKind.ORDERED, (0, 1), "e")
     back = EdgeObject(EdgeKind.ORDERED, (1, 0), "e")
     ad = forbidden_property(du, [Hypergraph(du, 2, frozenset({arc})),
                                  Hypergraph(du, 2, frozenset({arc, back}))])
-    real = factor.enumerate_hypergraphs
     yielded = []
 
-    def counted(spec):
-        for h in real(spec):
-            yielded.append(h)
-            if len(yielded) >= 1000:
-                raise AssertionError("factor_search enumerated 1,000 classes")
-            yield h
+    def counted(stream):
+        def wrapped(*args):
+            for h in stream(*args):
+                yielded.append(h)
+                if len(yielded) >= 1000:
+                    raise AssertionError("factor_search enumerated 1,000 classes")
+                yield h
+        return wrapped
 
-    monkeypatch.setattr(factor, "enumerate_hypergraphs", counted)
+    monkeypatch.setattr(factor, "enumerate_hypergraphs", counted(factor.enumerate_hypergraphs))
+    monkeypatch.setattr(factor, "_members_up_to", counted(factor._members_up_to))
     assert factor_search(ProductProperty((ad, ad)), 2, 6) \
         == [Factorisation((ad, ad), 6, (2, 2))]
 

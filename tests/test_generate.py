@@ -3,17 +3,21 @@
 import hashlib
 import itertools
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 from hgfactor import (
+    BoundExceededError,
     CapExceededError,
     EdgeKind,
     EdgeObject,
     EnumSpec,
+    FiniteForbidden,
     HARD_VERTEX_CAP,
+    HgError,
     Hypergraph,
     Universe,
     canonical_form,
@@ -30,11 +34,13 @@ from helpers import (
     bell,
     count_unlabeled,
     least_degree_orbits,
+    random_hereditary,
     reference_canon,
     reference_cells,
     stirling2,
     unpruned_layer,
 )
+from test_core import UNIVERSE_CASES, mixed_universe, triple_universe
 
 
 def digraph_universe():
@@ -315,6 +321,74 @@ def test_null_graph_is_always_first():
     u = simple_universe()
     first = next(enumerate_hypergraphs(EnumSpec(u, 2)))
     assert first.n == 0 and not first.edges
+
+
+# --- member layers of a property -------------------------------------------
+
+def _outcome(stream):
+    """The graphs a stream yields, or the type and message of its error."""
+    try:
+        return list(stream)
+    except HgError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("universe, density", UNIVERSE_CASES)
+def test_member_stream_is_the_full_stream_filtered(universe, density):
+    # the same graphs in the same order as filtering every class, for a
+    # forbidden set, a product and a generated property at its bound; one
+    # vertex past that bound both raise the same error
+    rng = random.Random(7)
+    n = {simple_universe(): 5, triple_universe(): 5, mixed_universe(): 2}.get(universe, 4)
+    for _ in range(3):
+        forbidden, product, generated = random_hereditary(universe, n, density, rng)
+        cases = [(forbidden, n), (product, n), (generated, n - 1), (generated, n)]
+        for p, top in cases:
+            want = _outcome(g for g in enumerate_hypergraphs(EnumSpec(universe, top))
+                            if p.member(g))
+            assert _outcome(generate._members_up_to(p, top)) == want, (p, top)
+            assert _outcome(generate._members_up_to(p, top)) == want  # memoised
+            if p is generated and top == n:
+                assert want[0] is BoundExceededError
+
+
+def test_member_stream_stopped_early_asks_nothing_past_its_stop(monkeypatch):
+    # a consumer that stops early has asked the property only about
+    # classes up to its stopping point, in enumeration order, and the
+    # unfinished layer is not memoised
+    u = digraph_universe()
+    arc = EdgeObject(EdgeKind.ORDERED, (0, 1), "a")
+    back = EdgeObject(EdgeKind.ORDERED, (1, 0), "a")
+    p = FiniteForbidden(u, (Hypergraph(u, 2, frozenset({arc, back})),))
+    full = list(enumerate_hypergraphs(EnumSpec(u, 4)))
+    position = {g: i for i, g in enumerate(full)}
+    members = [g for g in full if p.member(g)]
+    asked = []
+    real = FiniteForbidden.member
+    monkeypatch.setattr(FiniteForbidden, "member",
+                        lambda self, g: asked.append(g) or real(self, g))
+    generate._member_layers.clear()
+    generate._children.cache_clear()
+    stop = len(members) // 2
+    got = list(itertools.islice(generate._members_up_to(p, 4), stop))
+    assert got == members[:stop]
+    assert asked[-1] == got[-1]
+    assert [position[g] for g in asked] == sorted(position[g] for g in asked)
+    assert (p, got[-1].n) not in generate._member_layers
+    assert list(generate._members_up_to(p, 4)) == members
+    del asked[:]
+    assert list(generate._members_up_to(p, 4)) == members
+    assert asked == []  # every layer was complete and is memoised
+
+
+def test_member_stream_checks_its_bound():
+    u = simple_universe()
+    p = FiniteForbidden(u, (Hypergraph(u, 2, frozenset({
+        EdgeObject(EdgeKind.UNORDERED, (0, 1), "e")})),))
+    with pytest.raises(ValueError):
+        list(generate._members_up_to(p, -1))
+    with pytest.raises(CapExceededError):
+        list(generate._members_up_to(p, HARD_VERTEX_CAP + 1))
 
 
 # --- partition enumeration -------------------------------------------------

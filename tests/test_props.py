@@ -31,15 +31,19 @@ from hgfactor import (
     partition_solve,
     save_property,
     simple_graph,
+    simple_universe,
 )
 from hgfactor import props as hgprops
 from helpers import (
     brute_member_ff,
     image_triples,
     mapped_triples,
+    forbidden_up_to as reference_forbidden_up_to,
     random_graph,
+    random_hereditary,
     solve_by_assignment,
 )
+from test_core import UNIVERSE_CASES, mixed_universe, triple_universe
 
 SEED = 77003
 
@@ -311,6 +315,28 @@ def test_forbidden_up_to_generated(u, g):
     assert [h.n for h in got] == [2, 3]
     assert got[0] == canonical_form(g.e2)
     assert got[1] == canonical_form(g.k3)
+
+
+@pytest.mark.parametrize("universe, density", UNIVERSE_CASES)
+def test_forbidden_up_to_matches_the_full_scan(universe, density):
+    # grown from member layers, the minimal non-members are those of the
+    # scan over every class, in the same order; past a generated
+    # property's bound both raise the same error
+    rng = random.Random(SEED)
+    n = {simple_universe(): 5, triple_universe(): 5, mixed_universe(): 2}.get(universe, 4)
+
+    def outcome(f, p, top):
+        try:
+            return list(f(p, top))
+        except HgError as exc:
+            return type(exc), str(exc)
+
+    for _ in range(3):
+        forbidden, product, generated = random_hereditary(universe, n, density, rng)
+        for p, top in ((forbidden, n), (product, n), (generated, n - 1), (generated, n)):
+            want = outcome(reference_forbidden_up_to, p, top)
+            assert outcome(forbidden_up_to, p, top) == want, (p, top)
+        assert want[0] is BoundExceededError
 
 
 # --- property files ---------------------------------------------------------
