@@ -1,7 +1,8 @@
 """Machine-independent work counts of canonical labelling in enumeration.
 
 For each enumeration below, every keying that generate._layer makes is
-captured.  Per enumeration it prints, as one JSON object per line:
+captured, with its one layer memo cleared first.  Per enumeration it
+prints, as one JSON object per line:
 
 - keyings: calls of core._canon (an edgeless graph is keyed without
   refinement or ordering, and counts nowhere below);

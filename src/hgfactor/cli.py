@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 on a negative verdict (non-member, no
 partition, dec 0, not strict, no decomposition, no factorization found),
-2 on usage or input-format problems, 3 when a configured cap was hit.
+2 on usage or input-format problems or an output file that cannot be
+written, 3 when a configured cap was hit.
 Every search runs serially: --workers and the workers key are accepted
 (at least 1) and ignored, so reports do not depend on them.
 """
@@ -113,19 +114,19 @@ def load_config(path=None) -> CliConfig:
         try:
             with open(source, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read config file {source}: {exc}")
         cfg = replace(cfg, **parse_config_text(text))
     return cfg
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}")
 
 
@@ -139,7 +140,7 @@ def _load_property(path: str):
                          "resolve relative to the property file)")
     try:
         _, p = load_property(path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}")
     return p
 
@@ -305,7 +306,7 @@ def cmd_factorize(args, cfg: CliConfig):
 
 def cmd_enumerate(args, cfg: CliConfig):
     _check_vertex_count(args.vertices, "--vertices", cfg)
-    u = _parse_universe_spec(args.universe, 0) if args.universe else simple_universe()
+    u = _parse_universe_spec(args.universe, None) if args.universe else simple_universe()
     spec = EnumSpec(u, args.vertices, connected_only=args.connected)
     blocks = [format_hypergraph(g) for g in enumerate_hypergraphs(spec)]
     return 0, "\n".join(blocks)
@@ -479,8 +480,12 @@ def run(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

@@ -815,7 +815,7 @@ def _format_universe(u: Universe) -> str:
     return f"kinds={kinds} arities={arities} colours={colours}"
 
 
-def _parse_universe_spec(spec: str, line: int) -> Universe:
+def _parse_universe_spec(spec: str, line: Optional[int]) -> Universe:
     fields = {}
     for token in spec.split():
         if "=" not in token:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .core import (
     CapExceededError,
@@ -52,28 +53,52 @@ def enumerate_hypergraphs(spec: EnumSpec):
     is still reached, because deleting a least-degree vertex of any
     graph gives a graph on one vertex fewer (see _grow).
 
-    Layers are memoised per (universe, n) and kept for the life of the
-    process, so repeated bounded scans enumerate each layer once.  A layer
-    is built only when the stream reaches it: a consumer that stops early
-    never pays for the larger layers.
+    Layers are memoised (_layer) and kept while the memo holds them, so
+    repeated bounded scans enumerate each layer once.  A layer is built
+    only when the stream reaches it: a consumer that stops early never
+    pays for the larger layers.
     """
     u = spec.universe
     if not spec.connected_only or spec.max_vertices == 0:
-        yield _layer(u, 0)[0]
+        yield _layer(u, None, 0).classes[0]
     for n in range(1, spec.max_vertices + 1):
-        for h in _layer(u, n):
+        for h in _layer(u, None, n).classes:
             if not spec.connected_only or is_connected(h):
                 yield h
 
 
-@lru_cache(maxsize=64)
-def _layer(u: Universe, n: int) -> tuple:
-    """Canonical forms of every class on exactly n vertices, in
-    canonical-key order: the null graph, then each layer grown from the
-    whole layer below it (_grow)."""
+class _Layer(NamedTuple):
+    classes: tuple
+    verdicts: list
+
+
+@lru_cache(maxsize=256)
+def _layer(u: Universe, p, n: int) -> _Layer:
+    """The classes on exactly n vertices over u, with p's verdicts on them.
+
+    classes are canonical forms in canonical-key order: the null graph,
+    then each layer grown (_grow) from the whole layer below it when p is
+    None, or from the property p's members on n-1 vertices.  verdicts
+    holds p's answers on a prefix of classes, filled by _decided; the
+    null graph is in every p.
+    """
     if n == 0:
-        return (Hypergraph(u, 0, frozenset()),)
-    return _grow(u, n, _layer(u, n - 1))
+        return _Layer((Hypergraph(u, 0, frozenset()),), [True])
+    if p is None:
+        return _Layer(_grow(u, n, _layer(u, None, n - 1).classes), [])
+    return _Layer(_grow(u, n, tuple(g for g, holds in _decided(p, n - 1) if holds)), [])
+
+
+def _decided(p, n: int):
+    """Yield (class, is it in p?) for each class of p's layer on n
+    vertices, in canonical-key order.  p is asked about a class the first
+    time a consumer reaches it, and the verdict is kept with the layer;
+    a p.member that raises keeps nothing for that class."""
+    classes, verdicts = _layer(p.universe, p, n)
+    for i, g in enumerate(classes):
+        if i == len(verdicts):
+            verdicts.append(bool(p.member(g)))
+        yield g, verdicts[i]
 
 
 def _grow(u: Universe, n: int, parents) -> tuple:
@@ -159,11 +184,6 @@ def _edge_images(new: tuple, index: dict, sigma: tuple) -> list:
             for ordered, ci, verts, _, _ in new]
 
 
-# (property, n) -> its members on n vertices, kept once the layer is complete
-_member_layers = {}
-_MEMBER_LAYERS_KEPT = 256
-
-
 def _members_up_to(p, max_vertices: int):
     """Yield the members of the property p with at most max_vertices
     vertices: the classes enumerate_hypergraphs yields that p contains,
@@ -180,46 +200,16 @@ def _members_up_to(p, max_vertices: int):
     p is asked only about classes with a member parent, when the stream
     reaches them: a subset of the classes the full stream has, in the
     same order.  A class with no member parent is outside p, since its
-    least-degree deletions are all non-members.  A consumer that stops
-    early has asked p about nothing past its stopping point.
+    least-degree deletions are all non-members.  Each verdict is kept
+    with its layer (_decided), so a scan that stops early leaves its
+    verdicts to the next scan, which asks p only about the classes the
+    earlier ones did not reach.
     """
     EnumSpec(p.universe, max_vertices)  # an over-cap or negative bound raises
     for n in range(max_vertices + 1):
-        yield from _members_on(p, n)
-
-
-def _members_on(p, n: int):
-    """p's members on n vertices: the memoised layer, or a lazy stream."""
-    done = _member_layers.get((p, n))
-    return done if done is not None else (g for g, holds in _verdicts(p, n) if holds)
-
-
-def _verdicts(p, n: int):
-    """(class, is it in p?) for each class on n vertices grown from p's
-    members on n-1, in canonical-key order; the null graph is in p.
-
-    p is asked about a class only when the consumer reaches it.  The
-    layer's members are memoised per (p, n) once every class is asked
-    about, and its classes are memoised per (p, n) by _children.
-    """
-    if n == 0:
-        yield _layer(p.universe, 0)[0], True
-        return
-    kept = []
-    for g in _children(p, n):
-        holds = bool(p.member(g))
-        if holds:
-            kept.append(g)
-        yield g, holds
-    if len(_member_layers) >= _MEMBER_LAYERS_KEPT:
-        del _member_layers[next(iter(_member_layers))]  # the oldest
-    _member_layers[p, n] = tuple(kept)
-
-
-@lru_cache(maxsize=256)
-def _children(p, n: int) -> tuple:
-    """The classes on n >= 1 vertices grown from p's members on n-1."""
-    return _grow(p.universe, n, tuple(_members_on(p, n - 1)))
+        for g, holds in _decided(p, n):
+            if holds:
+                yield g
 
 
 def enumerate_partitions(vertices, max_parts: int, min_parts: int = 1):

@@ -42,7 +42,7 @@ from .core import (
     _pattern,
     format_hypergraph,
 )
-from .generate import EnumSpec, _verdicts
+from .generate import EnumSpec, _decided
 
 __all__ = [
     "BoundExceededError",
@@ -372,14 +372,15 @@ def forbidden_up_to(p: Property, n: int) -> tuple:
     heredity makes that equivalent to all proper induced subgraphs being
     members.  So a least-degree deletion of F is a member, and F is among
     the classes grown from the members on one vertex fewer
-    (generate._verdicts, in the full stream's order): only those classes
+    (generate._decided, in the full stream's order): only those classes
     are asked about, and the non-members among them are checked for
-    minimality.
+    minimality.  The verdicts are kept with the layers, which
+    generate._members_up_to reads too.
     """
     EnumSpec(p.universe, n)  # an over-cap or negative bound raises
     out = []
     for m in range(n + 1):
-        for g, holds in _verdicts(p, m):
+        for g, holds in _decided(p, m):
             if not holds and all(p.member(induced(g, set(g.vertices) - {v}))
                                  for v in g.vertices):
                 out.append(g)
@@ -489,7 +490,7 @@ def parse_property(text: str, base_dir: str = ".", _depth: int = 0):
             try:
                 with open(path, encoding="utf-8") as fh:
                     body = fh.read()
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 raise FormatError(f"cannot read factor file: {exc}", lineno) from None
             _, fac = parse_property(body, os.path.dirname(path) or ".", _depth + 1)
             factors.append(fac)

@@ -493,6 +493,46 @@ def test_missing_graph_file(capsys, files):
     assert code == 2 and "cannot read" in err
 
 
+def test_output_in_a_missing_directory_exits_2(capsys, files, tmp_path):
+    target = tmp_path / "missing" / "report.txt"
+    code, out, err = cli(capsys, "--output", str(target),
+                         "dec", "-g", files.c4, "-p", files.trifree)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("which", ["graph", "property", "factor", "config"])
+def test_input_that_is_not_utf8_exits_2(capsys, files, tmp_path, which):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("hypergraph v1 \u00e9\n".encode("latin-1"))
+    argv = ["member", "-g", files.k2, "-p", files.trifree]
+    if which == "graph":
+        argv[2] = str(bad)
+    elif which == "property":
+        argv[4] = str(bad)
+    elif which == "factor":
+        prod = tmp_path / "prod.prop"
+        prod.write_text(files.dir.joinpath("two_colour.prop").read_text(encoding="utf-8")
+                        .replace("two_colour.factor1.prop", bad.name), encoding="utf-8")
+        argv[4] = str(prod)
+    else:
+        argv = ["--config", str(bad)] + argv
+    code, out, err = cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "can't decode byte 0xe9" in err
+    assert ("factor file" in err) == (which == "factor")
+    assert err.count("\n") == 1
+
+
+def test_command_line_universe_error_names_no_line(capsys):
+    code, out, err = cli(capsys, "enumerate", "--vertices", "2",
+                         "--universe", "kinds=FOO arities=2 colours=e")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad universe: ")
+    assert "line" not in err
+
+
 def test_output_flag_writes_file(capsys, files, tmp_path):
     target = tmp_path / "report.txt"
     code, out, err = cli(capsys, "--output", str(target),

@@ -403,8 +403,6 @@ def test_cold_dec_bounds_keys_only_children_of_members(props, monkeypatch):
     assert len(keyed) == 239
     del keyed[:]
     generate._layer.cache_clear()
-    generate._children.cache_clear()
-    generate._member_layers.clear()
     got = factor._dec_bounds.__wrapped__(props.bip, 6, 1)
     assert len(keyed) == 74
     assert got == reference_dec_bounds(props.bip, 6)[0]

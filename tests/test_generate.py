@@ -16,6 +16,7 @@ from hgfactor import (
     EdgeObject,
     EnumSpec,
     FiniteForbidden,
+    GeneratedBounded,
     HARD_VERTEX_CAP,
     HgError,
     Hypergraph,
@@ -266,7 +267,7 @@ def test_layers_match_unpruned_growth(universe, top):
     layer = (Hypergraph(universe, 0, frozenset()),)
     for n in range(1, top + 1):
         layer = unpruned_layer(layer)
-        assert generate._layer(universe, n) == layer
+        assert generate._layer(universe, None, n).classes == layer
 
 
 @pytest.mark.parametrize("universe, top", LAYER_CASES)
@@ -275,11 +276,11 @@ def test_layer_keys_one_candidate_per_least_degree_orbit(universe, top, monkeypa
     # candidate per orbit, under each parent's automorphisms, of the
     # subsets that leave the new vertex of least degree
     generate._layer.cache_clear()
-    parents = generate._layer(universe, top - 1)  # memoised before counting
+    parents = generate._layer(universe, None, top - 1).classes  # memoised before counting
     keyed = []
     canon = generate._canon
     monkeypatch.setattr(generate, "_canon", lambda n, codes: keyed.append(n) or canon(n, codes))
-    assert generate._layer(universe, top)
+    assert generate._layer(universe, None, top).classes
     assert keyed and set(keyed) == {top}
     assert len(keyed) == sum(least_degree_orbits(p) for p in parents)
 
@@ -293,7 +294,7 @@ from hgfactor import EdgeKind, Universe, generate
 h = hashlib.sha256()
 canon = generate._canon
 generate._canon = lambda n, codes: h.update(repr((n, sorted(codes))).encode()) or canon(n, codes)
-generate._layer(Universe(frozenset({EdgeKind.UNORDERED}), frozenset({3}), ("e",)), 5)
+generate._layer(Universe(frozenset({EdgeKind.UNORDERED}), frozenset({3}), ("e",)), None, 5)
 print(h.hexdigest())
 """
 
@@ -354,8 +355,9 @@ def test_member_stream_is_the_full_stream_filtered(universe, density):
 
 def test_member_stream_stopped_early_asks_nothing_past_its_stop(monkeypatch):
     # a consumer that stops early has asked the property only about
-    # classes up to its stopping point, in enumeration order, and the
-    # unfinished layer is not memoised
+    # classes up to its stopping point, in enumeration order; the next
+    # full pass asks only about the classes the first did not reach, and
+    # the two together ask what one cold pass asks, each class once
     u = digraph_universe()
     arc = EdgeObject(EdgeKind.ORDERED, (0, 1), "a")
     back = EdgeObject(EdgeKind.ORDERED, (1, 0), "a")
@@ -367,18 +369,60 @@ def test_member_stream_stopped_early_asks_nothing_past_its_stop(monkeypatch):
     real = FiniteForbidden.member
     monkeypatch.setattr(FiniteForbidden, "member",
                         lambda self, g: asked.append(g) or real(self, g))
-    generate._member_layers.clear()
-    generate._children.cache_clear()
+    generate._layer.cache_clear()
     stop = len(members) // 2
     got = list(itertools.islice(generate._members_up_to(p, 4), stop))
     assert got == members[:stop]
     assert asked[-1] == got[-1]
-    assert [position[g] for g in asked] == sorted(position[g] for g in asked)
-    assert (p, got[-1].n) not in generate._member_layers
-    assert list(generate._members_up_to(p, 4)) == members
+    first = asked[:]
     del asked[:]
     assert list(generate._members_up_to(p, 4)) == members
-    assert asked == []  # every layer was complete and is memoised
+    both = first + asked
+    assert asked and [position[g] for g in both] == sorted(position[g] for g in both)
+    del asked[:]
+    assert list(generate._members_up_to(p, 4)) == members
+    assert asked == []  # every verdict is kept
+    generate._layer.cache_clear()
+    assert list(generate._members_up_to(p, 4)) == members
+    assert asked == both
+
+
+def test_member_stream_that_raised_raises_again(monkeypatch):
+    # a GeneratedBounded raises on the first class past its bound; the
+    # class keeps no verdict, so a repeated call raises again after the
+    # same members and never yields a shortened stream
+    u = simple_universe()
+    k2 = Hypergraph(u, 2, frozenset({EdgeObject(EdgeKind.UNORDERED, (0, 1), "e")}))
+    p = GeneratedBounded(u, (k2,), 2)
+    generate._layer.cache_clear()
+    want = [g for g in enumerate_hypergraphs(EnumSpec(u, 2)) if p.member(g)]
+    for _ in range(2):
+        got = []
+        with pytest.raises(BoundExceededError, match="exceeds the declared bound 2"):
+            for g in generate._members_up_to(p, 3):
+                got.append(g)
+        assert got == want
+    # a member test that raises mid-layer, once: the next pass asks that
+    # class again and gets the whole stream
+    q = FiniteForbidden(u, (Hypergraph(u, 3, frozenset()),))
+    members = [g for g in enumerate_hypergraphs(EnumSpec(u, 4)) if q.member(g)]
+    target = members[-2]
+    real = FiniteForbidden.member
+
+    def flaky(self, g):
+        if g == target and not raised:
+            raised.append(g)
+            raise HgError("flaky")
+        return real(self, g)
+
+    raised = []
+    monkeypatch.setattr(FiniteForbidden, "member", flaky)
+    got = []
+    with pytest.raises(HgError, match="flaky"):
+        for g in generate._members_up_to(q, 4):
+            got.append(g)
+    assert got == members[:-2]
+    assert list(generate._members_up_to(q, 4)) == members
 
 
 def test_member_stream_checks_its_bound():
