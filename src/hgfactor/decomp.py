@@ -32,7 +32,12 @@ One memoised walk of the partition lattice (_level) answers every
 decomposition query: level k holds the valid k-part decompositions, each
 refined from a valid one with one part fewer.  dec_number reads the
 deepest nonempty level, all_decompositions reads one level, and the
-uniqueness queries read the level at dec(G).
+uniqueness queries read the level at dec(G).  A level is walked depth
+first (_valid): one part of a valid decomposition is split by placing its
+vertices one at a time, and a partial split whose join is already
+refuted cuts all of its completions, since every property here is
+induced-hereditary.  Every decision, of a whole partition or a partial
+one, goes through _decide.
 """
 
 from __future__ import annotations
@@ -62,6 +67,7 @@ from .core import (
     _pattern,
 )
 from .props import (
+    BoundExceededError,
     FiniteForbidden,
     ProductProperty,
     Property,
@@ -435,35 +441,32 @@ def _as_decomposition(d) -> Decomposition:
 def is_decomposition(g: Hypergraph, d, p: Property, mode: str = EXACT,
                      k_max: int = DEFAULT_K_MAX,
                      member_cap: int = DEFAULT_MEMBER_CAP) -> JoinCheck:
-    """Is d a valid decomposition of G for P?  Truthy JoinCheck.  EXACT
-    mode decides the parts as bitmasks of G; BOUNDED mode, and bad
-    arguments, go to join_subset_of with the induced parts."""
+    """Is d a valid decomposition of G for P?  Truthy JoinCheck, decided
+    by _decide on d's parts."""
     d = _as_decomposition(d)
     if d.ground != frozenset(g.vertices):
         raise HgError("parts do not partition the vertex set")
-    if mode == EXACT and d.parts and isinstance(p, FiniteForbidden) \
+    return _decide(g, p, [sum(1 << v for v in part) for part in d.parts],
+                   mode, k_max, member_cap)
+
+
+def _decide(g: Hypergraph, p: Property, masks: Sequence, mode: str, k_max: int,
+            member_cap: int, part=None) -> JoinCheck:
+    """The one decision point of every partition, whole or partial: do
+    the k-fold joins over the blocks of G given as vertex bitmasks
+    (disjoint and nonempty, not necessarily covering V(G)) stay in P?
+
+    EXACT mode on a finite forbidden set of G's universe decides the
+    blocks as bitmasks (_split_fail_witness).  Anything else, bad
+    arguments included, goes to join_subset_of with the blocks' induced
+    graphs: part(mask) when given (the lattice walk keeps them), else
+    induced on the mask."""
+    if mode == EXACT and masks and isinstance(p, FiniteForbidden) \
             and g.universe == p.universe:
-        witness = _split_fail_witness(p, g, [sum(1 << v for v in part) for part in d.parts])
+        witness = _split_fail_witness(p, g, masks)
         return JoinCheck(witness is None, EXACT, witness=witness)
-    parts = [induced(g, part) for part in d.parts]
-    return join_subset_of(p, parts, mode, k_max, member_cap)
-
-
-def _refinements(d: Decomposition):
-    """Partitions obtained by splitting one part of d in two."""
-    for idx, part in enumerate(d.parts):
-        if len(part) < 2:
-            continue
-        members = sorted(part)
-        anchor, rest = members[0], members[1:]
-        # anchor stays on the left side: each unordered split once
-        for r in range(len(rest) + 1):
-            for picks in itertools.combinations(rest, r):
-                left = frozenset((anchor,) + picks)
-                right = part - left
-                if not right:
-                    continue
-                yield Decomposition(d.parts[:idx] + (left, right) + d.parts[idx + 1:])
+    part = part or (lambda mask: induced(g, _bits(mask)))
+    return join_subset_of(p, [part(mask) for mask in masks], mode, k_max, member_cap)
 
 
 def _rgs(d: Decomposition) -> tuple:
@@ -476,26 +479,93 @@ def _rgs(d: Decomposition) -> tuple:
 
 def _valid(g: Hypergraph, p: Property, mode: str, k_max: int, member_cap: int,
            k: int):
-    """Yield the valid k-part decompositions of G, in enumerate_partitions
-    order, deciding each partition only when the caller asks for the next.
+    """Yield the valid k-part decompositions of G, each once, deciding
+    only as far as the caller reads.
 
     Level 1 is the one-part partition when it is valid: membership of G
     does not make it valid for a non-additive property, as every k-fold
-    copy union of G must stay in P.  Level k is the valid refinements of
-    level k-1 (read from _level), each decided once.  Merging two parts
-    of a valid decomposition keeps it valid, in EXACT and BOUNDED mode
-    alike (checked in the tests), so every valid partition refines a
-    valid one with one part fewer: a partition the walk never reaches is
-    invalid.
-    """
+    copy union of G must stay in P.  Merging two parts of a valid
+    decomposition keeps it valid, in EXACT and BOUNDED mode alike
+    (checked in the tests), so every valid k-part partition splits one
+    part of a valid d at level k-1 (read from _level) in two.
+
+    Those splits are walked depth first.  For each d and each part Q of
+    d, Q's least vertex stays on the left side and the others are placed
+    one at a time in ascending order, left side first.  A node whose
+    right side is nonempty is decided (_decide) as a partial partition:
+    d's other parts and the two sides on the vertices placed so far.  A
+    refuted node cuts its subtree.  This is sound because every property
+    here is induced-hereditary: every member of the j-fold join over a
+    partial's parts is an induced subgraph of a member of the j-fold
+    join over any completion's parts (copy the crossing edges between
+    placed vertices, drop the others).  So a bad member at j copies
+    gives one for every completion at the same j, which is no more than
+    k_max in BOUNDED mode; a completion's decision would refute it too,
+    or raise where the walk now answers.  "Holds" proves nothing about a
+    completion and never cuts.  A node with an empty right side is a
+    restriction of d and always holds, so it is not decided.
+
+    Leaves, the full splits, are decided once each even when two d reach
+    the same one, and valid ones are yielded in walk order, which is not
+    enumerate_partitions order; _level sorts them.
+
+    Raises: level 1 raises what its decision raises.  Above it, a
+    partial that raises CapExceededError or BoundExceededError cuts
+    nothing, and a leaf that raises one is held back: the generator
+    raises it (the least in enumerate_partitions order, if several) only
+    after yielding every valid decomposition.  A reader that stops at
+    the first valid one (_has_decomposition) therefore never sees it,
+    and a reader of the whole level sees it exactly when some undecided
+    partition could still be valid.  Any other error propagates."""
     if k == 1:
-        kids = {(0,) * g.n: Decomposition((g.vertices,))} if p.member(g) and g.n else {}
-    else:
-        kids = {_rgs(c): c for d in _level(g, p, mode, k_max, member_cap, k - 1)
-                for c in _refinements(d)}
-    for _, d in sorted(kids.items()):
-        if is_decomposition(g, d, p, mode, k_max, member_cap):
-            yield d
+        if p.member(g) and g.n and _decide(g, p, [(1 << g.n) - 1], mode, k_max,
+                                           member_cap):
+            yield Decomposition((g.vertices,))
+        return
+    graphs = {}  # mask -> induced graph, for decisions that need part graphs
+
+    def part(mask):
+        if mask not in graphs:
+            graphs[mask] = induced(g, _bits(mask))
+        return graphs[mask]
+
+    def refuted(node):
+        try:
+            return not _decide(g, p, node, mode, k_max, member_cap, part)
+        except (CapExceededError, BoundExceededError):
+            return False
+
+    seen, held = set(), None
+    for d in _level(g, p, mode, k_max, member_cap, k - 1):
+        masks = [sum(1 << v for v in q) for q in d.parts]
+        for i, q in enumerate(d.parts):
+            vs = sorted(q)
+            fixed = masks[:i] + masks[i + 1:]
+            stack = [(1, 1 << vs[0], 0)]  # (vertices placed, left, right)
+            while stack:
+                placed, left, right = stack.pop()
+                node = tuple(sorted(fixed + [left, right], key=lambda m: m & -m)) \
+                    if right else None
+                if placed < len(vs):
+                    if node is None or not refuted(node):
+                        v = 1 << vs[placed]
+                        stack.append((placed + 1, left, right | v))
+                        stack.append((placed + 1, left | v, right))
+                    continue
+                if node is None or node in seen:
+                    continue
+                seen.add(node)
+                try:
+                    ok = _decide(g, p, node, mode, k_max, member_cap, part)
+                except (CapExceededError, BoundExceededError) as exc:
+                    key = _rgs(Decomposition(tuple(map(_bits, node))))
+                    if held is None or key < held[0]:
+                        held = (key, exc)
+                    continue
+                if ok:
+                    yield Decomposition(tuple(map(_bits, node)))
+    if held is not None:
+        raise held[1]
 
 
 @lru_cache(maxsize=4096)
@@ -503,7 +573,7 @@ def _level(g: Hypergraph, p: Property, mode: str, k_max: int, member_cap: int,
            k: int) -> tuple:
     """The valid k-part decompositions of G, in enumerate_partitions order
     (_valid, memoised in full)."""
-    return tuple(_valid(g, p, mode, k_max, member_cap, k))
+    return tuple(sorted(_valid(g, p, mode, k_max, member_cap, k), key=_rgs))
 
 
 def dec_number(g: Hypergraph, p: Property, mode: str = EXACT,
@@ -542,11 +612,23 @@ def all_decompositions(g: Hypergraph, p: Property, n_parts: int, mode: str = EXA
 
 def _has_decomposition(g: Hypergraph, p: Property, n_parts: int, mode: str,
                        k_max: int, member_cap: int = DEFAULT_MEMBER_CAP) -> bool:
-    """bool(all_decompositions(...)), deciding level n_parts only up to
-    its first valid partition and keeping no memo of it.  Since merging
-    two parts of a valid decomposition keeps it valid, it is true iff G
-    has a decomposition with at least n_parts parts, that is iff
-    dec(G) >= n_parts.  Levels below n_parts come from _level."""
+    """bool(all_decompositions(...)), walking level n_parts (_valid) only
+    up to its first valid partition, in walk order, and keeping no memo
+    of it.  Since merging two parts of a valid decomposition keeps it
+    valid, it is true iff G has a decomposition with at least n_parts
+    parts, that is iff dec(G) >= n_parts.  Levels below n_parts come
+    from _level.
+
+    It raises only where a walk deciding every split of level n_parts-1
+    in enumerate_partitions order, up to its first valid partition,
+    raises as well.  Levels below are read in full either way, and the
+    pruned walk decides a subset of their partitions.  At level n_parts a
+    partial partition that raises cuts nothing, and a full split that
+    raises is held back until the walk ends with no valid partition (see
+    _valid).  Then every split it did not decide is invalid, so that
+    other walk decides every split, none valid, and raises at each one
+    this walk saw raise.  An answer never depends on the raise: a valid
+    partition found proves dec(G) >= n_parts outright."""
     return _below_filled(g, p, n_parts, mode, k_max, member_cap) and \
         next(_valid(g, p, mode, k_max, member_cap, n_parts), None) is not None
 

@@ -244,11 +244,13 @@ def _dec_bounds(p: Property, n: int, k_max: int) -> DecBounds:
     member's partition lattice is nonempty: merging two parts of a valid
     decomposition keeps it valid, so dec >= upper iff that level has a
     valid partition.  decomp._has_decomposition reads levels 1..upper-1
-    from the same memoised lattice as dec_number and decides level upper
-    in enumerate_partitions order only up to its first valid partition,
-    so a skipped member costs no level that cannot lower the bracket and
-    at most a prefix of level upper.  In bounded mode a partition past
-    that prefix is not decided, so it cannot raise CapExceededError.
+    from the same memoised lattice as dec_number and walks level upper
+    only up to its first valid partition, so a skipped member costs no
+    level that cannot lower the bracket and at most part of level upper.
+    In bounded mode a split of level upper that raises CapExceededError
+    is held back and raised only when the walk finds no valid partition,
+    so a member with a decomposition into upper parts is skipped without
+    a raise.
     """
     mode = _mode_for(p)
     factors = _factors(p)

@@ -51,6 +51,7 @@ from hgfactor import (
 )
 from hgfactor import decomp
 from helpers import (
+    admissible_edges,
     brute_member_product,
     brute_strict,
     image_triples,
@@ -567,14 +568,16 @@ def test_uniqueness_matches_all_decompositions(u, props):
 
 
 def test_all_decompositions_decides_no_larger_partition(monkeypatch, props):
+    # every decision, partial partitions of the walk included, goes
+    # through _decide
     sizes = []
-    check = decomp.is_decomposition
+    check = decomp._decide
 
-    def recording(g_, d, *args):
-        sizes.append(len(d))
-        return check(g_, d, *args)
+    def recording(g_, p, masks, *args):
+        sizes.append(len(masks))
+        return check(g_, p, masks, *args)
 
-    monkeypatch.setattr(decomp, "is_decomposition", recording)
+    monkeypatch.setattr(decomp, "_decide", recording)
     decomp._level.cache_clear()
     e4 = simple_graph(4, [])
     assert len(all_decompositions(e4, props.trifree, 2)) == 7
@@ -609,6 +612,152 @@ def test_has_decomposition_matches_all_decompositions(uu, density):
     if len(uu.kinds) > 1:
         want.discard((BOUNDED, False))
     assert want <= answers
+
+
+def _has_in_partition_order(g_, p, n_parts, member_cap):
+    """_has_decomposition by a walk that decides every split of every
+    valid partition of the level below in enumerate_partitions order,
+    levels below n_parts in full and level n_parts up to its first valid
+    partition, raising at the first decision that raises; BOUNDED,
+    k_max = 1."""
+    level = [Decomposition((g_.vertices,))]
+    for k in range(1, n_parts + 1):
+        if k > 1:
+            kids = {}
+            for d in level:
+                for i, part in enumerate(d.parts):
+                    _, *rest = sorted(part)
+                    for r in range(1, len(rest) + 1):
+                        for right in itertools.combinations(rest, r):
+                            c = Decomposition(d.parts[:i] + (part - set(right), set(right))
+                                              + d.parts[i + 1:])
+                            kids[decomp._rgs(c)] = c
+            level = [c for _, c in sorted(kids.items())]
+        valid = []
+        for d in level:
+            if is_decomposition(g_, d, p, BOUNDED, 1, member_cap):
+                if k == n_parts:
+                    return True
+                valid.append(d)
+        level = valid
+    return False
+
+
+def test_member_cap_keeps_every_answer(u, props):
+    """Under edgeless^3 with member caps that some bounded joins exceed:
+    every existence query that a walk in enumerate_partitions order
+    answers keeps its answer, and every answer, existence or whole
+    level, is the one given under the default cap.  On C4 with cap 4
+    that walk raises at {0,1,2}|{3} before it reaches {0,3}|{1,2}; the
+    pruned walk holds the error back, answers the existence query, and
+    raises it for the whole level, which it cannot decide."""
+    p = ProductProperty((props.edgeless,) * 3)
+    kept = levels = 0
+    for g_ in enumerate_hypergraphs(EnumSpec(u, 5)):
+        if g_.n < 3 or not p.member(g_):
+            continue
+        for cap in (4, 64):
+            for k in range(2, g_.n + 1):
+                full = all_decompositions(g_, p, k, BOUNDED, 1)
+                try:
+                    want = _has_in_partition_order(g_, p, k, cap)
+                except CapExceededError:
+                    want = None
+                try:
+                    has = decomp._has_decomposition(g_, p, k, BOUNDED, 1, cap)
+                except CapExceededError:
+                    assert want is None, (g_, cap, k)
+                else:
+                    assert has == bool(full), (g_, cap, k)
+                    kept += want is not None
+                try:
+                    assert all_decompositions(g_, p, k, BOUNDED, 1, cap) == full, (g_, cap, k)
+                    levels += 1
+                except CapExceededError:
+                    pass
+    assert kept > 50 and levels > 50, (kept, levels)
+    c4 = simple_graph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+    with pytest.raises(CapExceededError, match=r"2\^3 members"):
+        _has_in_partition_order(c4, p, 2, 4)
+    assert decomp._has_decomposition(c4, p, 2, BOUNDED, 1, 4)
+    with pytest.raises(CapExceededError, match=r"2\^3 members"):
+        all_decompositions(c4, p, 2, BOUNDED, 1, 4)
+    # a partial partition that raises cuts nothing: under this product
+    # {0,2}|{1,3} raises at cap 8, and so do its completions {0,2,4}|{1,3}
+    # and {0,2}|{1,3,4}, which are valid under the default cap
+    q = ProductProperty((props.edgeless, forbidden_property(u, [simple_graph(3, [(1, 2)])]),
+                         forbidden_property(u, [simple_graph(3, [(0, 2), (1, 2)])])))
+    g_ = simple_graph(5, [(0, 2), (1, 3)])
+    assert {"{0,2,4}|{1,3}", "{0,2}|{1,3,4}"} <= \
+        {str(d) for d in all_decompositions(g_, q, 2, BOUNDED, 1)}
+    with pytest.raises(CapExceededError, match=r"2\^6 members"):
+        all_decompositions(g_, q, 2, BOUNDED, 1, 8)
+
+
+def test_bipartite_sweep_work_counts(g, u, props, monkeypatch):
+    """The uniqueness queries of the sweep workload, criterion 7 at 6
+    vertices, from cold join and lattice memos: the 28 connected
+    bipartite graphs and 2K2, each asked whether it is uniquely
+    decomposable under edgeless*edgeless.  The pruned walk decides 128
+    distinct bounded joins and streams the members of 113 of them; a
+    walk that decides every refinement in full decides 270 and streams
+    258."""
+    streamed = []
+    real = decomp._first_bad_member
+    monkeypatch.setattr(decomp, "_first_bad_member",
+                        lambda *a: streamed.append(a) or real(*a))
+    members = [h for h in enumerate_hypergraphs(EnumSpec(u, 6, connected_only=True))
+               if props.two_colour.member(h)]
+    assert len(members) == 28
+    decomp._level.cache_clear()
+    decomp._join_cached.cache_clear()
+    assert [is_uniquely_decomposable(h, props.two_colour, BOUNDED, k_max=1)
+            for h in members + [g.two_k2]] == [True] * 28 + [False]
+    assert decomp._join_cached.cache_info().misses == 128
+    assert len(streamed) == 113
+
+
+def test_pruned_levels_match_a_flat_scan(monkeypatch):
+    """Every level of the pruned lattice walk equals a flat scan of all
+    k-part partitions, each decided by is_decomposition, on the five
+    test universes: random forbidden sets, additive or not, in EXACT
+    mode, and products of two of them in BOUNDED mode with k_max = 1.
+    The flat scan streams up to 2^c members per bounded partition, so
+    product graphs have at most 6 possible edges.  The walk must have cut
+    at refuted partial partitions in both modes and for a non-additive
+    set, or the comparison would not test the cut."""
+    cut = set()
+    real = decomp._decide
+
+    def recording(g_, p, masks, mode, *args):
+        check = real(g_, p, masks, mode, *args)
+        if not check and reduce(int.__or__, masks) != (1 << g_.n) - 1:
+            cut.add((mode, getattr(p, "additive", None)))
+        return check
+
+    monkeypatch.setattr(decomp, "_decide", recording)
+    rng = random.Random(SEED + 12)
+    for case in UNIVERSE_CASES:
+        uu, density = case.values
+        top = 2 if len(uu.kinds) > 1 else max(uu.arities) + 1
+        small = max(n for n in range(2, 8) if len(admissible_edges(uu, range(n))) <= 6)
+        pool = [h for h in enumerate_hypergraphs(EnumSpec(uu, top)) if h.n >= 2]
+        for _ in range(30):
+            f1, f2 = (forbidden_property(uu, rng.sample(pool, rng.randint(1, 2)))
+                      for _ in range(2))
+            for p, mode, size in ((f1, EXACT, top + 3),
+                                  (ProductProperty((f1, f2)), BOUNDED, small)):
+                drawn = (random_graph(uu, rng.randint(min(3, size), size), density, rng)
+                         for _ in range(20))
+                g_ = next((h for h in drawn if member(p, h)), None)
+                if g_ is None:
+                    continue
+                for k in range(1, g_.n + 1):
+                    flat = [Decomposition(parts)
+                            for parts in enumerate_partitions(g_.vertices, k, min_parts=k)
+                            if is_decomposition(g_, Decomposition(parts), p, mode, k_max=1)]
+                    assert all_decompositions(g_, p, k, mode, k_max=1) == flat, (g_, p, k)
+    assert {(EXACT, True), (EXACT, False), (BOUNDED, None)} <= cut, cut
 
 
 # --- strictness ---------------------------------------------------------

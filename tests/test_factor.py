@@ -378,16 +378,16 @@ def test_dec_bounds_matches_full_scan(p, n, monkeypatch):
 
 def test_dec_bounds_skip_test_stops_at_the_first_decomposition(props, monkeypatch):
     """bip at 6: a strict member with a decomposition into upper parts is
-    skipped once the first is found, so the scan decides 569 partitions
-    where reading all of level upper decided 1,338."""
+    skipped once the first is found, so the scan makes 499 decisions,
+    partial partitions of the lattice walk included, where reading all
+    of level upper makes 1,460."""
     calls = []
-    real = decomp.is_decomposition
-    monkeypatch.setattr(decomp, "is_decomposition",
-                        lambda *a: calls.append(a) or real(*a))
+    real = decomp._decide
+    monkeypatch.setattr(decomp, "_decide", lambda *a: calls.append(a) or real(*a))
     decomp._level.cache_clear()
     got = factor._dec_bounds.__wrapped__(props.bip, 6, 1)
     assert tuple(got) == (1, 2)
-    assert len(calls) == 569
+    assert len(calls) == 499
 
 
 def test_cold_dec_bounds_keys_only_children_of_members(props, monkeypatch):
