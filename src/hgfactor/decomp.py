@@ -20,13 +20,19 @@ graph.  Two fits, one per mode:
   against the brute-force procedure in the test suite.  Parts are
   bitmasks of one host graph; no part graph is built.
 * BOUNDED(k_max): each whole slice embeds induced into k copies of its
-  part, for k = 1..k_max.  A product whose factors are all finite
-  forbidden sets first tries a certificate (_product_certificate): the
-  parts grouped by factor, each group passing the exact test.  It proves
-  every k-fold join a member, so "holds" costs no join member.  Other
-  joins are scanned by brute force, densest member first
-  (_first_bad_member).  A refutation is exact; a pass is only "no
-  failure up to k_max" and is marked as such.
+  part, for k = 1..k_max, the copies being blocks of k copies of the
+  host.  A product whose factors are all finite forbidden sets first
+  tries a certificate (_product_certificate): the parts grouped by
+  factor, each group passing the exact test on sub-masks of the host,
+  equal factors taken as interchangeable.  It proves every k-fold join a
+  member, so "holds" costs no join member.  Other joins are scanned by
+  brute force, densest member first (_first_bad_member), and only these
+  build part graphs.  A refutation is exact; a pass is only "no failure
+  up to k_max" and is marked as such.
+
+Both modes keep their answers in a memo keyed on the property and the
+block codes (_block_codes): each block's order and edges on ranks, so
+equal part graphs of any hosts share an entry.
 
 One memoised walk of the partition lattice (_level) answers every
 decomposition query: level k holds the valid k-part decompositions, each
@@ -72,6 +78,7 @@ from .props import (
     ProductProperty,
     Property,
     min_forbidden_order,
+    _twins,
 )
 
 __all__ = [
@@ -283,29 +290,40 @@ def _exact_split(p: FiniteForbidden, host: tuple, masks: Sequence,
     return _first_split(p, len(masks), fit)
 
 
-_split_memo = {}  # (p, block codes) -> witness; oldest dropped past 120,000
-
-
-def _split_fail_witness(p: FiniteForbidden, g: Hypergraph,
-                        masks: Sequence) -> Optional[DecWitness]:
-    """_exact_split on g's memoised index, a component skipped for good
-    once it is not _in_host at all.  Memoised on p and the blocks' orders
-    and edges on ranks; ranks keep _coded_edges' order, so equal part
-    graphs of any hosts share an entry."""
+def _block_codes(g: Hypergraph, masks: Sequence) -> tuple:
+    """The blocks of g given as vertex bitmasks, each as its order and its
+    edges on ranks in the block.  Ranks keep _coded_edges' order, so equal
+    part graphs of any hosts get equal codes, the memo keys below."""
     codes = []
     for mask in masks:
         rank = {v: i for i, v in enumerate(_bits(mask))}
         codes.append((len(rank), tuple((o, c, *map(rank.__getitem__, vs))
                                        for sup, o, c, vs in _coded_edges(g)
                                        if sup & mask == sup)))
-    key = (p, tuple(codes))
-    if key in _split_memo:
-        return _split_memo[key]
-    witness = _split_memo[key] = _exact_split(p, _incidence(g), masks,
-                                              lambda comp: _in_host(comp, g))
-    if len(_split_memo) > 120_000:
-        del _split_memo[next(iter(_split_memo))]
-    return witness
+    return tuple(codes)
+
+
+def _memoised(memo: dict, key, compute):
+    """memo[key], computed on a miss; the oldest entry is dropped past
+    120,000.  A raise is not stored."""
+    if key in memo:
+        return memo[key]
+    value = memo[key] = compute()
+    if len(memo) > 120_000:
+        del memo[next(iter(memo))]
+    return value
+
+
+_split_memo = {}  # (p, block codes) -> witness
+
+
+def _split_fail_witness(p: FiniteForbidden, g: Hypergraph,
+                        masks: Sequence) -> Optional[DecWitness]:
+    """_exact_split on g's memoised index, a component skipped for good
+    once it is not _in_host at all, memoised on p and the block codes."""
+    return _memoised(_split_memo, (p, _block_codes(g, masks)),
+                     lambda: _exact_split(p, _incidence(g), masks,
+                                          lambda comp: _in_host(comp, g)))
 
 
 def _factors(p: Property) -> tuple:
@@ -322,11 +340,11 @@ def _part_masks(parts: Sequence) -> list:
     return [(1 << b) - (1 << a) for a, b in zip(ends, ends[1:])]
 
 
-def _product_certificate(p: ProductProperty, parts: tuple) -> bool:
-    """Can the parts be grouped by factor, empty groups allowed, so that
-    each factor Fi's group passes the exact join test for Fi?  Needs
-    every factor, nested products flattened, to be a finite forbidden
-    set; False otherwise.
+def _product_certificate(p: ProductProperty, g: Hypergraph, masks: Sequence) -> bool:
+    """Can the blocks of g given as vertex bitmasks be grouped by factor,
+    empty groups allowed, so that each factor Fi's group passes the exact
+    join test for Fi?  Needs every factor, nested products flattened, to
+    be a finite forbidden set; False otherwise.
 
     A yes proves that every member M of every k-fold join over the parts
     lies in P.  Colour each copied part in M by its group's factor.  The
@@ -336,28 +354,35 @@ def _product_certificate(p: ProductProperty, parts: tuple) -> bool:
     classes are then the blocks that ProductProperty.member asks for.  No
     additivity is used.
 
-    Every group is decided as bitmask blocks of the parts' disjoint
-    union, by _exact_split on one index built for this call and kept in
-    no memo: most part tuples are seen once, and the host-keyed memos
-    would grow with them.  Each (factor, group) pair is decided at most
-    once per call.
+    Every group is decided as sub-masks of g's memoised index by
+    _exact_split; in the lattice walk g is G itself.  Equal factors are
+    interchangeable, as in partition_solve: no group opens before the
+    group of its nearest equal earlier factor (props._twins), since
+    swapping two equal factors' groups keeps a grouping valid, and a
+    (factor, group) pair is decided at most once per call, keyed by the
+    first index of the factor's equal class.
     """
     factors = _factors(p)
     if not all(isinstance(f, FiniteForbidden) for f in factors):
         return False
-    host = _incidence.__wrapped__(reduce(disjoint_union, parts))
-    masks = _part_masks(parts)
+    host = _incidence(g)
+    twin = _twins(factors)
+    first = []
+    for i, t in enumerate(twin):
+        first.append(i if t is None else first[t])
     decided = {}
 
     def fits(i: int, group: tuple) -> bool:
-        if (i, group) not in decided:
-            decided[i, group] = _exact_split(
-                factors[i], host, [masks[j] for j in group]) is None
-        return decided[i, group]
+        key = (first[i], group)
+        if key not in decided:
+            decided[key] = _exact_split(factors[i], host, [masks[j] for j in group]) is None
+        return decided[key]
 
     return any(all(fits(i, tuple(j for j, a in enumerate(assign) if a == i))
                    for i in range(len(factors)))
-               for assign in itertools.product(range(len(factors)), repeat=len(parts)))
+               for assign in itertools.product(range(len(factors)), repeat=len(masks))
+               if all(t is None or i not in assign or t in assign[:assign.index(i)]
+                      for i, t in enumerate(twin)))
 
 
 def _first_bad_member(p: Property, graphs: Sequence, member_cap: int,
@@ -377,35 +402,67 @@ def _first_bad_member(p: Property, graphs: Sequence, member_cap: int,
     return None
 
 
-@lru_cache(maxsize=120_000)
-def _join_cached(p: Property, parts: tuple, k_max: int, member_cap: int) -> JoinCheck:
-    """The BOUNDED join memo: tries k = 1..k_max copies of every part;
-    its refutations are exact.
+def _copies_split(p: FiniteForbidden, g: Hypergraph, masks: Sequence,
+                  k: int) -> Optional[DecWitness]:
+    """First split of some forbidden graph whose every whole slice embeds
+    induced into k copies of its block of g, or None: a bad member of the
+    k-fold join exists iff there is one.  The blocks' copies are sub-masks
+    of the index of k copies of g; an image is renamed copy by copy, by
+    rank in the block, as replicate() labels k copies of a part.  _find
+    tries candidates in ascending order, which the renaming keeps, so the
+    embedding is the one embed_induced finds in the copied part graph."""
+    host = _incidence(g) if k == 1 else _incidence.__wrapped__(replicate(k, g))
+
+    def fit(i, block, sl, comps):
+        mask = masks[i]
+        image = _find(_pattern(sl), host, sum(mask << c * g.n for c in range(k)))
+        if image is None:
+            return None
+        local = tuple(c * mask.bit_count() + (mask & ((1 << w) - 1)).bit_count()
+                      for c, w in (divmod(u, g.n) for u in image))
+        return [ComponentEmbedding(i, block, Embedding(local))]
+
+    return _first_split(p, len(masks), fit)
+
+
+def _join_bounded(p: Property, g: Hypergraph, masks: Sequence, k_max: int,
+                  member_cap: int) -> JoinCheck:
+    """The BOUNDED decision on blocks of g given as vertex bitmasks: tries
+    k = 1..k_max copies of every block; its refutations are exact.
 
     A product that _product_certificate settles holds for every k, so it
     gets the same "holds" verdict with no member streamed; the proof is
-    in that function.  Any other product streams its members.
+    in that function.  A finite forbidden set is decided on g's bitmasks
+    (_copies_split).  Anything else streams the members of each k-fold
+    join over the nonempty blocks, none when every block is empty, and
+    only then are the blocks' graphs built.
     """
-    if isinstance(p, ProductProperty) and _product_certificate(p, parts):
+    if isinstance(p, ProductProperty) and _product_certificate(p, g, masks):
         return JoinCheck(True, f"bounded k_max={k_max}")
-    for k in range(1, k_max + 1):
-        blown = [replicate(k, g) for g in parts]
-        if isinstance(p, FiniteForbidden):
-            # a bad member exists iff some forbidden graph slices into the
-            # k-fold copied parts, whole slices embedding induced
-            def fit(i, block, g, comps):
-                emb = embed_induced(g, blown[i])
-                return None if emb is None else [ComponentEmbedding(i, block, emb)]
-
-            witness = _first_split(p, len(blown), fit)
+    if isinstance(p, FiniteForbidden):
+        for k in range(1, k_max + 1):
+            witness = _copies_split(p, g, masks, k)
             if witness is not None:
                 return JoinCheck(False, EXACT, witness=witness)
-        elif any(b.n for b in blown):
-            bad = _first_bad_member(p, [b for b in blown if b.n], member_cap,
-                                    f"join of {k} copies")
-            if bad is not None:
-                return JoinCheck(False, EXACT, counterexample=bad)
+        return JoinCheck(True, f"bounded k_max={k_max}")
+    parts = [induced(g, _bits(mask)) for mask in masks if mask]
+    for k in range(1, k_max + 1):
+        bad = _first_bad_member(p, [replicate(k, h) for h in parts], member_cap,
+                                f"join of {k} copies") if parts else None
+        if bad is not None:
+            return JoinCheck(False, EXACT, counterexample=bad)
     return JoinCheck(True, f"bounded k_max={k_max}")
+
+
+_bounded_memo = {}  # (p, block codes, k_max, member_cap) -> JoinCheck
+
+
+def _bounded(p: Property, g: Hypergraph, masks: Sequence, k_max: int,
+             member_cap: int) -> JoinCheck:
+    """The BOUNDED join memo: _join_bounded, memoised on the block codes,
+    so equal part graphs of any hosts share an entry."""
+    return _memoised(_bounded_memo, (p, _block_codes(g, masks), k_max, member_cap),
+                     lambda: _join_bounded(p, g, masks, k_max, member_cap))
 
 
 def join_subset_of(p: Property, parts: Sequence, mode: str = EXACT,
@@ -430,7 +487,8 @@ def join_subset_of(p: Property, parts: Sequence, mode: str = EXACT,
         witness = _split_fail_witness(p, reduce(disjoint_union, parts), _part_masks(parts))
         return JoinCheck(witness is None, EXACT, witness=witness)
     if mode == BOUNDED:
-        return _join_cached(p, parts, k_max, member_cap)
+        return _bounded(p, reduce(disjoint_union, parts), _part_masks(parts), k_max,
+                        member_cap)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -451,22 +509,23 @@ def is_decomposition(g: Hypergraph, d, p: Property, mode: str = EXACT,
 
 
 def _decide(g: Hypergraph, p: Property, masks: Sequence, mode: str, k_max: int,
-            member_cap: int, part=None) -> JoinCheck:
+            member_cap: int) -> JoinCheck:
     """The one decision point of every partition, whole or partial: do
     the k-fold joins over the blocks of G given as vertex bitmasks
     (disjoint and nonempty, not necessarily covering V(G)) stay in P?
 
-    EXACT mode on a finite forbidden set of G's universe decides the
-    blocks as bitmasks (_split_fail_witness).  Anything else, bad
-    arguments included, goes to join_subset_of with the blocks' induced
-    graphs: part(mask) when given (the lattice walk keeps them), else
-    induced on the mask."""
-    if mode == EXACT and masks and isinstance(p, FiniteForbidden) \
-            and g.universe == p.universe:
-        witness = _split_fail_witness(p, g, masks)
-        return JoinCheck(witness is None, EXACT, witness=witness)
-    part = part or (lambda mask: induced(g, _bits(mask)))
-    return join_subset_of(p, [part(mask) for mask in masks], mode, k_max, member_cap)
+    Both modes decide the blocks as bitmasks of G: EXACT mode on a finite
+    forbidden set by _split_fail_witness, BOUNDED mode by the memo
+    _bounded.  Bad arguments go to join_subset_of with the blocks'
+    induced graphs, which raises as for any caller."""
+    if masks and g.universe == p.universe:
+        if mode == EXACT and isinstance(p, FiniteForbidden):
+            witness = _split_fail_witness(p, g, masks)
+            return JoinCheck(witness is None, EXACT, witness=witness)
+        if mode == BOUNDED:
+            return _bounded(p, g, masks, k_max, member_cap)
+    return join_subset_of(p, [induced(g, _bits(mask)) for mask in masks], mode, k_max,
+                          member_cap)
 
 
 def _rgs(d: Decomposition) -> tuple:
@@ -522,16 +581,9 @@ def _valid(g: Hypergraph, p: Property, mode: str, k_max: int, member_cap: int,
                                            member_cap):
             yield Decomposition((g.vertices,))
         return
-    graphs = {}  # mask -> induced graph, for decisions that need part graphs
-
-    def part(mask):
-        if mask not in graphs:
-            graphs[mask] = induced(g, _bits(mask))
-        return graphs[mask]
-
     def refuted(node):
         try:
-            return not _decide(g, p, node, mode, k_max, member_cap, part)
+            return not _decide(g, p, node, mode, k_max, member_cap)
         except (CapExceededError, BoundExceededError):
             return False
 
@@ -556,7 +608,7 @@ def _valid(g: Hypergraph, p: Property, mode: str, k_max: int, member_cap: int,
                     continue
                 seen.add(node)
                 try:
-                    ok = _decide(g, p, node, mode, k_max, member_cap, part)
+                    ok = _decide(g, p, node, mode, k_max, member_cap)
                 except (CapExceededError, BoundExceededError) as exc:
                     key = _rgs(Decomposition(tuple(map(_bits, node))))
                     if held is None or key < held[0]:
@@ -721,7 +773,8 @@ def _is_strict_join(g: Hypergraph, p: Property, member_cap: int) -> bool:
     if not p.member(g):
         raise HgError("graph is not in the property")
     one = Hypergraph(g.universe, 1, frozenset())
-    if isinstance(p, ProductProperty) and _product_certificate(p, (g, one)):
+    if isinstance(p, ProductProperty) and _product_certificate(
+            p, disjoint_union(g, one), [(1 << g.n) - 1, 1 << g.n]):
         return False
     return _first_bad_member(p, [g, one], member_cap, "one-vertex join") is not None
 

@@ -287,6 +287,14 @@ def is_additive(p: Property, search_bound: Optional[int] = None) -> bool:
     return all(is_connected(f) for f in forbidden_up_to(p, search_bound))
 
 
+def _twins(factors: Sequence) -> list:
+    """For each factor, the index of the nearest earlier factor equal to
+    it (==), or None.  Equal factors are interchangeable: swapping their
+    blocks, or their groups of parts, keeps every solution a solution."""
+    return [next((j for j in range(i - 1, -1, -1) if factors[j] == fac), None)
+            for i, fac in enumerate(factors)]
+
+
 def partition_solve(g: Hypergraph, factors: Sequence) -> Optional[PartitionAssignment]:
     """First vertex partition (empty blocks allowed) whose i-th block
     induces a member of factors[i]; None when none exists.
@@ -297,6 +305,20 @@ def partition_solve(g: Hypergraph, factors: Sequence) -> Optional[PartitionAssig
     factors prune partial blocks (membership is hereditary, so a partial
     block that already fails can never recover); product factors are only
     checked on complete blocks.
+
+    Equal factors are interchangeable: a vertex may open an empty block i
+    only if the nearest earlier factor equal to factors[i] (_twins) has a
+    nonempty block already.  Take a solution that opens block i while an
+    equal earlier block j is empty: swapping blocks i and j gives a
+    solution whose assignment vector is smaller at the first vertex placed
+    in either block, so the lexicographically least solution is never in a
+    skipped subtree.  A skipped subtree is the swap image of the subtree
+    that places the same vertex in block j, block sizes included, so it
+    holds a solution, or a cut by a generated factor's bound, only where
+    that one holds its image, with the same bound, as equal factors have
+    equal bounds; by induction along the twins and down the vertices, the
+    search meets that image.  So solutions and BoundExceededError come
+    out exactly as without the rule.
 
     A finite-forbidden block, a vertex bitmask, is checked incrementally:
     it was clean before vertex v joined, so only forbidden copies through
@@ -313,7 +335,8 @@ def partition_solve(g: Hypergraph, factors: Sequence) -> Optional[PartitionAssig
     Such branches are cut; a solution found elsewhere is still definite,
     but when the search is exhausted after cutting any, the verdict
     depends on the unknown part of the factor and BoundExceededError is
-    raised.
+    raised.  It names the least bound that cut, which does not depend on
+    the search order.
     """
     for fac in factors:
         if fac.universe != g.universe:
@@ -322,6 +345,7 @@ def partition_solve(g: Hypergraph, factors: Sequence) -> Optional[PartitionAssig
     if m == 0:
         raise ValueError("need at least one factor")
     parts = [0] * m  # block bitmasks
+    twin = _twins(factors)
     deferred = [i for i, fac in enumerate(factors)
                 if not isinstance(fac, (FiniteForbidden, GeneratedBounded))]
     # built, not memoised: most graphs here are join members seen once
@@ -329,7 +353,7 @@ def partition_solve(g: Hypergraph, factors: Sequence) -> Optional[PartitionAssig
     nbr = host[1]
     patterns = [[_pattern(f, True) for f in fac.forbidden]
                 if isinstance(fac, FiniteForbidden) else () for fac in factors]
-    cut_bound = None  # bound of a generated factor that cut a branch
+    cut_bound = None  # least bound of a generated factor that cut a branch
 
     def part_ok(i: int, v: int) -> bool:
         nonlocal cut_bound
@@ -340,7 +364,7 @@ def partition_solve(g: Hypergraph, factors: Sequence) -> Optional[PartitionAssig
             return all(_find(pat, host, parts[i], v) is None for pat in patterns[i])
         if isinstance(fac, GeneratedBounded):
             if parts[i].bit_count() > fac.bound:
-                cut_bound = fac.bound
+                cut_bound = fac.bound if cut_bound is None else min(cut_bound, fac.bound)
                 return False
             return bool(fac.member(induced(g, _bits(parts[i]))))
         return True
@@ -349,6 +373,8 @@ def partition_solve(g: Hypergraph, factors: Sequence) -> Optional[PartitionAssig
         if v == g.n:
             return all(bool(factors[i].member(induced(g, _bits(parts[i])))) for i in deferred)
         for i in range(m):
+            if not parts[i] and twin[i] is not None and not parts[twin[i]]:
+                continue
             parts[i] |= 1 << v
             if part_ok(i, v) and place(v + 1):
                 return True

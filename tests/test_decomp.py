@@ -50,6 +50,7 @@ from hgfactor import (
     unique_decomposition,
 )
 from hgfactor import decomp
+from hgfactor import props as hgprops
 from helpers import (
     admissible_edges,
     brute_member_product,
@@ -278,27 +279,50 @@ def test_join_bounded_product_counterexample(g, props):
 _ORACLE_CANDIDATES = 9
 
 
+def _certificate_by_scan(factors, parts):
+    """The certificate's question over every assignment of the parts to
+    the factors, none skipped: does some grouping pass the exact join
+    test for each factor's group?"""
+    return any(all(join_subset_of(f, [h for h, a in zip(parts, assign) if a == i])
+                   for i, f in enumerate(factors) if i in assign)
+               for assign in itertools.product(range(len(factors)), repeat=len(parts)))
+
+
 @pytest.mark.parametrize("uu, density", UNIVERSE_CASES)
 def test_product_certificate_is_sound(uu, density):
-    """Wherever the certificate proves a product of two finite-forbidden
+    """Wherever the certificate proves a product of finite-forbidden
     factors contains a join, a brute-force scan of the binary-order
     join_members stream at k = 1, 2 finds no non-member; streaming
-    densest first refutes exactly the joins binary order refutes."""
+    densest first refutes exactly the joins binary order refutes.  The
+    products are F x G, F x F and (F x F) x F, the equal factors built
+    apart so that they are equal but not the same object, and the
+    certificate's verdict, which skips groupings that open a factor's
+    group before its equal twin's, equals a scan over every grouping."""
     rng = random.Random(SEED + 7)
     top = 2 if len(uu.kinds) > 1 else max(uu.arities) + 1
     pool = [h for h in enumerate_hypergraphs(EnumSpec(uu, top)) if h.n >= 2]
     certified = refuted = 0
+    shapes = set()
     while certified + refuted < 30:
-        prod = ProductProperty(tuple(forbidden_property(uu, rng.sample(pool, rng.randint(1, 2)))
-                                     for _ in range(2)))
-        forbidden_lists = [f.forbidden for f in prod.factors]
+        sample = [rng.sample(pool, rng.randint(1, 2)) for _ in range(2)]
+        shape = rng.choice(["FG", "FF", "FFF"])
+        if shape == "FG":
+            prod = ProductProperty(tuple(forbidden_property(uu, fs) for fs in sample))
+        else:
+            twins = [forbidden_property(uu, sample[0]) for _ in shape]
+            prod = ProductProperty(tuple(twins[:2])) if shape == "FF" \
+                else ProductProperty((ProductProperty(tuple(twins[:2])), twins[2]))
+        factors = decomp._factors(prod)
+        forbidden_lists = [f.forbidden for f in factors]
         parts = [random_graph(uu, rng.randint(1, 2), density, rng)
                  for _ in range(rng.randint(1, 3))]
         joins = [[replicate(k, h) for h in parts] for k in (1, 2)]
         joins = [j for j in joins if len(crossing_edge_candidates(j)) <= _ORACLE_CANDIDATES]
         if not joins:
             continue
-        proved = decomp._product_certificate(prod, tuple(parts))
+        proved = decomp._product_certificate(prod, reduce(disjoint_union, parts),
+                                             decomp._part_masks(parts))
+        assert proved == _certificate_by_scan(factors, parts), (prod, parts)
         bad = None
         for blown in joins:
             binary = next((m for m in join_members(blown) if not member(prod, m)), None)
@@ -313,7 +337,9 @@ def test_product_certificate_is_sound(uu, density):
         assert bool(join_subset_of(prod, parts, BOUNDED, k_max=len(joins))) == (bad is None)
         certified += proved
         refuted += bad is not None
+        shapes.add((shape, proved))
     assert certified > 0 and refuted > 0, (certified, refuted)
+    assert {shape for shape, proved in shapes if proved} == {"FG", "FF", "FFF"}, shapes
 
 
 @pytest.mark.parametrize("uu, density", UNIVERSE_CASES)
@@ -353,6 +379,18 @@ def test_join_mode_errors(g, props):
         join_subset_of(props.trifree, [])
     with pytest.raises(ValueError):
         join_subset_of(props.trifree, [g.k1], mode="quick")
+    # bounded checks decide on bitmasks of one host, and still refuse a
+    # foreign universe and an empty part list
+    arc = Universe(frozenset({EdgeKind.ORDERED}), frozenset({2}), ("a",))
+    with pytest.raises(HgError):
+        join_subset_of(props.two_colour, [Hypergraph(arc, 1, frozenset())], BOUNDED)
+    with pytest.raises(HgError):
+        is_decomposition(Hypergraph(arc, 2, frozenset()), [{0}, {1}], props.two_colour,
+                         BOUNDED)
+    with pytest.raises(ValueError):
+        join_subset_of(props.two_colour, [], BOUNDED)
+    with pytest.raises(ValueError):
+        is_decomposition(g.k0, [], props.two_colour, BOUNDED)
 
 
 def test_is_decomposition(g, props):
@@ -699,22 +737,30 @@ def test_bipartite_sweep_work_counts(g, u, props, monkeypatch):
     vertices, from cold join and lattice memos: the 28 connected
     bipartite graphs and 2K2, each asked whether it is uniquely
     decomposable under edgeless*edgeless.  The pruned walk decides 128
-    distinct bounded joins and streams the members of 113 of them; a
-    walk that decides every refinement in full decides 270 and streams
-    258."""
-    streamed = []
-    real = decomp._first_bad_member
-    monkeypatch.setattr(decomp, "_first_bad_member",
-                        lambda *a: streamed.append(a) or real(*a))
+    distinct bounded joins (misses of the bounded memo) and streams the
+    members of 113 of them; a walk that decides every refinement in full
+    decides 270 and streams 258.  With the two equal factors
+    interchangeable, the certificate runs _exact_split 305 times (722
+    trying every grouping) and partition_solve runs _find 968 times
+    (1,682 trying every block for every vertex)."""
+    calls = {"_first_bad_member": [], "_join_bounded": [], "_exact_split": [], "_find": []}
+
+    def count(module, name):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a: calls[name].append(a) or real(*a))
+
     members = [h for h in enumerate_hypergraphs(EnumSpec(u, 6, connected_only=True))
                if props.two_colour.member(h)]
     assert len(members) == 28
+    for name in ("_first_bad_member", "_join_bounded", "_exact_split"):
+        count(decomp, name)
+    count(hgprops, "_find")
     decomp._level.cache_clear()
-    decomp._join_cached.cache_clear()
+    decomp._bounded_memo.clear()
     assert [is_uniquely_decomposable(h, props.two_colour, BOUNDED, k_max=1)
             for h in members + [g.two_k2]] == [True] * 28 + [False]
-    assert decomp._join_cached.cache_info().misses == 128
-    assert len(streamed) == 113
+    assert {name: len(c) for name, c in calls.items()} == {
+        "_join_bounded": 128, "_first_bad_member": 113, "_exact_split": 305, "_find": 968}
 
 
 def test_pruned_levels_match_a_flat_scan(monkeypatch):
@@ -836,7 +882,8 @@ def test_product_strictness_matches_brute_force(uu, density, monkeypatch):
         decomp._is_strict_join.cache_clear()  # a memoised answer streams nothing
         before = len(streamed)
         assert is_strict(g_, prod) == want, (prod, g_)
-        proved = decomp._product_certificate(prod, (g_, one))
+        proved = decomp._product_certificate(prod, disjoint_union(g_, one),
+                                             [(1 << g_.n) - 1, 1 << g_.n])
         assert (len(streamed) == before) == proved, (prod, g_)
         assert not (proved and want), (prod, g_)
         settled += proved

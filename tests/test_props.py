@@ -1,5 +1,6 @@
 """Property representations: membership, witnesses, additivity, files."""
 
+import itertools
 import random
 
 import pytest
@@ -242,6 +243,63 @@ def test_partition_solve_matches_assignment_scan_beyond_simple_graphs():
     assert solved < runs
 
 
+def test_partition_solve_on_squares_and_cubes_matches_assignment_scan():
+    # equal factors are interchangeable, so a block opens only after its
+    # nearest equal earlier block; the answer must still be the least
+    # assignment vector of a scan over every assignment, or None with it.
+    # Each equal factor is built on its own, equal but not the same object.
+    rng = random.Random(SEED + 3)
+    su = simple_universe()
+    du = Universe(frozenset({EdgeKind.ORDERED}), frozenset({2}), ("a",))
+    tu = Universe(frozenset({EdgeKind.UNORDERED}), frozenset({3}), ("e",))
+
+    def power(uni, edges, n, m):
+        kind = next(iter(uni.kinds))
+        f = Hypergraph(uni, n, frozenset(EdgeObject(kind, e, uni.colours[0]) for e in edges))
+        return [forbidden_property(uni, [f]) for _ in range(m)]
+
+    cases = [
+        (su, 0.4, 7, power(su, [(0, 1)], 2, 2)),                   # E^2
+        (su, 0.45, 7, power(su, [(0, 1)], 2, 3)),                  # E^3
+        (su, 0.6, 7, power(su, [(0, 1), (0, 2), (1, 2)], 3, 2)),   # K3-free^2
+        (du, 0.25, 6, power(du, [(0, 1)], 2, 2)),                  # arc-free^2
+        (tu, 0.35, 7, power(tu, [(0, 1, 2)], 3, 2)),               # triple-free^2
+    ]
+    for uni, p, n_max, factors in cases:
+        assert factors[0] == factors[1] and factors[0] is not factors[1]
+        fns = [lambda h, fac=fac: bool(member(fac, h)) for fac in factors]
+        found = missed = 0
+        for _ in range(40):
+            g_ = random_graph(uni, rng.randint(1, n_max), p, rng)
+            got = partition_solve(g_, factors)
+            want = solve_by_assignment(g_, fns)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.assignment_vector() == want
+            found += got is not None
+            missed += got is None
+        assert found and missed, (factors, found, missed)
+
+
+def test_equal_factors_open_blocks_in_order(monkeypatch):
+    # K5 has no partition into two triangle-free blocks and K7 none into
+    # three.  Trying every block for every vertex runs _find 32 and 756
+    # times; with equal factors interchangeable vertex 0 opens block 0
+    # only, and block 2 opens only after block 1 has, so 16 and 127.
+    # Factors are matched by ==, so a factor built twice counts as equal.
+    k3 = simple_graph(3, [(0, 1), (0, 2), (1, 2)])
+    t, t2 = (forbidden_property(k3.universe, [k3]) for _ in range(2))
+    assert t == t2 and t is not t2
+    calls = []
+    find = hgprops._find
+    monkeypatch.setattr(hgprops, "_find", lambda *a: calls.append(a) or find(*a))
+    for factors, n, want in (([t, t], 5, 16), ([t, t2], 5, 16), ([t, t2, t], 7, 127)):
+        calls.clear()
+        assert partition_solve(simple_graph(n, itertools.combinations(range(n), 2)),
+                               factors) is None
+        assert len(calls) == want, (len(factors), len(calls))
+
+
 def test_neighbour_guard_skips_factors_without_isolated_forbidden_vertices(u, monkeypatch):
     # 2K2-free is not additive, but every vertex of 2K2 lies on an edge,
     # so a vertex with no neighbour in its block completes no copy and no
@@ -271,6 +329,24 @@ def test_product_of_bounded_factors_is_honest(u, g):
         member(prod, simple_graph(5, []))
     with pytest.raises(BoundExceededError):
         partition_solve(simple_graph(5, []), [q, q])
+    # three equal factors: blocks open in order, with the same verdicts
+    cube = ProductProperty((q, q, q))
+    res = member(cube, simple_graph(6, []))
+    assert res.detail.parts == (frozenset({0, 1}), frozenset({2, 3}), frozenset({4, 5}))
+    assert member(cube, g.k3).detail.parts == (frozenset({0}), frozenset({1}), frozenset({2}))
+    assert not member(cube, simple_graph(4, itertools.combinations(range(4), 2)))
+    with pytest.raises(BoundExceededError):
+        member(cube, simple_graph(7, []))
+
+
+def test_bound_error_names_the_least_bound_that_cut(u, g):
+    # when generated factors of different bounds both cut, the error names
+    # the least of them, whatever the factor order
+    q2 = GeneratedBounded(u, (g.e2,), 2)
+    q3 = GeneratedBounded(u, (g.e3,), 3)
+    for factors, n in (([q2, q3], 6), ([q3, q2], 6), ([q2, q2, q3], 8), ([q3, q2, q2], 8)):
+        with pytest.raises(BoundExceededError, match="declared bound 2 "):
+            partition_solve(simple_graph(n, []), factors)
 
 
 def test_partition_assignment_validation():
