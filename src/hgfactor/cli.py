@@ -146,8 +146,9 @@ def _load_property(path: str):
 
 
 def _parse_parts(spec: str) -> tuple:
-    """Accepts 0,2|1,3 and the report form {0,2}|{1,3}."""
-    parts = []
+    """Accepts 0,2|1,3 and the report form {0,2}|{1,3}; no vertex may be
+    in two blocks."""
+    parts, seen = [], set()
     for block in spec.split("|"):
         block = block.strip().strip("{}")
         names = [s.strip() for s in block.split(",") if s.strip()]
@@ -157,6 +158,9 @@ def _parse_parts(spec: str) -> tuple:
             raise UsageError(f"bad vertex list {block!r} (want e.g. 0,2|1,3)")
         if not verts:
             raise UsageError("empty block in partition argument")
+        if verts & seen:
+            raise UsageError(f"vertex {min(verts & seen)} is in two blocks")
+        seen |= verts
         parts.append(verts)
     if not parts:
         raise UsageError("empty partition argument")
@@ -326,8 +330,13 @@ def cmd_export_dot(args, cfg: CliConfig):
     if args.decomposition:
         try:
             data = json.loads(_read_text(args.decomposition))
-            parts = tuple(frozenset(int(v) for v in block)
-                          for block in data["parts"])
+            blocks = data["parts"]
+            # bool is an int subclass, but true is no vertex
+            if not isinstance(blocks, list) or not all(
+                    isinstance(b, list) and b and all(type(v) is int for v in b)
+                    for b in blocks):
+                raise ValueError("parts must be nonempty lists of integer vertices")
+            parts = tuple(frozenset(b) for b in blocks)
         except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"bad decomposition file: {exc}")
     elif args.parts:

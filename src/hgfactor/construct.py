@@ -48,7 +48,7 @@ from .decomp import (
     Decomposition,
     DecWitness,
     _as_decomposition,
-    _split_fail_witness,
+    _decide,
     all_decompositions,
     dec_number,
     is_decomposition,
@@ -229,7 +229,7 @@ def _blocker_analysis(g: Hypergraph, d0: Decomposition, dt: Decomposition,
     for cls in d0.parts:
         for part in dt.parts:
             cells.append(sorted(cls & part))
-    witness = _split_fail_witness(p, g, [sum(1 << v for v in c) for c in cells])
+    witness = _decide(g, p, [sum(1 << v for v in c) for c in cells]).witness
     if witness is None:
         raise HgError("internal error: refined cells admit every join, "
                       "contradicting the maximal decomposition")

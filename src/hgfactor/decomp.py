@@ -24,15 +24,18 @@ graph.  Two fits, one per mode:
   host.  A product whose factors are all finite forbidden sets first
   tries a certificate (_product_certificate): the parts grouped by
   factor, each group passing the exact test on sub-masks of the host,
-  equal factors taken as interchangeable.  It proves every k-fold join a
-  member, so "holds" costs no join member.  Other joins are scanned by
+  searched by props._assign.  It proves every k-fold join a member, so
+  "holds" costs no join member.  Other joins are scanned by
   brute force, densest member first (_first_bad_member), and only these
   build part graphs.  A refutation is exact; a pass is only "no failure
   up to k_max" and is marked as such.
 
-Both modes keep their answers in a memo keyed on the property and the
-block codes (_block_codes): each block's order and edges on ranks, so
-equal part graphs of any hosts share an entry.
+Every join question, from join_subset_of, is_decomposition, the lattice
+walk or the constructions, goes through one decision point (_decide),
+which validates its arguments and keeps its answers in one memo
+(_join_memo) keyed on the property, the block codes (_block_codes: each
+block's order and edges on ranks, so equal part graphs of any hosts share
+an entry) and the mode, with k_max and member_cap in BOUNDED mode.
 
 One memoised walk of the partition lattice (_level) answers every
 decomposition query: level k holds the valid k-part decompositions, each
@@ -78,7 +81,7 @@ from .props import (
     ProductProperty,
     Property,
     min_forbidden_order,
-    _twins,
+    _assign,
 )
 
 __all__ = [
@@ -303,29 +306,6 @@ def _block_codes(g: Hypergraph, masks: Sequence) -> tuple:
     return tuple(codes)
 
 
-def _memoised(memo: dict, key, compute):
-    """memo[key], computed on a miss; the oldest entry is dropped past
-    120,000.  A raise is not stored."""
-    if key in memo:
-        return memo[key]
-    value = memo[key] = compute()
-    if len(memo) > 120_000:
-        del memo[next(iter(memo))]
-    return value
-
-
-_split_memo = {}  # (p, block codes) -> witness
-
-
-def _split_fail_witness(p: FiniteForbidden, g: Hypergraph,
-                        masks: Sequence) -> Optional[DecWitness]:
-    """_exact_split on g's memoised index, a component skipped for good
-    once it is not _in_host at all, memoised on p and the block codes."""
-    return _memoised(_split_memo, (p, _block_codes(g, masks)),
-                     lambda: _exact_split(p, _incidence(g), masks,
-                                          lambda comp: _in_host(comp, g)))
-
-
 def _factors(p: Property) -> tuple:
     """p's factors with nested products flattened (composition is
     associative), or (p,) for a property that is no product."""
@@ -354,35 +334,19 @@ def _product_certificate(p: ProductProperty, g: Hypergraph, masks: Sequence) -> 
     classes are then the blocks that ProductProperty.member asks for.  No
     additivity is used.
 
-    Every group is decided as sub-masks of g's memoised index by
-    _exact_split; in the lattice walk g is G itself.  Equal factors are
-    interchangeable, as in partition_solve: no group opens before the
-    group of its nearest equal earlier factor (props._twins), since
-    swapping two equal factors' groups keeps a grouping valid, and a
-    (factor, group) pair is decided at most once per call, keyed by the
-    first index of the factor's equal class.
+    The groups are searched by props._assign, the blocks as its items,
+    and each group is decided as it grows, as sub-masks of g's memoised
+    index by _exact_split; in the lattice walk g is G itself.  Cutting at
+    a failed group is sound because the exact test is hereditary: a
+    group's join members are induced subgraphs of a larger group's.  Equal
+    factors are interchangeable, as _assign proves.
     """
     factors = _factors(p)
     if not all(isinstance(f, FiniteForbidden) for f in factors):
         return False
     host = _incidence(g)
-    twin = _twins(factors)
-    first = []
-    for i, t in enumerate(twin):
-        first.append(i if t is None else first[t])
-    decided = {}
-
-    def fits(i: int, group: tuple) -> bool:
-        key = (first[i], group)
-        if key not in decided:
-            decided[key] = _exact_split(factors[i], host, [masks[j] for j in group]) is None
-        return decided[key]
-
-    return any(all(fits(i, tuple(j for j, a in enumerate(assign) if a == i))
-                   for i in range(len(factors)))
-               for assign in itertools.product(range(len(factors)), repeat=len(masks))
-               if all(t is None or i not in assign or t in assign[:assign.index(i)]
-                      for i, t in enumerate(twin)))
+    return _assign(factors, len(masks), lambda i, group, j: _exact_split(
+        factors[i], host, [masks[b] for b in _bits(group)]) is None) is not None
 
 
 def _first_bad_member(p: Property, graphs: Sequence, member_cap: int,
@@ -454,42 +418,23 @@ def _join_bounded(p: Property, g: Hypergraph, masks: Sequence, k_max: int,
     return JoinCheck(True, f"bounded k_max={k_max}")
 
 
-_bounded_memo = {}  # (p, block codes, k_max, member_cap) -> JoinCheck
-
-
-def _bounded(p: Property, g: Hypergraph, masks: Sequence, k_max: int,
-             member_cap: int) -> JoinCheck:
-    """The BOUNDED join memo: _join_bounded, memoised on the block codes,
-    so equal part graphs of any hosts share an entry."""
-    return _memoised(_bounded_memo, (p, _block_codes(g, masks), k_max, member_cap),
-                     lambda: _join_bounded(p, g, masks, k_max, member_cap))
-
-
 def join_subset_of(p: Property, parts: Sequence, mode: str = EXACT,
                    k_max: int = DEFAULT_K_MAX,
                    member_cap: int = DEFAULT_MEMBER_CAP) -> JoinCheck:
     """Does every k-fold join over the parts stay inside the property?
 
     EXACT mode needs a finite forbidden set and decides the question for
-    all k at once, the parts laid side by side as blocks of one host.
-    BOUNDED mode brute-forces k = 1..k_max; a "holds" answer is then only
-    a bounded verdict and says so in confidence.
+    all k at once.  BOUNDED mode brute-forces k = 1..k_max; a "holds"
+    answer is then only a bounded verdict and says so in confidence.  The
+    parts are laid side by side as blocks of one host and decided by
+    _decide.
     """
     parts = tuple(parts)
-    if not parts:
-        raise ValueError("need at least one part")
     for g in parts:
         if g.universe != p.universe:
             raise HgError("part universe differs from the property's")
-    if mode == EXACT:
-        if not isinstance(p, FiniteForbidden):
-            raise HgError("exact join containment needs a finite forbidden set")
-        witness = _split_fail_witness(p, reduce(disjoint_union, parts), _part_masks(parts))
-        return JoinCheck(witness is None, EXACT, witness=witness)
-    if mode == BOUNDED:
-        return _bounded(p, reduce(disjoint_union, parts), _part_masks(parts), k_max,
-                        member_cap)
-    raise ValueError(f"unknown mode {mode!r}")
+    return _decide(reduce(disjoint_union, parts) if parts else None, p,
+                   _part_masks(parts), mode, k_max, member_cap)
 
 
 def _as_decomposition(d) -> Decomposition:
@@ -508,24 +453,44 @@ def is_decomposition(g: Hypergraph, d, p: Property, mode: str = EXACT,
                    mode, k_max, member_cap)
 
 
-def _decide(g: Hypergraph, p: Property, masks: Sequence, mode: str, k_max: int,
-            member_cap: int) -> JoinCheck:
-    """The one decision point of every partition, whole or partial: do
-    the k-fold joins over the blocks of G given as vertex bitmasks
-    (disjoint and nonempty, not necessarily covering V(G)) stay in P?
+_join_memo = {}  # (p, block codes, mode[, k_max, member_cap]) -> witness or JoinCheck
 
-    Both modes decide the blocks as bitmasks of G: EXACT mode on a finite
-    forbidden set by _split_fail_witness, BOUNDED mode by the memo
-    _bounded.  Bad arguments go to join_subset_of with the blocks'
-    induced graphs, which raises as for any caller."""
-    if masks and g.universe == p.universe:
-        if mode == EXACT and isinstance(p, FiniteForbidden):
-            witness = _split_fail_witness(p, g, masks)
-            return JoinCheck(witness is None, EXACT, witness=witness)
-        if mode == BOUNDED:
-            return _bounded(p, g, masks, k_max, member_cap)
-    return join_subset_of(p, [induced(g, _bits(mask)) for mask in masks], mode, k_max,
-                          member_cap)
+
+def _decide(g: Hypergraph, p: Property, masks: Sequence, mode: str = EXACT,
+            k_max: int = DEFAULT_K_MAX,
+            member_cap: int = DEFAULT_MEMBER_CAP) -> JoinCheck:
+    """The one join decision point: do the k-fold joins over the blocks
+    of G given as vertex bitmasks (disjoint, 0 for an empty block, not
+    necessarily covering V(G)) stay in P?  Raises ValueError for no
+    blocks, HgError for a foreign universe or EXACT mode on anything but
+    a finite forbidden set, and ValueError for an unknown mode, in that
+    order.
+
+    EXACT mode decides on G's memoised index (_exact_split), a component
+    skipped for good once it is not _in_host at all; BOUNDED mode decides
+    by _join_bounded.  Answers are memoised on p, the block codes and the
+    mode, with k_max and member_cap in BOUNDED mode; the oldest entry is
+    dropped past 120,000, and a raise is not stored."""
+    if not masks:
+        raise ValueError("need at least one part")
+    if g.universe != p.universe:
+        raise HgError("part universe differs from the property's")
+    if mode == EXACT:
+        if not isinstance(p, FiniteForbidden):
+            raise HgError("exact join containment needs a finite forbidden set")
+        key = (p, _block_codes(g, masks), mode)
+    elif mode == BOUNDED:
+        key = (p, _block_codes(g, masks), mode, k_max, member_cap)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    if key not in _join_memo:
+        _join_memo[key] = _exact_split(p, _incidence(g), masks,
+                                       lambda comp: _in_host(comp, g)) \
+            if mode == EXACT else _join_bounded(p, g, masks, k_max, member_cap)
+        if len(_join_memo) > 120_000:
+            del _join_memo[next(iter(_join_memo))]
+    value = _join_memo[key]
+    return JoinCheck(value is None, EXACT, witness=value) if mode == EXACT else value
 
 
 def _rgs(d: Decomposition) -> tuple:

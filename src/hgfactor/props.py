@@ -287,38 +287,66 @@ def is_additive(p: Property, search_bound: Optional[int] = None) -> bool:
     return all(is_connected(f) for f in forbidden_up_to(p, search_bound))
 
 
-def _twins(factors: Sequence) -> list:
-    """For each factor, the index of the nearest earlier factor equal to
-    it (==), or None.  Equal factors are interchangeable: swapping their
-    blocks, or their groups of parts, keeps every solution a solution."""
-    return [next((j for j in range(i - 1, -1, -1) if factors[j] == fac), None)
+def _assign(factors: Sequence, n: int, fits, complete=None) -> Optional[list]:
+    """Lexicographically least assignment of items 0..n-1 to one block
+    per factor, as block bitmasks over the items, or None.
+
+    Complete backtracking: items are placed in ascending order, each
+    trying the blocks in ascending order.  fits(i, block, j) is asked as
+    soon as item j joins block i, block being the bitmask with j in it; a
+    False cuts every completion, which is sound when fits is hereditary
+    (a block that fails never recovers by growing).  complete(blocks),
+    when given, is asked about every full assignment that fits.
+
+    Equal factors are interchangeable: an item may open an empty block i
+    only if the nearest earlier factor equal (==) to factors[i] has a
+    nonempty block already.  This needs fits(i, block, j) to depend on
+    factors[i] only through its value, and complete to keep its answer
+    when the blocks of two equal factors are swapped.  Take an accepted
+    assignment that opens block i while an equal earlier block t is
+    empty: swapping blocks i and t gives an accepted assignment that is
+    smaller at the first item placed in either block, so the least one is
+    never in a skipped subtree.  A skipped subtree is the swap image of
+    the subtree that places the same item in block t, block sizes
+    included, so every fits question asked in it is asked in that image
+    too, about an equal factor and the same block, with the same answer;
+    by induction along the equal factors and down the items, the search
+    meets that image unless it has returned already.  So the result is
+    that of the search without the rule, and a search that returns None
+    has asked, up to equal factors, every question that one asks.
+    """
+    m = len(factors)
+    twin = [next((t for t in range(i - 1, -1, -1) if factors[t] == fac), None)
             for i, fac in enumerate(factors)]
+    blocks = [0] * m
+
+    def place(j: int) -> bool:
+        if j == n:
+            return complete is None or complete(blocks)
+        for i in range(m):
+            if not blocks[i] and twin[i] is not None and not blocks[twin[i]]:
+                continue
+            blocks[i] |= 1 << j
+            if fits(i, blocks[i], j) and place(j + 1):
+                return True
+            blocks[i] ^= 1 << j
+        return False
+
+    return blocks if place(0) else None
 
 
 def partition_solve(g: Hypergraph, factors: Sequence) -> Optional[PartitionAssignment]:
     """First vertex partition (empty blocks allowed) whose i-th block
     induces a member of factors[i]; None when none exists.
 
-    Complete backtracking over vertices in ascending order, trying block
-    indices in ascending order, so the returned assignment vector is the
-    lexicographically least solution.  Finite-forbidden and generated
-    factors prune partial blocks (membership is hereditary, so a partial
-    block that already fails can never recover); product factors are only
-    checked on complete blocks.
-
-    Equal factors are interchangeable: a vertex may open an empty block i
-    only if the nearest earlier factor equal to factors[i] (_twins) has a
-    nonempty block already.  Take a solution that opens block i while an
-    equal earlier block j is empty: swapping blocks i and j gives a
-    solution whose assignment vector is smaller at the first vertex placed
-    in either block, so the lexicographically least solution is never in a
-    skipped subtree.  A skipped subtree is the swap image of the subtree
-    that places the same vertex in block j, block sizes included, so it
-    holds a solution, or a cut by a generated factor's bound, only where
-    that one holds its image, with the same bound, as equal factors have
-    equal bounds; by induction along the twins and down the vertices, the
-    search meets that image.  So solutions and BoundExceededError come
-    out exactly as without the rule.
+    The vertices are _assign's items, so the returned assignment vector
+    is the lexicographically least solution.  Equal factors are
+    interchangeable by _assign's proof, and equal generated factors have
+    equal bounds, so solutions and BoundExceededError come out exactly as
+    without that rule.  Finite-forbidden and generated factors prune
+    partial blocks (membership is hereditary, so a partial block that
+    already fails can never recover); product factors are only checked on
+    complete blocks.
 
     A finite-forbidden block, a vertex bitmask, is checked incrementally:
     it was clean before vertex v joined, so only forbidden copies through
@@ -341,11 +369,8 @@ def partition_solve(g: Hypergraph, factors: Sequence) -> Optional[PartitionAssig
     for fac in factors:
         if fac.universe != g.universe:
             raise UniverseMismatchError("factor universe differs from the graph's")
-    m = len(factors)
-    if m == 0:
+    if not factors:
         raise ValueError("need at least one factor")
-    parts = [0] * m  # block bitmasks
-    twin = _twins(factors)
     deferred = [i for i, fac in enumerate(factors)
                 if not isinstance(fac, (FiniteForbidden, GeneratedBounded))]
     # built, not memoised: most graphs here are join members seen once
@@ -355,34 +380,26 @@ def partition_solve(g: Hypergraph, factors: Sequence) -> Optional[PartitionAssig
                 if isinstance(fac, FiniteForbidden) else () for fac in factors]
     cut_bound = None  # least bound of a generated factor that cut a branch
 
-    def part_ok(i: int, v: int) -> bool:
+    def fits(i: int, block: int, v: int) -> bool:
         nonlocal cut_bound
         fac = factors[i]
         if isinstance(fac, FiniteForbidden):
-            if not nbr[v] & parts[i] and fac.no_isolated:
+            if not nbr[v] & block and fac.no_isolated:
                 return True
-            return all(_find(pat, host, parts[i], v) is None for pat in patterns[i])
+            return all(_find(pat, host, block, v) is None for pat in patterns[i])
         if isinstance(fac, GeneratedBounded):
-            if parts[i].bit_count() > fac.bound:
+            if block.bit_count() > fac.bound:
                 cut_bound = fac.bound if cut_bound is None else min(cut_bound, fac.bound)
                 return False
-            return bool(fac.member(induced(g, _bits(parts[i]))))
+            return bool(fac.member(induced(g, _bits(block))))
         return True
 
-    def place(v: int) -> bool:
-        if v == g.n:
-            return all(bool(factors[i].member(induced(g, _bits(parts[i])))) for i in deferred)
-        for i in range(m):
-            if not parts[i] and twin[i] is not None and not parts[twin[i]]:
-                continue
-            parts[i] |= 1 << v
-            if part_ok(i, v) and place(v + 1):
-                return True
-            parts[i] ^= 1 << v
-        return False
+    def complete(blocks: list) -> bool:
+        return all(bool(factors[i].member(induced(g, _bits(blocks[i])))) for i in deferred)
 
-    if place(0):
-        return PartitionAssignment(tuple(frozenset(_bits(b)) for b in parts))
+    blocks = _assign(factors, g.n, fits, complete)
+    if blocks is not None:
+        return PartitionAssignment(tuple(frozenset(_bits(b)) for b in blocks))
     if cut_bound is not None:
         raise BoundExceededError(
             f"no partition keeps every block within the declared bound {cut_bound} "

@@ -333,6 +333,20 @@ def test_construct_bad_classes(capsys, files):
     assert code == 2 and "bad vertex list" in err
 
 
+@pytest.mark.parametrize("flags", [
+    ["c1", "--classes", "0,2|2,3"],
+    ["c1", "--classes", "{0,2}|{1,2,3}"],
+    ["c2", "--classes", "0,2|1,3", "--target", "0,1|1,2,3"],
+])
+def test_construct_rejects_a_vertex_in_two_blocks(capsys, files, flags):
+    # overlapping blocks are a usage error (exit 2), not a negative verdict
+    code, out, err = cli(capsys, "construct", flags[0], "-g", files.two_k2,
+                         "-p", files.trifree, *flags[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: vertex ") and err.endswith(" is in two blocks\n")
+    assert err.count("\n") == 1
+
+
 # --- factorize ----------------------------------------------------------------
 
 def test_factorize_reducible_report(capsys, files, props):
@@ -462,6 +476,24 @@ def test_export_dot_json_matches_inline(capsys, files, tmp_path):
     _, inline, _ = cli(capsys, "export-dot", "-g", files.c4,
                        "--parts", "0,2|1,3")
     assert from_json == inline
+
+
+@pytest.mark.parametrize("body", [
+    '{"parts": ["02", "13"]}',        # strings are no vertex lists
+    '{"parts": [[0, 2.9], [1, 3]]}',  # nor is a float a vertex
+    '{"parts": [[0, 2], [true, 3]]}',  # nor a boolean
+    '{"parts": [[0, 1, 2, 3], []]}',
+    '{"parts": {"0": [0, 2]}}',
+    '{"blocks": [[0, 2], [1, 3]]}',
+    '[[0, 2], [1, 3]]',
+    '{"parts": [[0, 2], [1, 3]',
+])
+def test_export_dot_json_takes_only_lists_of_integers(capsys, files, tmp_path, body):
+    dfile = tmp_path / "dec.json"
+    dfile.write_text(body, encoding="utf-8")
+    code, out, err = cli(capsys, "export-dot", "-g", files.c4, "-d", str(dfile))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad decomposition file: ") and err.count("\n") == 1
 
 
 def test_export_dot_partition_must_cover(capsys, files):

@@ -373,23 +373,26 @@ def test_join_streams_equal_validated_members(uu, density):
 
 
 def test_join_mode_errors(g, props):
-    with pytest.raises(HgError):
+    with pytest.raises(HgError, match="exact join containment needs a finite forbidden set"):
         join_subset_of(props.two_colour, [g.k1], EXACT)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need at least one part"):
         join_subset_of(props.trifree, [])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown mode 'quick'"):
         join_subset_of(props.trifree, [g.k1], mode="quick")
+    # an empty part list is refused before the mode is looked at
+    with pytest.raises(ValueError, match="need at least one part"):
+        join_subset_of(props.two_colour, [], EXACT)
     # bounded checks decide on bitmasks of one host, and still refuse a
     # foreign universe and an empty part list
     arc = Universe(frozenset({EdgeKind.ORDERED}), frozenset({2}), ("a",))
-    with pytest.raises(HgError):
+    with pytest.raises(HgError, match="part universe differs from the property's"):
         join_subset_of(props.two_colour, [Hypergraph(arc, 1, frozenset())], BOUNDED)
-    with pytest.raises(HgError):
+    with pytest.raises(HgError, match="part universe differs from the property's"):
         is_decomposition(Hypergraph(arc, 2, frozenset()), [{0}, {1}], props.two_colour,
                          BOUNDED)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need at least one part"):
         join_subset_of(props.two_colour, [], BOUNDED)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need at least one part"):
         is_decomposition(g.k0, [], props.two_colour, BOUNDED)
 
 
@@ -443,7 +446,7 @@ def test_exact_blocks_match_part_graphs_and_oracle(u, name):
                            for i in set(assign)])
         parts = [induced(g_, part) for part in d.parts]
         chk = is_decomposition(g_, d, p)
-        decomp._split_memo.clear()
+        decomp._join_memo.clear()
         assert chk == join_subset_of(p, parts)
         assert bool(chk) == (not oracle_join_fails(p.forbidden, parts, k_max=3))
         if chk:
@@ -455,7 +458,7 @@ def test_exact_blocks_match_part_graphs_and_oracle(u, name):
         gap = rng.randint(0, len(masks))
         masks.insert(gap, 0)
         parts.insert(gap, Hypergraph(uu, 0, frozenset()))
-        w = decomp._split_fail_witness(p, g_, masks)
+        w = decomp._decide(g_, p, masks).witness
         assert (w is None) == (not oracle_join_fails(p.forbidden, parts, k_max=3))
         if w is not None:
             assert w.split[gap] == ()
@@ -740,9 +743,10 @@ def test_bipartite_sweep_work_counts(g, u, props, monkeypatch):
     distinct bounded joins (misses of the bounded memo) and streams the
     members of 113 of them; a walk that decides every refinement in full
     decides 270 and streams 258.  With the two equal factors
-    interchangeable, the certificate runs _exact_split 305 times (722
-    trying every grouping) and partition_solve runs _find 968 times
-    (1,682 trying every block for every vertex)."""
+    interchangeable (props._assign), the certificate, which decides each
+    group as it grows, runs _exact_split 254 times (465 with the twin
+    rule off) and partition_solve runs _find 968 times (1,682 trying
+    every block for every vertex)."""
     calls = {"_first_bad_member": [], "_join_bounded": [], "_exact_split": [], "_find": []}
 
     def count(module, name):
@@ -756,11 +760,11 @@ def test_bipartite_sweep_work_counts(g, u, props, monkeypatch):
         count(decomp, name)
     count(hgprops, "_find")
     decomp._level.cache_clear()
-    decomp._bounded_memo.clear()
+    decomp._join_memo.clear()
     assert [is_uniquely_decomposable(h, props.two_colour, BOUNDED, k_max=1)
             for h in members + [g.two_k2]] == [True] * 28 + [False]
     assert {name: len(c) for name, c in calls.items()} == {
-        "_join_bounded": 128, "_first_bad_member": 113, "_exact_split": 305, "_find": 968}
+        "_join_bounded": 128, "_first_bad_member": 113, "_exact_split": 254, "_find": 968}
 
 
 def test_pruned_levels_match_a_flat_scan(monkeypatch):

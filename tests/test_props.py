@@ -300,6 +300,65 @@ def test_equal_factors_open_blocks_in_order(monkeypatch):
         assert len(calls) == want, (len(factors), len(calls))
 
 
+def test_assign_asks_as_items_join_and_opens_equal_blocks_in_turn():
+    # items go in ascending order, each trying the blocks in ascending
+    # order, and fits hears of an item as soon as it joins a block.  Block
+    # 1's factor equals block 0's (==, built apart), so item 0 never opens
+    # it; block 2's factor differs, so it opens at once.
+    k3 = simple_graph(3, [(0, 1), (0, 2), (1, 2)])
+    t, t2 = (forbidden_property(k3.universe, [k3]) for _ in range(2))
+    e = forbidden_property(k3.universe, [simple_graph(2, [(0, 1)])])
+    assert t == t2 and t is not t2
+    asked = []
+
+    def fits(i, block, j):
+        asked.append((i, block, j))
+        return False
+
+    assert hgprops._assign([t, t2, e], 2, fits) is None
+    assert asked == [(0, 0b1, 0), (2, 0b1, 0)]
+    asked.clear()
+    # block 0 is empty when item 1 comes, so block 1 stays shut
+    assert hgprops._assign([t, t2], 2, lambda i, block, j: asked.append((i, block, j))
+                           or block != 0b11) == [0b01, 0b10]
+    assert asked == [(0, 0b01, 0), (0, 0b11, 1), (1, 0b10, 1)]
+
+
+def test_assign_finds_the_least_assignment_of_a_full_scan():
+    # blocks hold at most cap[factor] items and no two conflicting ones,
+    # and at the leaf every block of a cap-3 factor must be even: the
+    # answer is the least assignment vector of a scan over all m^n, or
+    # None with it, whatever the equal factors skip
+    rng = random.Random(SEED + 5)
+    answers = set()
+    for _ in range(300):
+        n, m = rng.randint(0, 6), rng.randint(1, 3)
+        caps = [rng.choice((1, 2, 3)) for _ in range(m)]
+        conflict = {(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.3}
+
+        def ok(i, block):
+            vs = [v for v in range(n) if block >> v & 1]
+            return len(vs) <= caps[i] and not any(
+                (a, b) in conflict for a, b in itertools.combinations(vs, 2))
+
+        def complete(blocks):
+            return all(b.bit_count() % 2 == 0 for b, c in zip(blocks, caps) if c == 3)
+
+        want = next((vec for vec in itertools.product(range(m), repeat=n)
+                     if all(ok(i, sum(1 << v for v in range(n) if vec[v] == i))
+                            for i in range(m))
+                     and complete([sum(1 << v for v in range(n) if vec[v] == i)
+                                   for i in range(m)])), None)
+        got = hgprops._assign(caps, n, lambda i, block, j: ok(i, block), complete)
+        if want is None:
+            assert got is None, (caps, conflict)
+        else:
+            assert got == [sum(1 << v for v in range(n) if want[v] == i)
+                           for i in range(m)], (caps, conflict)
+        answers.add(want is None)
+    assert answers == {True, False}
+
+
 def test_neighbour_guard_skips_factors_without_isolated_forbidden_vertices(u, monkeypatch):
     # 2K2-free is not additive, but every vertex of 2K2 lies on an edge,
     # so a vertex with no neighbour in its block completes no copy and no
