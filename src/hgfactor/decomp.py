@@ -43,10 +43,15 @@ refined from a valid one with one part fewer.  dec_number reads the
 deepest nonempty level, all_decompositions reads one level, and the
 uniqueness queries read the level at dec(G).  A level is walked depth
 first (_valid): one part of a valid decomposition is split by placing its
-vertices one at a time, and a partial split whose join is already
-refuted cuts all of its completions, since every property here is
-induced-hereditary.  Every decision, of a whole partition or a partial
-one, goes through _decide.
+vertices one at a time along its edges, right side first, and a partial
+split whose join is already refuted cuts all of its completions, since
+every property here is induced-hereditary.  Three rules, proved in
+_valid, settle questions without a walk: level 1 is p.member(G) for an
+additive forbidden set in EXACT mode and in BOUNDED mode at k_max = 1;
+and level k is empty once the join over k single vertices, decided once
+per process, is refuted, as it is an induced part of the join over any
+k-part partition.  Every decision, of a whole partition, a partial one
+or k single vertices, goes through _decide.
 """
 
 from __future__ import annotations
@@ -399,7 +404,8 @@ def _join_bounded(p: Property, g: Hypergraph, masks: Sequence, k_max: int,
     in that function.  A finite forbidden set is decided on g's bitmasks
     (_copies_split).  Anything else streams the members of each k-fold
     join over the nonempty blocks, none when every block is empty, and
-    only then are the blocks' graphs built.
+    only then are the blocks' graphs built; at k = 1 the block graphs
+    themselves are streamed, equal to their one-fold replicate().
     """
     if isinstance(p, ProductProperty) and _product_certificate(p, g, masks):
         return JoinCheck(True, f"bounded k_max={k_max}")
@@ -411,7 +417,8 @@ def _join_bounded(p: Property, g: Hypergraph, masks: Sequence, k_max: int,
         return JoinCheck(True, f"bounded k_max={k_max}")
     parts = [induced(g, _bits(mask)) for mask in masks if mask]
     for k in range(1, k_max + 1):
-        bad = _first_bad_member(p, [replicate(k, h) for h in parts], member_cap,
+        copies = parts if k == 1 else [replicate(k, h) for h in parts]
+        bad = _first_bad_member(p, copies, member_cap,
                                 f"join of {k} copies") if parts else None
         if bad is not None:
             return JoinCheck(False, EXACT, counterexample=bad)
@@ -501,6 +508,35 @@ def _rgs(d: Decomposition) -> tuple:
     return tuple(label[v] for v in sorted(label))
 
 
+def _split_order(part: int, nbr: Sequence) -> list:
+    """The vertices of a part given as a bitmask in the order the walk
+    places them: its least vertex, then each time the least unplaced one
+    with a placed neighbour (nbr: G's neighbour bitmasks), or the least
+    unplaced one when none has."""
+    order, reach = [], 0
+    while part:
+        pick = part & reach or part
+        v = (pick & -pick).bit_length() - 1
+        order.append(v)
+        reach |= nbr[v]
+        part &= ~(1 << v)
+    return order
+
+
+@lru_cache(maxsize=4096)
+def _singletons_refuted(p: Property, mode: str, k_max: int, member_cap: int,
+                        k: int) -> bool:
+    """Is the join over k single vertices refuted?  Decided once per
+    process by _decide, as k one-vertex blocks of an edgeless k-vertex
+    graph; a decision that raises CapExceededError or BoundExceededError
+    refutes nothing."""
+    try:
+        return not _decide(Hypergraph(p.universe, k, frozenset()), p,
+                           [1 << i for i in range(k)], mode, k_max, member_cap)
+    except (CapExceededError, BoundExceededError):
+        return False
+
+
 def _valid(g: Hypergraph, p: Property, mode: str, k_max: int, member_cap: int,
            k: int):
     """Yield the valid k-part decompositions of G, each once, deciding
@@ -508,55 +544,92 @@ def _valid(g: Hypergraph, p: Property, mode: str, k_max: int, member_cap: int,
 
     Level 1 is the one-part partition when it is valid: membership of G
     does not make it valid for a non-additive property, as every k-fold
-    copy union of G must stay in P.  Merging two parts of a valid
-    decomposition keeps it valid, in EXACT and BOUNDED mode alike
-    (checked in the tests), so every valid k-part partition splits one
-    part of a valid d at level k-1 (read from _level) in two.
+    copy union of G must stay in P.  It is read from p.member(G) with no
+    join decided in two cases where the two provably agree.  In EXACT mode
+    on an additive finite forbidden set: the j-fold join over one part is
+    j disjoint copies of G, as copies of one part carry no edges between
+    them, and it lies in P iff G does (P is closed under disjoint unions
+    and under induced subgraphs).  In BOUNDED mode with k_max = 1: the
+    1-fold join over one part is G itself.  There the decision is still
+    made when member_cap < 1, since its one-member stream raises
+    CapExceededError.
 
-    Those splits are walked depth first.  For each d and each part Q of
-    d, Q's least vertex stays on the left side and the others are placed
-    one at a time in ascending order, left side first.  A node whose
-    right side is nonempty is decided (_decide) as a partial partition:
-    d's other parts and the two sides on the vertices placed so far.  A
-    refuted node cuts its subtree.  This is sound because every property
-    here is induced-hereditary: every member of the j-fold join over a
-    partial's parts is an induced subgraph of a member of the j-fold
-    join over any completion's parts (copy the crossing edges between
-    placed vertices, drop the others).  So a bad member at j copies
-    gives one for every completion at the same j, which is no more than
-    k_max in BOUNDED mode; a completion's decision would refute it too,
-    or raise where the walk now answers.  "Holds" proves nothing about a
-    completion and never cuts.  A node with an empty right side is a
-    restriction of d and always holds, so it is not decided.
+    Merging two parts of a valid decomposition keeps it valid, in EXACT
+    and BOUNDED mode alike (checked in the tests), so every valid k-part
+    partition splits one part of a valid d at level k-1 (read from
+    _level) in two.  When level k-1 is nonempty, the join over k single
+    vertices is decided first (_singletons_refuted, once per process),
+    and a refutation empties level k with no split decided.  This is
+    sound for every G: take one vertex from each part of a k-part
+    partition.  Every member of the j-fold join over those single
+    vertices is an induced subgraph of a member of the j-fold join over
+    the partition's parts (copy its crossing edges among the chosen
+    vertices' copies, and no others).  No edge inside one part copy is
+    among them, as an edge has at least two vertices and each part copy
+    holds one chosen vertex.  So a bad member at j copies, j <= k_max in
+    BOUNDED mode, refutes every k-part partition.  A decision that raises
+    cuts nothing.
+
+    Otherwise the splits are walked depth first.  For each d and each
+    part Q of d, Q's vertices are placed one at a time in _split_order:
+    Q's least vertex stays on the left side, and then each next vertex is
+    a neighbour of a placed one while Q has such a vertex unplaced.  The
+    right side is tried first.  A node whose right side is nonempty is
+    decided (_decide) as a partial partition: d's other parts and the two
+    sides on the vertices placed so far.  A refuted node cuts its
+    subtree.  This is sound because every property here is
+    induced-hereditary: every member of the j-fold join over a partial's
+    parts is an induced subgraph of a member of the j-fold join over any
+    completion's parts (copy the crossing edges between placed vertices,
+    drop the others).  So a bad member at j copies gives one for every
+    completion at the same j, which is no more than k_max in BOUNDED
+    mode; a completion's decision would refute it too, or raise where the
+    walk now answers.  "Holds" proves nothing about a completion and
+    never cuts.  A node with an empty right side is a restriction of d
+    and always holds, so it is not decided.  The placement order and the
+    side tried first change which nodes are decided, not the level.  A
+    full level decides the same nodes with either side first; a reader
+    that stops at the first valid split (_has_decomposition) meets it
+    sooner with the right side first on the tests' inputs, and a
+    connected prefix of Q carries the edges that refute a partial sooner
+    than scattered vertices do.
 
     Leaves, the full splits, are decided once each even when two d reach
     the same one, and valid ones are yielded in walk order, which is not
     enumerate_partitions order; _level sorts them.
 
-    Raises: level 1 raises what its decision raises.  Above it, a
-    partial that raises CapExceededError or BoundExceededError cuts
-    nothing, and a leaf that raises one is held back: the generator
-    raises it (the least in enumerate_partitions order, if several) only
-    after yielding every valid decomposition.  A reader that stops at
-    the first valid one (_has_decomposition) therefore never sees it,
-    and a reader of the whole level sees it exactly when some undecided
-    partition could still be valid.  Any other error propagates."""
+    Raises: level 1 raises what its decision or p.member raises.  Above
+    it, the single-vertex decision and a partial that raise
+    CapExceededError or BoundExceededError cut nothing, and a leaf that
+    raises one is held back: the generator raises it (the least in
+    enumerate_partitions order, if several) only after yielding every
+    valid decomposition.  A reader that stops at the first valid one
+    (_has_decomposition) therefore never sees it, and a reader of the
+    whole level sees it exactly when some undecided partition could
+    still be valid.  Any other error propagates."""
     if k == 1:
-        if p.member(g) and g.n and _decide(g, p, [(1 << g.n) - 1], mode, k_max,
-                                           member_cap):
+        settled = isinstance(p, FiniteForbidden) and p.additive if mode == EXACT \
+            else mode == BOUNDED and k_max == 1 and member_cap >= 1
+        if p.member(g) and g.n and (settled or _decide(
+                g, p, [(1 << g.n) - 1], mode, k_max, member_cap)):
             yield Decomposition((g.vertices,))
         return
+    below = _level(g, p, mode, k_max, member_cap, k - 1)
+    if not below or _singletons_refuted(p, mode, k_max, member_cap, k):
+        return
+
     def refuted(node):
         try:
             return not _decide(g, p, node, mode, k_max, member_cap)
         except (CapExceededError, BoundExceededError):
             return False
 
+    nbr = _incidence(g)[1]
     seen, held = set(), None
-    for d in _level(g, p, mode, k_max, member_cap, k - 1):
+    for d in below:
         masks = [sum(1 << v for v in q) for q in d.parts]
-        for i, q in enumerate(d.parts):
-            vs = sorted(q)
+        for i, mask in enumerate(masks):
+            vs = _split_order(mask, nbr)
             fixed = masks[:i] + masks[i + 1:]
             stack = [(1, 1 << vs[0], 0)]  # (vertices placed, left, right)
             while stack:
@@ -566,8 +639,8 @@ def _valid(g: Hypergraph, p: Property, mode: str, k_max: int, member_cap: int,
                 if placed < len(vs):
                     if node is None or not refuted(node):
                         v = 1 << vs[placed]
-                        stack.append((placed + 1, left, right | v))
                         stack.append((placed + 1, left | v, right))
+                        stack.append((placed + 1, left, right | v))
                     continue
                 if node is None or node in seen:
                     continue

@@ -739,15 +739,17 @@ def test_bipartite_sweep_work_counts(g, u, props, monkeypatch):
     """The uniqueness queries of the sweep workload, criterion 7 at 6
     vertices, from cold join and lattice memos: the 28 connected
     bipartite graphs and 2K2, each asked whether it is uniquely
-    decomposable under edgeless*edgeless.  The pruned walk decides 128
-    distinct bounded joins (misses of the bounded memo) and streams the
-    members of 113 of them; a walk that decides every refinement in full
-    decides 270 and streams 258.  With the two equal factors
-    interchangeable (props._assign), the certificate, which decides each
-    group as it grows, runs _exact_split 254 times (465 with the twin
-    rule off) and partition_solve runs _find 968 times (1,682 trying
-    every block for every vertex)."""
-    calls = {"_first_bad_member": [], "_join_bounded": [], "_exact_split": [], "_find": []}
+    decomposable under edgeless*edgeless.  The walk reads level 1 from
+    membership, empties level 3 at its single-vertex join and places a
+    part's vertices along its edges.  It makes 308 decisions (711
+    before), decides 72 distinct bounded joins, the misses of the join
+    memo (128 before), and streams the members of 59 of them (113
+    before); a walk that decides every refinement in full decides 270
+    and streams 258.  The certificate, which decides each group as it
+    grows, runs _exact_split 134 times (254 before) and partition_solve
+    runs _find 576 times (968 before)."""
+    calls = {"_decide": [], "_first_bad_member": [], "_join_bounded": [],
+             "_exact_split": [], "_find": []}
 
     def count(module, name):
         real = getattr(module, name)
@@ -756,15 +758,17 @@ def test_bipartite_sweep_work_counts(g, u, props, monkeypatch):
     members = [h for h in enumerate_hypergraphs(EnumSpec(u, 6, connected_only=True))
                if props.two_colour.member(h)]
     assert len(members) == 28
-    for name in ("_first_bad_member", "_join_bounded", "_exact_split"):
+    for name in ("_decide", "_first_bad_member", "_join_bounded", "_exact_split"):
         count(decomp, name)
     count(hgprops, "_find")
     decomp._level.cache_clear()
+    decomp._singletons_refuted.cache_clear()
     decomp._join_memo.clear()
     assert [is_uniquely_decomposable(h, props.two_colour, BOUNDED, k_max=1)
             for h in members + [g.two_k2]] == [True] * 28 + [False]
     assert {name: len(c) for name, c in calls.items()} == {
-        "_join_bounded": 128, "_first_bad_member": 113, "_exact_split": 254, "_find": 968}
+        "_decide": 308, "_join_bounded": 72, "_first_bad_member": 59, "_exact_split": 134,
+        "_find": 576}
 
 
 def test_pruned_levels_match_a_flat_scan(monkeypatch):
@@ -775,9 +779,14 @@ def test_pruned_levels_match_a_flat_scan(monkeypatch):
     The flat scan streams up to 2^c members per bounded partition, so
     product graphs have at most 6 possible edges.  The walk must have cut
     at refuted partial partitions in both modes and for a non-additive
-    set, or the comparison would not test the cut."""
-    cut = set()
-    real = decomp._decide
+    set, and at a refuted single-vertex join in both modes, or the
+    comparison would not test the cuts.  The single-vertex cut empties
+    the random non-additive levels before any partial split is refuted,
+    so one fixed case keeps that partial cut: {K3 + K1}-free on P3 + K1,
+    whose 2-vertex join holds and whose partial split {0,1}|{2} is
+    refuted."""
+    cut, singles = set(), set()
+    real, real_singles = decomp._decide, decomp._singletons_refuted
 
     def recording(g_, p, masks, mode, *args):
         check = real(g_, p, masks, mode, *args)
@@ -785,7 +794,21 @@ def test_pruned_levels_match_a_flat_scan(monkeypatch):
             cut.add((mode, getattr(p, "additive", None)))
         return check
 
+    def recording_singles(p, mode, *args):
+        refuted = real_singles(p, mode, *args)
+        if refuted:
+            singles.add(mode)
+        return refuted
+
+    def compare(g_, p, mode):
+        for k in range(1, g_.n + 1):
+            flat = [Decomposition(parts)
+                    for parts in enumerate_partitions(g_.vertices, k, min_parts=k)
+                    if is_decomposition(g_, Decomposition(parts), p, mode, k_max=1)]
+            assert all_decompositions(g_, p, k, mode, k_max=1) == flat, (g_, p, k)
+
     monkeypatch.setattr(decomp, "_decide", recording)
+    monkeypatch.setattr(decomp, "_singletons_refuted", recording_singles)
     rng = random.Random(SEED + 12)
     for case in UNIVERSE_CASES:
         uu, density = case.values
@@ -800,14 +823,98 @@ def test_pruned_levels_match_a_flat_scan(monkeypatch):
                 drawn = (random_graph(uu, rng.randint(min(3, size), size), density, rng)
                          for _ in range(20))
                 g_ = next((h for h in drawn if member(p, h)), None)
-                if g_ is None:
-                    continue
-                for k in range(1, g_.n + 1):
-                    flat = [Decomposition(parts)
-                            for parts in enumerate_partitions(g_.vertices, k, min_parts=k)
-                            if is_decomposition(g_, Decomposition(parts), p, mode, k_max=1)]
-                    assert all_decompositions(g_, p, k, mode, k_max=1) == flat, (g_, p, k)
+                if g_ is not None:
+                    compare(g_, p, mode)
+    k3_k1 = forbidden_property(simple_universe(), [simple_graph(4, [(0, 1), (0, 2), (1, 2)])])
+    decomp._level.cache_clear()
+    compare(simple_graph(4, [(0, 1), (1, 2)]), k3_k1, EXACT)
     assert {(EXACT, True), (EXACT, False), (BOUNDED, None)} <= cut, cut
+    assert singles == {EXACT, BOUNDED}, singles
+
+
+@pytest.mark.parametrize("uu, density", UNIVERSE_CASES)
+def test_level_one_is_the_one_block_decision(uu, density, monkeypatch):
+    """Where level 1 is read from membership, additive forbidden sets in
+    EXACT mode and products in BOUNDED mode at k_max = 1, it equals the
+    one-block decision it skips, and that skip decides no join.  Both
+    sides agree on a non-member before any join is decided, so the
+    members are what must be met in both modes."""
+    rng = random.Random(SEED + 13)
+    top = 2 if len(uu.kinds) > 1 else max(uu.arities) + 1
+    pool = [h for h in enumerate_hypergraphs(EnumSpec(uu, top, connected_only=True))
+            if h.n >= 2]
+    real = decomp._decide
+    seen = set()
+    for _ in range(40):
+        f1, f2 = (forbidden_property(uu, rng.sample(pool, rng.randint(1, 2)))
+                  for _ in range(2))
+        assert f1.additive and f2.additive
+        for p, mode in ((f1, EXACT), (ProductProperty((f1, f2)), BOUNDED)):
+            g_ = random_graph(uu, rng.randint(1, top + 1), density, rng)
+            decided = []
+            monkeypatch.setattr(decomp, "_decide", lambda *a: decided.append(a) or real(*a))
+            level = list(decomp._valid(g_, p, mode, 1, decomp.DEFAULT_MEMBER_CAP, 1))
+            monkeypatch.setattr(decomp, "_decide", real)
+            assert not decided
+            want = bool(member(p, g_)) and bool(real(g_, p, [(1 << g_.n) - 1], mode, 1))
+            assert level == ([Decomposition((g_.vertices,))] if want else []), (g_, p)
+            seen.add((mode, want))
+    assert {(EXACT, True), (EXACT, False), (BOUNDED, True)} <= seen
+
+
+def test_level_one_of_a_non_additive_set_is_decided(g, u):
+    """{2K2}-free is not additive: K2 is a member, but two copies of it
+    are 2K2, so level 1 stays empty in EXACT mode and at k_max = 2.  At
+    k_max = 1 the one-fold join is K2 itself."""
+    p = forbidden_property(u, [g.two_k2])
+    assert member(p, g.k2) and not p.additive
+    assert all_decompositions(g.k2, p, 1) == []
+    assert dec_number(g.k2, p).value == 0
+    assert dec_number(g.k2, p, BOUNDED, k_max=2).value == 0
+    assert str(dec_number(g.k2, p, BOUNDED, k_max=1).decomposition) == "{0}|{1}"
+
+
+def test_level_one_with_member_cap_zero_still_raises(g, props):
+    """In BOUNDED mode at k_max = 1 level 1 is read from membership only
+    while the member cap admits the one-member join: under cap 0 the
+    decision is still made and raises, as it did before."""
+    with pytest.raises(CapExceededError, match=r"2\^0 members"):
+        dec_number(g.k2, props.two_colour, BOUNDED, k_max=1, member_cap=0)
+    assert dec_number(g.k2, props.two_colour, BOUNDED, k_max=1, member_cap=1).value == 2
+
+
+def test_sweep_level_three_costs_one_memoised_decision(g, u, props, monkeypatch):
+    """Under edgeless*edgeless, level 3 of every sweep member (the
+    connected bipartite graphs on at most 6 vertices and 2K2) is emptied
+    by the one memoised decision of the join over three single vertices,
+    which holds a triangle, once levels 1 and 2 are read."""
+    members = [h for h in enumerate_hypergraphs(EnumSpec(u, 6, connected_only=True))
+               if props.two_colour.member(h)] + [g.two_k2]
+    decomp._level.cache_clear()
+    for h in members:
+        decomp._level(h, props.two_colour, BOUNDED, 1, decomp.DEFAULT_MEMBER_CAP, 2)
+    decomp._singletons_refuted.cache_clear()
+    decided = []
+    real = decomp._decide
+    monkeypatch.setattr(decomp, "_decide", lambda *a: decided.append(a) or real(*a))
+    assert not any(decomp._level(h, props.two_colour, BOUNDED, 1,
+                                 decomp.DEFAULT_MEMBER_CAP, 3) for h in members)
+    assert [(a[0].n, a[0].edges, a[2]) for a in decided] == [(3, frozenset(), [1, 2, 4])]
+
+
+def test_a_raising_single_vertex_join_cuts_nothing(u, g):
+    """The single-vertex join of a generated property streams its
+    members, and under cap 1 the two members over two single vertices
+    raise.  That decision cuts nothing: the split {0}|{1} of 2K1 is
+    decided and raises in turn, for a read of the whole level and for the
+    existence test alike."""
+    p = GeneratedBounded(u, (g.p3,), 4)
+    decomp._singletons_refuted.cache_clear()
+    with pytest.raises(CapExceededError, match=r"2\^1 members"):
+        all_decompositions(g.e2, p, 2, BOUNDED, 1, member_cap=1)
+    with pytest.raises(CapExceededError, match=r"2\^1 members"):
+        decomp._has_decomposition(g.e2, p, 2, BOUNDED, 1, member_cap=1)
+    assert str(dec_number(g.e2, p, BOUNDED, 1).decomposition) == "{0}|{1}"
 
 
 # --- strictness ---------------------------------------------------------

@@ -378,16 +378,19 @@ def test_dec_bounds_matches_full_scan(p, n, monkeypatch):
 
 def test_dec_bounds_skip_test_stops_at_the_first_decomposition(props, monkeypatch):
     """bip at 6: a strict member with a decomposition into upper parts is
-    skipped once the first is found, so the scan makes 499 decisions,
-    partial partitions of the lattice walk included, where reading all
-    of level upper makes 1,460."""
+    skipped once the first is found, so the scan makes 342 decisions,
+    partial partitions of the lattice walk and the two single-vertex
+    joins included, where reading all of level upper makes 1,460.  It
+    made 499 before level 1 was read from membership and parts were
+    split along edges, right side first."""
     calls = []
     real = decomp._decide
     monkeypatch.setattr(decomp, "_decide", lambda *a: calls.append(a) or real(*a))
     decomp._level.cache_clear()
+    decomp._singletons_refuted.cache_clear()
     got = factor._dec_bounds.__wrapped__(props.bip, 6, 1)
     assert tuple(got) == (1, 2)
-    assert len(calls) == 499
+    assert len(calls) == 342
 
 
 def test_cold_dec_bounds_keys_only_children_of_members(props, monkeypatch):
