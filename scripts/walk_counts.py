@@ -16,7 +16,10 @@ Per case and level it prints, as one JSON object per line:
 - bounded_misses: calls of decomp._join_bounded, the bounded decisions
   that missed the join memo;
 - streamed: calls of decomp._first_bad_member, the bounded joins whose
-  members were streamed.
+  members were streamed;
+- densest: calls of decomp._densest_member, the densest join members
+  built, one per copy count decided, for a product closed under
+  deleting an edge.
 
 Work is charged to the level whose walk (decomp._valid) was running when
 it was done; the level read below it is charged to its own line.  A last
@@ -42,7 +45,7 @@ from hgfactor import (
 from hgfactor import decomp, factor
 
 COUNTED = {"_decide": "decisions", "_join_bounded": "bounded_misses",
-           "_first_bad_member": "streamed"}
+           "_first_bad_member": "streamed", "_densest_member": "densest"}
 
 
 def sweep():

@@ -21,14 +21,22 @@ graph.  Two fits, one per mode:
   bitmasks of one host graph; no part graph is built.
 * BOUNDED(k_max): each whole slice embeds induced into k copies of its
   part, for k = 1..k_max, the copies being blocks of k copies of the
-  host.  A product whose factors are all finite forbidden sets first
-  tries a certificate (_product_certificate): the parts grouped by
-  factor, each group passing the exact test on sub-masks of the host,
-  searched by props._assign.  It proves every k-fold join a member, so
-  "holds" costs no join member.  Other joins are scanned by
-  brute force, densest member first (_first_bad_member), and only these
-  build part graphs.  A refutation is exact; a pass is only "no failure
-  up to k_max" and is marked as such.
+  host.
+
+Products are decided in BOUNDED mode.  A product closed under deleting
+an edge (ProductProperty.edge_closed: every factor a finite forbidden
+set no forbidden graph of which becomes a member when an edge is added)
+is decided on one member per copy count, the densest, with every
+crossing edge (_densest_member): every other member is it minus some
+crossing edges, so it is bad iff some member is.  Another product whose
+factors are all finite forbidden sets first tries a certificate
+(_product_certificate): the parts grouped by factor, each group passing
+the exact test on sub-masks of the host, searched by props._assign.  It
+proves every k-fold join a member, so "holds" costs no join member.
+Other joins are scanned by brute force, densest member first
+(_first_bad_member), and only these build part graphs; member_cap
+bounds the members a join would stream.  A refutation is exact; a pass
+is only "no failure up to k_max" and is marked as such.
 
 Every join question, from join_subset_of, is_decomposition, the lattice
 walk or the constructions, goes through one decision point (_decide),
@@ -63,6 +71,7 @@ from typing import Iterable, Optional, Sequence
 
 from .core import (
     CapExceededError,
+    EdgeObject,
     Embedding,
     HgError,
     Hypergraph,
@@ -79,6 +88,7 @@ from .core import (
     _incidence,
     _join_stream,
     _pattern,
+    _unchecked_graph,
 )
 from .props import (
     BoundExceededError,
@@ -394,27 +404,79 @@ def _copies_split(p: FiniteForbidden, g: Hypergraph, masks: Sequence,
     return _first_split(p, len(masks), fit)
 
 
+@lru_cache(maxsize=1024)
+def _crossing(u, sizes: tuple) -> frozenset:
+    """Every crossing edge of a join whose blocks have these vertex counts,
+    laid side by side: those of edgeless blocks, through
+    crossing_edge_candidates, so DEFAULT_JOIN_EDGE_CAP bounds them."""
+    return frozenset(crossing_edge_candidates(
+        [Hypergraph(u, n, frozenset()) for n in sizes]))
+
+
+def _densest_member(g: Hypergraph, masks: Sequence, k: int) -> Hypergraph:
+    """The member of the k-fold join over the nonempty blocks of g given
+    as vertex bitmasks that carries every crossing edge: the first member
+    _first_bad_member streams over the graphs replicate(k, induced(g,
+    block)).  Built from g's edges, block after block, with block i's k
+    copies side by side as replicate lays them out; the crossing edges,
+    which join different blocks and never two copies of one, come from
+    _crossing."""
+    u, sizes, edges = g.universe, [], set()
+    for mask in masks:
+        if mask:
+            vs = _bits(mask)
+            at = {v: sum(sizes) + r for r, v in enumerate(vs)}
+            for e in g.edges:
+                if all(v in at for v in e.vertices):
+                    edges.update(EdgeObject(e.kind, tuple(at[v] + c * len(vs)
+                                                          for v in e.vertices), e.colour)
+                                 for c in range(k))
+            sizes.append(k * len(vs))
+    return _unchecked_graph(u, sum(sizes), frozenset(edges | _crossing(u, tuple(sizes))))
+
+
 def _join_bounded(p: Property, g: Hypergraph, masks: Sequence, k_max: int,
                   member_cap: int) -> JoinCheck:
     """The BOUNDED decision on blocks of g given as vertex bitmasks: tries
     k = 1..k_max copies of every block; its refutations are exact.
 
-    A product that _product_certificate settles holds for every k, so it
-    gets the same "holds" verdict with no member streamed; the proof is
-    in that function.  A finite forbidden set is decided on g's bitmasks
-    (_copies_split).  Anything else streams the members of each k-fold
-    join over the nonempty blocks, none when every block is empty, and
-    only then are the blocks' graphs built; at k = 1 the block graphs
-    themselves are streamed, equal to their one-fold replicate().
+    A product closed under deleting an edge (ProductProperty.edge_closed)
+    is decided on its densest members (_densest_member), one membership
+    test per copy count, when member_cap admits one member.  Every member
+    of a k-fold join is the densest one minus some crossing edges, so the
+    join holds iff its densest member is in P, and that member is the
+    first of _first_bad_member's stream: the verdict and counterexample
+    are those of the stream, and member_cap counts the members streamed,
+    one per copy count.  After k = 1 holds, _product_certificate may prove
+    every k at once; otherwise k = 2..k_max are tested in turn.
+
+    Any other product that _product_certificate settles holds for every
+    k, so it gets the same "holds" verdict with no member streamed; the
+    proof is in that function.  A finite forbidden set is decided on g's
+    bitmasks (_copies_split).  Anything else streams the members of each
+    k-fold join over the nonempty blocks, none when every block is empty,
+    and only then are the blocks' graphs built; at k = 1 the block graphs
+    themselves are streamed, equal to their one-fold replicate().  The
+    stream raises CapExceededError when a join has more than member_cap
+    members.
     """
+    holds = JoinCheck(True, f"bounded k_max={k_max}")
+    if isinstance(p, ProductProperty) and p.edge_closed and member_cap >= 1 and any(masks):
+        for k in range(1, k_max + 1):
+            if k == 2 and _product_certificate(p, g, masks):
+                break
+            m = _densest_member(g, masks, k)
+            if not p.member(m):
+                return JoinCheck(False, EXACT, counterexample=m)
+        return holds
     if isinstance(p, ProductProperty) and _product_certificate(p, g, masks):
-        return JoinCheck(True, f"bounded k_max={k_max}")
+        return holds
     if isinstance(p, FiniteForbidden):
         for k in range(1, k_max + 1):
             witness = _copies_split(p, g, masks, k)
             if witness is not None:
                 return JoinCheck(False, EXACT, witness=witness)
-        return JoinCheck(True, f"bounded k_max={k_max}")
+        return holds
     parts = [induced(g, _bits(mask)) for mask in masks if mask]
     for k in range(1, k_max + 1):
         copies = parts if k == 1 else [replicate(k, h) for h in parts]
@@ -422,7 +484,7 @@ def _join_bounded(p: Property, g: Hypergraph, masks: Sequence, k_max: int,
                                 f"join of {k} copies") if parts else None
         if bad is not None:
             return JoinCheck(False, EXACT, counterexample=bad)
-    return JoinCheck(True, f"bounded k_max={k_max}")
+    return holds
 
 
 def join_subset_of(p: Property, parts: Sequence, mode: str = EXACT,
@@ -790,12 +852,17 @@ def strictness_witness(g: Hypergraph, p: FiniteForbidden) -> Optional[Strictness
 def is_strict(g: Hypergraph, p: Property, member_cap: int = DEFAULT_MEMBER_CAP) -> bool:
     """Is G in P with some one-vertex join extension outside P?
 
-    Exact criterion for finite forbidden sets.  A product whose factors
-    are all finite forbidden sets first tries _product_certificate on G
-    and one vertex: a certificate proves every one-vertex join extension
-    a member, so G is not strict and no extension is streamed.  Otherwise
-    brute force over all single-vertex join extensions, raising
-    CapExceededError when there are more than member_cap of them.
+    Exact criterion for finite forbidden sets.  A product closed under
+    deleting an edge (ProductProperty.edge_closed) decides the densest
+    extension alone, G plus a vertex joined to it by every admissible
+    edge: every other extension is it minus some edges, so it leaves P
+    iff some extension does.  That is one member streamed, refused only
+    when member_cap < 1.  Another product whose factors are all finite
+    forbidden sets first tries _product_certificate on G and one vertex:
+    a certificate proves every one-vertex join extension a member, so G
+    is not strict and no extension is streamed.  Otherwise brute force
+    over all single-vertex join extensions, raising CapExceededError
+    when there are more than member_cap of them.
     """
     if isinstance(p, FiniteForbidden):
         return strictness_witness(g, p) is not None
@@ -806,13 +873,16 @@ def is_strict(g: Hypergraph, p: Property, member_cap: int = DEFAULT_MEMBER_CAP) 
 def _is_strict_join(g: Hypergraph, p: Property, member_cap: int) -> bool:
     """is_strict for a property that is no finite forbidden set, memoised:
     factor._strict_members asks again about every member on each pass,
-    and without a certificate each answer streams every one-vertex
-    extension.  A raise is not memoised."""
+    and without a certificate or closure under deleting an edge each
+    answer streams every one-vertex extension.  A raise is not
+    memoised."""
     if not p.member(g):
         raise HgError("graph is not in the property")
     one = Hypergraph(g.universe, 1, frozenset())
-    if isinstance(p, ProductProperty) and _product_certificate(
-            p, disjoint_union(g, one), [(1 << g.n) - 1, 1 << g.n]):
+    host, masks = disjoint_union(g, one), [(1 << g.n) - 1, 1 << g.n]
+    if isinstance(p, ProductProperty) and p.edge_closed and member_cap >= 1:
+        return not p.member(_densest_member(host, masks, 1))
+    if isinstance(p, ProductProperty) and _product_certificate(p, host, masks):
         return False
     return _first_bad_member(p, [g, one], member_cap, "one-vertex join") is not None
 

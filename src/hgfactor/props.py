@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .core import (
@@ -29,6 +30,7 @@ from .core import (
     UniverseMismatchError,
     canonical_form,
     canonical_key,
+    crossing_edge_candidates,
     embed_induced,
     induced,
     is_connected,
@@ -40,6 +42,7 @@ from .core import (
     _find,
     _incidence,
     _pattern,
+    _unchecked_graph,
     format_hypergraph,
 )
 from .generate import EnumSpec, _decided
@@ -191,6 +194,25 @@ class FiniteForbidden(Property):
                 return MembershipResult(False, ForbiddenWitness(f, emb))
         return MembershipResult(True)
 
+    @cached_property
+    def edge_closed(self) -> bool:
+        """Is the property closed under deleting an edge?  Worked out once,
+        on first use: factor_search builds many candidate sets.
+
+        It is iff no forbidden graph F plus one admissible edge on V(F)
+        (any kind, arity, colour and orientation of the universe, not in
+        F) is a member.  If F + e is a member, deleting e leaves F.
+        Conversely, suppose G is a member and G - e holds a forbidden F
+        induced on the vertex set W.  Then e lies inside W, or else G[W]
+        would be F too; so G[W] = F + e, which is no member, and neither is
+        G.  The admissible edges on V(F) are the crossing edges of f.n
+        one-vertex blocks, as every edge has at least two vertices."""
+        one = Hypergraph(self.universe, 1, frozenset())
+        return not any(
+            self.member(_unchecked_graph(self.universe, f.n, f.edges | {e}))
+            for f in self.forbidden
+            for e in crossing_edge_candidates([one] * f.n) if e not in f.edges)
+
 
 def forbidden_property(universe: Universe, graphs: Iterable) -> FiniteForbidden:
     """FiniteForbidden from any finite family; minimizes it first."""
@@ -216,6 +238,17 @@ class ProductProperty(Property):
     @property
     def universe(self) -> Universe:
         return self.factors[0].universe
+
+    @cached_property
+    def edge_closed(self) -> bool:
+        """Is every factor, nested products flattened, a finite forbidden
+        set closed under deleting an edge (FiniteForbidden.edge_closed)?
+        Then so is the product: deleting an edge of a member changes at
+        most the one block that holds the edge, and that block stays in
+        its factor; crossing edges are free.  False does not prove the
+        product open."""
+        return all(isinstance(f, (FiniteForbidden, ProductProperty)) and f.edge_closed
+                   for f in self.factors)
 
     def member(self, g: Hypergraph) -> MembershipResult:
         self._check_universe(g)

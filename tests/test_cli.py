@@ -126,14 +126,23 @@ def test_bad_config_file_exits_2(tmp_path, capsys, files):
         assert "line 1" in err and message in err
 
 
-def test_member_cap_key_caps_join_members(tmp_path, capsys, files):
-    # k2 joined with one vertex has 2 crossing edges, so 2^2 members
+def test_member_cap_key_caps_join_members(tmp_path, capsys, files, g, u, props):
+    # k2 joined with one vertex has 2 crossing edges, so 2^2 members.
+    # Under edgeless x complete graphs, whose second factor is not closed
+    # under deleting an edge, they are streamed and the cap refuses them;
+    # edgeless*edgeless is closed, so its densest member decides alone.
     cfg = tmp_path / "cap.cfg"
     cfg.write_text("member_cap=1\n", encoding="utf-8")
+    open_product = tmp_path / "ecliques.prop"
+    save_property(ProductProperty((props.edgeless, forbidden_property(u, [g.e2]))),
+                  str(open_product), "ecliques")
     code, out, err = cli(capsys, "--config", str(cfg),
-                         "strict", "-g", files.k2, "-p", files.two_colour)
+                         "strict", "-g", files.k2, "-p", str(open_product))
     assert (code, out) == (3, "")
     assert err == "cap exceeded: one-vertex join has 2^2 members, over the cap\n"
+    code, out, err = cli(capsys, "--config", str(cfg),
+                         "strict", "-g", files.k2, "-p", files.two_colour)
+    assert (code, out, err) == (0, "strict\n", "")
 
 
 def test_workers_flag_validated(capsys, files):

@@ -18,6 +18,7 @@ from hgfactor import (
     GeneratedBounded,
     HgError,
     Hypergraph,
+    JoinCheck,
     ProductProperty,
     Universe,
     all_decompositions,
@@ -249,13 +250,13 @@ def _assert_whole_slice_witness(p, parts, chk):
             == image_triples(replicate(k, parts[rec.part_index]), m)
 
 
-def _first_bad_descending(forbidden_lists, parts, k_max):
-    """The first join member outside the product, scanning k = 1..k_max
-    and each join's members from the last of join_members' binary order
-    back to the first, by brute force; None if there is none."""
+def _first_bad_descending(is_member, parts, k_max):
+    """The first join member that is_member rejects, scanning k = 1..k_max
+    and each join's members from the last of join_members' binary order,
+    the densest, back to the first; None if there is none."""
     for k in range(1, k_max + 1):
         for m in reversed(list(join_members([replicate(k, h) for h in parts]))):
-            if not brute_member_product(forbidden_lists, m):
+            if not is_member(m):
                 return m
     return None
 
@@ -270,7 +271,8 @@ def test_join_bounded_product_counterexample(g, props):
         assert chk.counterexample is not None
         assert not member(props.two_colour, chk.counterexample)
         assert not brute_member_product(edgeless, chk.counterexample)
-        assert chk.counterexample == _first_bad_descending(edgeless, parts, 2), parts
+        assert chk.counterexample == _first_bad_descending(
+            lambda m: brute_member_product(edgeless, m), parts, 2), parts
     k4 = simple_graph(4, itertools.combinations(range(4), 2))
     assert join_subset_of(props.two_colour, [g.k2, g.k2], BOUNDED).counterexample == k4
 
@@ -464,6 +466,112 @@ def test_exact_blocks_match_part_graphs_and_oracle(u, name):
             assert w.split[gap] == ()
             _assert_records_embed(w, parts)
     assert outside > 5 and refuted > outside and held > 5
+
+
+_KERNEL_NAMES = ["simple", "ORDERED-2", "UNORDERED-3", "2-colour", "mixed"]
+
+
+def _random_forbidden(uu, dens, rng, name):
+    """A random forbidden set over uu: half the time one or two random
+    graphs, the other half every graph on the vertices of one random
+    graph F that has F's edges, which is closed under deleting an edge
+    (any of them plus an edge is another)."""
+    lo, hi = {"UNORDERED-3": (3, 4), "mixed": (2, 2)}.get(name, (2, 3))
+    if rng.random() < 0.5:
+        return forbidden_property(uu, [random_graph(uu, rng.randint(lo, hi), dens, rng)
+                                       for _ in range(rng.randint(1, 2))])
+    f = random_graph(uu, rng.randint(lo, hi), dens, rng)
+    free = [e for e in admissible_edges(uu, range(f.n)) if e not in f.edges]
+    return forbidden_property(uu, [Hypergraph(uu, f.n, f.edges | set(more))
+                                   for r in range(len(free) + 1)
+                                   for more in itertools.combinations(free, r)])
+
+
+@pytest.mark.parametrize("name", _KERNEL_NAMES)
+def test_edge_closure_matches_deleting_every_edge(u, name):
+    """FiniteForbidden.edge_closed equals a brute force that deletes each
+    edge of every member with at most as many vertices as the largest
+    forbidden graph, on random forbidden sets closed and not closed.  A
+    bad deletion, if any, shows there: its forbidden graph plus the edge
+    is a member."""
+    _, uu, dens = next(c for c in _kernel_universes(u) if c[0] == name)
+    rng = random.Random(f"{SEED}:closure:{name}")
+    seen = set()
+    for _ in range(12):
+        p = _random_forbidden(uu, dens, rng, name)
+        top = max(f.n for f in p.forbidden)
+        brute = all(member(p, Hypergraph(uu, h.n, h.edges - {e}))
+                    for h in enumerate_hypergraphs(EnumSpec(uu, top)) if member(p, h)
+                    for e in h.edges)
+        assert p.edge_closed == brute, p
+        seen.add(brute)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("name", _KERNEL_NAMES)
+def test_densest_member_decides_like_the_dense_first_stream(u, name):
+    """The bounded JoinCheck, verdict and counterexample, equals that of
+    the dense-first join_members stream at k = 1 and 2 (k = 1 alone where
+    the k = 2 join has more than 2^12 members), on products of two random
+    forbidden sets and random parts.  Products closed under deleting an
+    edge are decided on densest members, the others by the certificate
+    and the stream.  Some closed product must be refuted at k = 2, where
+    copies of one part carry no edge between them, and some other
+    product must have a bad member that is not the densest, which the
+    densest member alone would miss.  The mixed universe is exempt: its
+    joins with at most 2^12 members are over at most two vertices, or one
+    part, and all of them hold here."""
+    _, uu, dens = next(c for c in _kernel_universes(u) if c[0] == name)
+    rng = random.Random(f"{SEED}:densest:{name}")
+    closed_at_two = sparse_bad = 0
+    for _ in range(60):
+        prod = ProductProperty(tuple(_random_forbidden(uu, dens, rng, name) for _ in range(2)))
+        parts = [random_graph(uu, rng.randint(1, 3 if name == "UNORDERED-3" else 2), dens, rng)
+                 for _ in range(rng.randint(1, 2))]
+        if len(crossing_edge_candidates(parts)) > 12:
+            continue
+        k_max = 1 + (len(crossing_edge_candidates([replicate(2, h) for h in parts])) <= 12)
+        bad = _first_bad_descending(lambda m: bool(member(prod, m)), parts, k_max)
+        decomp._join_memo.clear()
+        chk = join_subset_of(prod, parts, BOUNDED, k_max=k_max)
+        assert chk == (JoinCheck(True, f"bounded k_max={k_max}") if bad is None
+                       else JoinCheck(False, EXACT, counterexample=bad)), (prod, parts)
+        if bad is not None:
+            k = bad.n // sum(h.n for h in parts)
+            densest = list(join_members([replicate(k, h) for h in parts]))[-1]
+            assert bad == densest or not prod.edge_closed, (prod, parts)
+            closed_at_two += prod.edge_closed and k == 2
+            sparse_bad += bad != densest
+    if name != "mixed":
+        assert closed_at_two and sparse_bad, (closed_at_two, sparse_bad)
+
+
+@pytest.mark.parametrize("name", _KERNEL_NAMES)
+def test_closed_product_strictness_matches_every_extension(u, name, monkeypatch):
+    """is_strict on a product of two forbidden sets closed under deleting
+    an edge, which decides the densest one-vertex extension alone and
+    streams none, equals a scan of every one-vertex extension, on random
+    members until both answers and at least six members are seen.  On
+    UNORDERED-3 the members have 4 vertices: any graph on at most 4
+    splits into two blocks with no 3-edge, so it lies in every product
+    here and nothing smaller is strict."""
+    streamed = []
+    real = decomp._first_bad_member
+    monkeypatch.setattr(decomp, "_first_bad_member", lambda *a: streamed.append(a) or real(*a))
+    _, uu, dens = next(c for c in _kernel_universes(u) if c[0] == name)
+    lo, hi = {"UNORDERED-3": (4, 4), "mixed": (1, 2)}.get(name, (2, 3))
+    rng = random.Random(f"{SEED}:strict:{name}")
+    answers = []
+    while len(answers) < 6 or len(set(answers)) < 2:
+        prod = ProductProperty(tuple(_random_forbidden(uu, dens, rng, name) for _ in range(2)))
+        g_ = random_graph(uu, rng.randint(lo, hi), dens, rng)
+        if not prod.edge_closed or not member(prod, g_):
+            continue
+        want = brute_strict(g_, lambda h: bool(member(prod, h)))
+        decomp._is_strict_join.cache_clear()
+        assert is_strict(g_, prod) == want, (prod, g_)
+        answers.append(want)
+    assert not streamed
 
 
 # --- decomposition numbers ---------------------------------------------------
@@ -685,49 +793,62 @@ def _has_in_partition_order(g_, p, n_parts, member_cap):
 
 
 def test_member_cap_keeps_every_answer(u, props):
-    """Under edgeless^3 with member caps that some bounded joins exceed:
-    every existence query that a walk in enumerate_partitions order
-    answers keeps its answer, and every answer, existence or whole
-    level, is the one given under the default cap.  On C4 with cap 4
-    that walk raises at {0,1,2}|{3} before it reaches {0,3}|{1,2}; the
-    pruned walk holds the error back, answers the existence query, and
-    raises it for the whole level, which it cannot decide."""
-    p = ProductProperty((props.edgeless,) * 3)
-    kept = levels = 0
-    for g_ in enumerate_hypergraphs(EnumSpec(u, 5)):
-        if g_.n < 3 or not p.member(g_):
-            continue
-        for cap in (4, 64):
-            for k in range(2, g_.n + 1):
-                full = all_decompositions(g_, p, k, BOUNDED, 1)
-                try:
-                    want = _has_in_partition_order(g_, p, k, cap)
-                except CapExceededError:
-                    want = None
-                try:
-                    has = decomp._has_decomposition(g_, p, k, BOUNDED, 1, cap)
-                except CapExceededError:
-                    assert want is None, (g_, cap, k)
-                else:
-                    assert has == bool(full), (g_, cap, k)
-                    kept += want is not None
-                try:
-                    assert all_decompositions(g_, p, k, BOUNDED, 1, cap) == full, (g_, cap, k)
-                    levels += 1
-                except CapExceededError:
-                    pass
-    assert kept > 50 and levels > 50, (kept, levels)
+    """Under edgeless^3, and under edgeless x {P3}-free, whose second
+    factor is not closed under deleting an edge, with member caps that
+    some bounded joins exceed: every existence query that a walk in
+    enumerate_partitions order answers keeps its answer, and every
+    answer, existence or whole level, is the one given under the default
+    cap.  edgeless^3 is closed under deleting an edge, so each join is
+    decided on one densest member per copy count, and it answers every
+    query under both caps exactly as under the default cap.  Under
+    edgeless x {P3}-free, on C4 with cap 4, the walk in partition order
+    raises at {0,1,2}|{3} before it reaches {0,3}|{1,2}; the pruned walk
+    holds the error back, answers the existence query, and raises it for
+    the whole level, which it cannot decide."""
+    for p, closed in ((ProductProperty((props.edgeless,) * 3), True),
+                      (ProductProperty((props.edgeless, props.p3free)), False)):
+        assert p.edge_closed == closed
+        kept = levels = raised = 0
+        for g_ in enumerate_hypergraphs(EnumSpec(u, 5)):
+            if g_.n < 3 or not p.member(g_):
+                continue
+            for cap in (4, 64):
+                for k in range(2, g_.n + 1):
+                    full = all_decompositions(g_, p, k, BOUNDED, 1)
+                    try:
+                        want = _has_in_partition_order(g_, p, k, cap)
+                    except CapExceededError:
+                        want = None
+                        raised += 1
+                    try:
+                        has = decomp._has_decomposition(g_, p, k, BOUNDED, 1, cap)
+                    except CapExceededError:
+                        assert want is None, (g_, cap, k)
+                        raised += 1
+                    else:
+                        assert has == bool(full), (g_, cap, k)
+                        kept += want is not None
+                    try:
+                        assert all_decompositions(g_, p, k, BOUNDED, 1, cap) == full, \
+                            (g_, cap, k)
+                        levels += 1
+                    except CapExceededError:
+                        raised += 1
+        assert kept > 50 and levels > 50, (p, kept, levels)
+        assert (raised == 0) == closed, (p, raised)
+    q = ProductProperty((props.edgeless, props.p3free))
     c4 = simple_graph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
     with pytest.raises(CapExceededError, match=r"2\^3 members"):
-        _has_in_partition_order(c4, p, 2, 4)
-    assert decomp._has_decomposition(c4, p, 2, BOUNDED, 1, 4)
+        _has_in_partition_order(c4, q, 2, 4)
+    assert decomp._has_decomposition(c4, q, 2, BOUNDED, 1, 4)
     with pytest.raises(CapExceededError, match=r"2\^3 members"):
-        all_decompositions(c4, p, 2, BOUNDED, 1, 4)
+        all_decompositions(c4, q, 2, BOUNDED, 1, 4)
     # a partial partition that raises cuts nothing: under this product
     # {0,2}|{1,3} raises at cap 8, and so do its completions {0,2,4}|{1,3}
     # and {0,2}|{1,3,4}, which are valid under the default cap
     q = ProductProperty((props.edgeless, forbidden_property(u, [simple_graph(3, [(1, 2)])]),
                          forbidden_property(u, [simple_graph(3, [(0, 2), (1, 2)])])))
+    assert not q.edge_closed
     g_ = simple_graph(5, [(0, 2), (1, 3)])
     assert {"{0,2,4}|{1,3}", "{0,2}|{1,3,4}"} <= \
         {str(d) for d in all_decompositions(g_, q, 2, BOUNDED, 1)}
@@ -741,15 +862,17 @@ def test_bipartite_sweep_work_counts(g, u, props, monkeypatch):
     bipartite graphs and 2K2, each asked whether it is uniquely
     decomposable under edgeless*edgeless.  The walk reads level 1 from
     membership, empties level 3 at its single-vertex join and places a
-    part's vertices along its edges.  It makes 308 decisions (711
-    before), decides 72 distinct bounded joins, the misses of the join
-    memo (128 before), and streams the members of 59 of them (113
-    before); a walk that decides every refinement in full decides 270
-    and streams 258.  The certificate, which decides each group as it
-    grows, runs _exact_split 134 times (254 before) and partition_solve
-    runs _find 576 times (968 before)."""
+    part's vertices along its edges.  It makes 308 decisions (711 before
+    the walk's cuts) and decides 72 distinct bounded joins, the misses of
+    the join memo (128 before the cuts).  edgeless*edgeless is closed
+    under deleting an edge, so each of them is decided on its one densest
+    member (72 built) and none is streamed (59 before; 113 before the
+    cuts) or tried by the certificate, which ran _exact_split 134 times
+    before (254 before the cuts).  partition_solve runs _find 602 times
+    (576 before, 968 before the cuts): a densest member carries every
+    crossing edge, so its vertices meet more neighbours in a block."""
     calls = {"_decide": [], "_first_bad_member": [], "_join_bounded": [],
-             "_exact_split": [], "_find": []}
+             "_exact_split": [], "_densest_member": [], "_find": []}
 
     def count(module, name):
         real = getattr(module, name)
@@ -758,7 +881,8 @@ def test_bipartite_sweep_work_counts(g, u, props, monkeypatch):
     members = [h for h in enumerate_hypergraphs(EnumSpec(u, 6, connected_only=True))
                if props.two_colour.member(h)]
     assert len(members) == 28
-    for name in ("_decide", "_first_bad_member", "_join_bounded", "_exact_split"):
+    for name in ("_decide", "_first_bad_member", "_join_bounded", "_exact_split",
+                 "_densest_member"):
         count(decomp, name)
     count(hgprops, "_find")
     decomp._level.cache_clear()
@@ -767,8 +891,8 @@ def test_bipartite_sweep_work_counts(g, u, props, monkeypatch):
     assert [is_uniquely_decomposable(h, props.two_colour, BOUNDED, k_max=1)
             for h in members + [g.two_k2]] == [True] * 28 + [False]
     assert {name: len(c) for name, c in calls.items()} == {
-        "_decide": 308, "_join_bounded": 72, "_first_bad_member": 59, "_exact_split": 134,
-        "_find": 576}
+        "_decide": 308, "_join_bounded": 72, "_first_bad_member": 0, "_exact_split": 0,
+        "_densest_member": 72, "_find": 602}
 
 
 def test_pruned_levels_match_a_flat_scan(monkeypatch):
@@ -969,9 +1093,11 @@ def test_strictness_brute_force_for_products(g, props):
 @pytest.mark.parametrize("uu, density", UNIVERSE_CASES)
 def test_product_strictness_matches_brute_force(uu, density, monkeypatch):
     """is_strict on a product of two finite-forbidden factors agrees with
-    brute_strict under brute_member_product; a graph the certificate
-    settles streams no one-vertex extension and is not strict, and the
-    other graphs stream theirs."""
+    brute_strict under brute_member_product.  A product closed under
+    deleting an edge decides its densest one-vertex extension and streams
+    none; under any other product a graph the certificate settles streams
+    no one-vertex extension and is not strict, and the other graphs
+    stream theirs."""
     streamed = []
     real = decomp._first_bad_member
     monkeypatch.setattr(decomp, "_first_bad_member",
@@ -995,18 +1121,29 @@ def test_product_strictness_matches_brute_force(uu, density, monkeypatch):
         assert is_strict(g_, prod) == want, (prod, g_)
         proved = decomp._product_certificate(prod, disjoint_union(g_, one),
                                              [(1 << g_.n) - 1, 1 << g_.n])
-        assert (len(streamed) == before) == proved, (prod, g_)
+        assert (len(streamed) == before) == (proved or prod.edge_closed), (prod, g_)
         assert not (proved and want), (prod, g_)
         settled += proved
         scanned += not proved
 
 
-def test_strictness_brute_force_respects_member_cap(g, props):
-    # K2 plus one vertex has 2 crossing edges, so 2^2 join members
+def test_strictness_brute_force_respects_member_cap(u, g, props):
+    """K2 plus one vertex has 2 crossing edges, so 2^2 join members.
+    Under edgeless x complete graphs ({2K1}-free, not closed under
+    deleting an edge) no certificate settles them and all are streamed,
+    so caps below 4 raise.  edgeless*edgeless is closed under deleting an
+    edge: its densest extension, K3, decides alone, under any cap that
+    admits one member; cap 0 still raises."""
+    q = ProductProperty((props.edgeless, forbidden_property(u, [g.e2])))
+    assert not q.edge_closed and props.two_colour.edge_closed
     for cap in (1, 3):
         with pytest.raises(CapExceededError, match=r"2\^2 members"):
-            is_strict(g.k2, props.two_colour, member_cap=cap)
+            is_strict(g.k2, q, member_cap=cap)
+        assert is_strict(g.k2, props.two_colour, member_cap=cap)
+    assert not is_strict(g.k2, q, member_cap=4)
     assert is_strict(g.k2, props.two_colour, member_cap=4)
+    with pytest.raises(CapExceededError, match=r"2\^2 members"):
+        is_strict(g.k2, props.two_colour, member_cap=0)
 
 
 def test_strictness_witness_structure(g, props):

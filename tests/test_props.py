@@ -435,6 +435,20 @@ def test_additivity(u, g, props):
     assert is_additive(props.two_colour, search_bound=5)
 
 
+def test_edge_closure_goldens(u, g, props):
+    """Closed under deleting an edge: K2-free, K3-free and {K3, C5}-free
+    (every chord of C5 closes a triangle), and products of closed factors,
+    nested ones too.  Not: P3-free (P3 plus an edge is K3), {2K2}-free,
+    and any product with such a factor or a generated one."""
+    assert props.edgeless.edge_closed and props.trifree.edge_closed and props.bip.edge_closed
+    assert not props.p3free.edge_closed
+    assert not forbidden_property(u, [g.two_k2]).edge_closed
+    assert props.two_colour.edge_closed
+    assert ProductProperty((props.two_colour, props.trifree)).edge_closed
+    assert not ProductProperty((props.trifree, props.p3free)).edge_closed
+    assert not ProductProperty((props.edgeless, GeneratedBounded(u, (g.k3,), 3))).edge_closed
+
+
 def test_forbidden_up_to_goldens(g, props, u):
     assert forbidden_up_to(props.edgeless, 3) == (canonical_form(g.k2),)
     assert forbidden_up_to(props.trifree, 4) == (canonical_form(g.k3),)
