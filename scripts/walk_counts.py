@@ -19,7 +19,10 @@ Per case and level it prints, as one JSON object per line:
   members were streamed;
 - densest: calls of decomp._densest_member, the densest join members
   built, one per copy count decided, for a product closed under
-  deleting an edge.
+  deleting an edge;
+- coloured: calls of decomp._coloured that found a colouring, the skip
+  tests (_has_decomposition, EXACT) settled with no level read or walked,
+  as the join over that many single vertices holds.
 
 Work is charged to the level whose walk (decomp._valid) was running when
 it was done; the level read below it is charged to its own line.  A last
@@ -45,7 +48,8 @@ from hgfactor import (
 from hgfactor import decomp, factor
 
 COUNTED = {"_decide": "decisions", "_join_bounded": "bounded_misses",
-           "_first_bad_member": "streamed", "_densest_member": "densest"}
+           "_first_bad_member": "streamed", "_densest_member": "densest",
+           "_coloured": "coloured"}
 
 
 def sweep():
@@ -79,8 +83,10 @@ def counts(run):
 
     def counting(name):
         def call(*args):
-            row(stack[-1] if stack else None)[COUNTED[name]] += 1
-            return real[name](*args)
+            at = row(stack[-1] if stack else None)
+            result = real[name](*args)
+            at[COUNTED[name]] += bool(result) if name == "_coloured" else 1
+            return result
         return call
 
     def valid(g, p, mode, k_max, member_cap, k):

@@ -53,13 +53,18 @@ uniqueness queries read the level at dec(G).  A level is walked depth
 first (_valid): one part of a valid decomposition is split by placing its
 vertices one at a time along its edges, right side first, and a partial
 split whose join is already refuted cuts all of its completions, since
-every property here is induced-hereditary.  Three rules, proved in
-_valid, settle questions without a walk: level 1 is p.member(G) for an
-additive forbidden set in EXACT mode and in BOUNDED mode at k_max = 1;
-and level k is empty once the join over k single vertices, decided once
-per process, is refuted, as it is an induced part of the join over any
-k-part partition.  Every decision, of a whole partition, a partial one
-or k single vertices, goes through _decide.
+every property here is induced-hereditary.  Four rules settle questions
+without a walk.  Three are proved in _valid: level 1 is p.member(G) for
+an additive forbidden set in EXACT mode and in BOUNDED mode at k_max =
+1; and level k is empty once the join over k single vertices, decided
+once per process, is refuted, as it is an induced part of the join over
+any k-part partition.  The fourth, proved in _has_decomposition, answers
+the existence question "dec(G) >= k?" in EXACT mode: yes when that join
+over k single vertices holds and G has a colouring with at most k
+classes, none holding a whole edge (_coloured), since a partition into
+such classes has every join inside a join over single vertices.  Every
+decision, of a whole partition, a partial one or k single vertices,
+goes through _decide.
 """
 
 from __future__ import annotations
@@ -784,6 +789,20 @@ def all_decompositions(g: Hypergraph, p: Property, n_parts: int, mode: str = EXA
     return list(_level(g, p, mode, k_max, member_cap, n_parts))
 
 
+def _coloured(g: Hypergraph, n_parts: int) -> bool:
+    """Can V(G) be split into at most n_parts classes, none of which
+    holds the whole support of an edge?  Searched by props._assign: the
+    vertices are its items and the classes n_parts equal slots, so the
+    twin rule tries each set of classes once, and a class fails for good
+    once an edge lies inside it.  Items are placed in ascending order, so
+    only the edges whose highest vertex is the one placed are checked."""
+    tops = [set() for _ in range(g.n)]
+    for sup, *_ in _coded_edges(g):
+        tops[sup.bit_length() - 1].add(sup)
+    return _assign((0,) * n_parts, g.n, lambda i, block, v: all(
+        sup & block != sup for sup in tops[v])) is not None
+
+
 def _has_decomposition(g: Hypergraph, p: Property, n_parts: int, mode: str,
                        k_max: int, member_cap: int = DEFAULT_MEMBER_CAP) -> bool:
     """bool(all_decompositions(...)), walking level n_parts (_valid) only
@@ -792,6 +811,27 @@ def _has_decomposition(g: Hypergraph, p: Property, n_parts: int, mode: str,
     valid, it is true iff G has a decomposition with at least n_parts
     parts, that is iff dec(G) >= n_parts.  Levels below n_parts come
     from _level.
+
+    In EXACT mode, for G over p's universe and 1 <= n_parts <= |V(G)|, it
+    first answers True with no walk and no level read when the join over
+    n_parts single vertices holds (_singletons_refuted, decided once per
+    process; in EXACT mode on a finite forbidden set it cannot raise) and
+    G has a colouring with at most n_parts classes, no edge's support
+    inside one class (_coloured).  The colour classes are then a valid
+    decomposition.  A colouring with fewer classes gives one with exactly
+    n_parts by moving vertices into singleton classes, as n_parts <=
+    |V(G)|; a subset of a class still holds no edge.  Take the classes'
+    sizes s_i, s their largest, and any j.  Every member of the j-fold
+    join over the classes is an induced subgraph of a member of the
+    (j*s)-fold join over n_parts single vertices: send the copies of class
+    i into distinct copies of vertex i, and copy exactly the member's
+    edges.  In both joins the blocks have no inner edges, as a class holds
+    no edge, and the crossing edges, those whose support meets two blocks,
+    are arbitrary, so the member's edges are crossing edges of the larger
+    join.  That join lies in P, which is induced-hereditary, so every
+    member over the classes does; G itself is a member of the 1-fold
+    join, so G lies in P too.  When either condition fails, or outside
+    this case, the walk below answers, unchanged.
 
     It raises only where a walk deciding every split of level n_parts-1
     in enumerate_partitions order, up to its first valid partition,
@@ -802,7 +842,14 @@ def _has_decomposition(g: Hypergraph, p: Property, n_parts: int, mode: str,
     _valid).  Then every split it did not decide is invalid, so that
     other walk decides every split, none valid, and raises at each one
     this walk saw raise.  An answer never depends on the raise: a valid
-    partition found proves dec(G) >= n_parts outright."""
+    partition found proves dec(G) >= n_parts outright.  A foreign graph
+    or n_parts < 1 is left to the walk, and raises there before any
+    colouring is tried."""
+    if mode == EXACT and isinstance(p, FiniteForbidden) and g.universe == p.universe \
+            and 1 <= n_parts <= g.n \
+            and not _singletons_refuted(p, mode, k_max, member_cap, n_parts) \
+            and _coloured(g, n_parts):
+        return True
     return _below_filled(g, p, n_parts, mode, k_max, member_cap) and \
         next(_valid(g, p, mode, k_max, member_cap, n_parts), None) is not None
 

@@ -247,6 +247,11 @@ def _dec_bounds(p: Property, n: int, k_max: int) -> DecBounds:
     from the same memoised lattice as dec_number and walks level upper
     only up to its first valid partition, so a skipped member costs no
     level that cannot lower the bracket and at most part of level upper.
+    In EXACT mode it first tries a colouring of the member with at most
+    upper classes, none holding a whole edge: when the join over upper
+    single vertices holds (one decision per process), such a colouring is
+    a valid decomposition, and the member is skipped with no level read
+    or walked.  For bip at 6 a colouring settles all 54 skip tests.
     In bounded mode a split of level upper that raises CapExceededError
     is held back and raised only when the walk finds no valid partition,
     so a member with a decomposition into upper parts is skipped without

@@ -1058,6 +1058,67 @@ def test_a_raising_single_vertex_join_cuts_nothing(u, g):
     assert str(dec_number(g.e2, p, BOUNDED, 1).decomposition) == "{0}|{1}"
 
 
+@pytest.mark.parametrize("name", _KERNEL_NAMES)
+def test_coloured_existence_test_matches_all_decompositions(g, u, name, monkeypatch):
+    """In EXACT mode the existence test answers True with no walk when
+    the join over k single vertices holds and G has a colouring with at
+    most k classes, none holding a whole edge.  Its answer equals
+    bool(all_decompositions) at every k from 1 to |V(G)|, on random
+    forbidden sets, closed under deleting an edge or not, and random
+    graphs in and outside them.  The rule must fire, and be declined both
+    for a refuted single-vertex join and for want of a colouring: the
+    edgeless property on K2 has a colouring into two classes but dec 0,
+    and C5 has no colouring into two classes."""
+    results = []
+    real = decomp._coloured
+    monkeypatch.setattr(decomp, "_coloured", lambda *a: results.append(real(*a)) or results[-1])
+    tally = {"fired": 0, "no join": 0, "no colouring": 0}
+
+    def check(g_, p, k):
+        del results[:]
+        has = decomp._has_decomposition(g_, p, k, EXACT, 1)
+        assert has == bool(all_decompositions(g_, p, k)), (g_, p, k)
+        if decomp._singletons_refuted(p, EXACT, 1, decomp.DEFAULT_MEMBER_CAP, k):
+            assert results == [], (g_, p, k)
+            tally["no join"] += 1
+        else:
+            assert len(results) == 1, (g_, p, k)
+            tally["fired" if results[0] else "no colouring"] += 1
+        return results
+
+    _, uu, dens = next(c for c in _kernel_universes(u) if c[0] == name)
+    rng = random.Random(f"{SEED}:coloured:{name}")
+    hi = 6 if name == "UNORDERED-3" else 5
+    for _ in range(120):
+        p = _random_forbidden(uu, dens, rng, name)
+        g_ = random_graph(uu, rng.randint(1, hi), dens, rng)
+        for k in range(1, g_.n + 1):
+            check(g_, p, k)
+    assert all(tally.values()), tally
+    edgeless = forbidden_property(u, [g.k2])
+    assert real(g.k2, 2) and not check(g.k2, edgeless, 2)
+    assert check(g.c5, forbidden_property(u, [g.k3]), 2) == [False]
+
+
+def test_coloured_existence_test_keeps_its_errors(g, u, props, monkeypatch):
+    """A graph over a foreign universe and a part count below 1 raise in
+    the existence test as in all_decompositions, before any colouring is
+    tried."""
+    tried = []
+    monkeypatch.setattr(decomp, "_coloured", lambda *a: tried.append(a))
+    other = Universe(frozenset({EdgeKind.ORDERED}), frozenset({2}), ("a",))
+    foreign = Hypergraph(other, 3, frozenset())
+    for k in (1, 3, 4):
+        for ask in (decomp._has_decomposition, all_decompositions):
+            with pytest.raises(HgError, match="universes differ"):
+                ask(foreign, props.trifree, k, EXACT, 1)
+    for k in (0, -1):
+        for ask in (decomp._has_decomposition, all_decompositions):
+            with pytest.raises(ValueError, match="at least one part"):
+                ask(g.p3, props.trifree, k, EXACT, 1)
+    assert tried == []
+
+
 # --- strictness ---------------------------------------------------------
 
 def test_strictness_goldens(g, props):

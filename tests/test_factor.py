@@ -378,19 +378,27 @@ def test_dec_bounds_matches_full_scan(p, n, monkeypatch):
 
 def test_dec_bounds_skip_test_stops_at_the_first_decomposition(props, monkeypatch):
     """bip at 6: a strict member with a decomposition into upper parts is
-    skipped once the first is found, so the scan makes 342 decisions,
-    partial partitions of the lattice walk and the two single-vertex
-    joins included, where reading all of level upper makes 1,460.  It
-    made 499 before level 1 was read from membership and parts were
-    split along edges, right side first."""
-    calls = []
-    real = decomp._decide
+    skipped once the first is found.  Each of the 54 skip tests is
+    settled by a colouring with at most upper = 2 classes, none holding
+    an edge, once the join over two single vertices holds, so the scan
+    makes 3 decisions, all in dec_number of the first member, K2: the
+    single-vertex joins over two and three vertices and the split
+    {0}|{1}.  Walking level upper up
+    to its first valid partition made 342, reading all of it 1,460, and
+    the walk made 499 before level 1 was read from membership and parts
+    were split along edges, right side first."""
+    calls, coloured = [], []
+    real, real_coloured = decomp._decide, decomp._coloured
     monkeypatch.setattr(decomp, "_decide", lambda *a: calls.append(a) or real(*a))
+    monkeypatch.setattr(decomp, "_coloured",
+                        lambda *a: coloured.append(real_coloured(*a)) or coloured[-1])
     decomp._level.cache_clear()
     decomp._singletons_refuted.cache_clear()
+    decomp._join_memo.clear()
     got = factor._dec_bounds.__wrapped__(props.bip, 6, 1)
     assert tuple(got) == (1, 2)
-    assert len(calls) == 342
+    assert len(calls) == 3
+    assert coloured == [True] * 54
 
 
 def test_cold_dec_bounds_keys_only_children_of_members(props, monkeypatch):
