@@ -22,6 +22,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .core import (
+    EdgeKind,
     Embedding,
     FormatError,
     HgError,
@@ -155,6 +156,13 @@ class FiniteForbidden(Property):
     The forbidden list must be an antichain of canonical forms, every
     member on at least 2 vertices (so single vertices are never
     excluded) and over the property's universe.
+
+    Besides the fields, `additive` says whether every forbidden graph is
+    connected, and `no_isolated` whether every vertex of each forbidden
+    graph on 3 or more vertices lies on an edge (additive sets have it).
+    partition_solve decides the forbidden graphs on 2 vertices by
+    `pair_edge_sets`, and runs _find and its neighbour guard, which reads
+    `no_isolated`, for the others only.
     """
 
     universe: Universe
@@ -180,11 +188,10 @@ class FiniteForbidden(Property):
         ordered = tuple(sorted((canonical_form(f) for f in forb),
                                key=lambda g: (g.n, canonical_key(g))))
         object.__setattr__(self, "forbidden", ordered)
-        # not fields: whether every forbidden graph is connected, and
-        # whether every vertex of each lies on an edge (so additive ones do)
+        # not fields, see the class docstring
         object.__setattr__(self, "additive", all(is_connected(f) for f in ordered))
         object.__setattr__(self, "no_isolated", all(
-            len({v for e in f.edges for v in e.vertices}) == f.n for f in ordered))
+            len({v for e in f.edges for v in e.vertices}) == f.n for f in ordered if f.n > 2))
 
     def member(self, g: Hypergraph) -> MembershipResult:
         self._check_universe(g)
@@ -193,6 +200,16 @@ class FiniteForbidden(Property):
             if emb is not None:
                 return MembershipResult(False, ForbiddenWitness(f, emb))
         return MembershipResult(True)
+
+    @cached_property
+    def pair_edge_sets(self) -> frozenset:
+        """The edge sets of the forbidden graphs on 2 vertices, each seen
+        from both vertex orders: frozensets of _pair_code tuples (ordered?,
+        runs from the first vertex?, colour).  2K1's is the empty set.
+        Empty when every forbidden graph has 3 or more vertices.  Worked
+        out once, on first use, for partition_solve."""
+        return frozenset(frozenset(_pair_code(e, first) for e in f.edges)
+                         for f in self.forbidden if f.n == 2 for first in (0, 1))
 
     @cached_property
     def edge_closed(self) -> bool:
@@ -212,6 +229,14 @@ class FiniteForbidden(Property):
             self.member(_unchecked_graph(self.universe, f.n, f.edges | {e}))
             for f in self.forbidden
             for e in crossing_edge_candidates([one] * f.n) if e not in f.edges)
+
+
+def _pair_code(e, first: int) -> tuple:
+    """An edge on two vertices seen from the vertex order that starts at
+    `first`: (ordered?, runs from first?, colour); an unordered edge runs
+    both ways."""
+    ordered = e.kind is EdgeKind.ORDERED
+    return ordered, not ordered or e.vertices[0] == first, e.colour
 
 
 def forbidden_property(universe: Universe, graphs: Iterable) -> FiniteForbidden:
@@ -383,14 +408,32 @@ def partition_solve(g: Hypergraph, factors: Sequence) -> Optional[PartitionAssig
 
     A finite-forbidden block, a vertex bitmask, is checked incrementally:
     it was clean before vertex v joined, so only forbidden copies through
-    v can appear, and _find looks for those alone under the block's mask
-    on g's index, built once per call, with each forbidden graph's
-    anchored plan from _pattern(f, True).  If no forbidden graph of the
-    factor has an isolated vertex and v has no neighbour in the block, no
-    such copy exists (the vertex mapped to v lies on an edge, whose image
-    would give v a neighbour; an edge plus a vertex could have its
-    isolated vertex at v) and the search is skipped.  Every additive
-    factor qualifies, since forbidden graphs have at least 2 vertices.
+    v can appear.
+
+    A forbidden graph on 2 vertices is decided by one bitmask test.  One
+    pass over g's arity-2 edges gives each vertex v, per distinct
+    pair_edge_sets value, a partner mask: the w for which g[{v,w}], its
+    edges read as _pair_code tuples from the lower of v and w, is one of
+    those forbidden graphs.  The block stays clean of them iff v's partner
+    mask misses it, which is what _find would answer:
+    - g[{v,w}]'s edges are exactly g's arity-2 edges on {v,w}, since every
+      edge has at least 2 distinct vertices; a pair with none is 2K1,
+      whose edge set is empty;
+    - two graphs on 2 vertices are isomorphic iff one of the two
+      bijections maps one edge set onto the other, and pair_edge_sets
+      holds each forbidden edge set as seen under both;
+    - the masks depend on the factor's value only, so _assign's twin rule
+      still holds.
+
+    Forbidden graphs on 3 or more vertices are searched for by _find
+    under the block's mask on g's index (_incidence), built once per call
+    and only when some factor has such a graph, with each one's anchored
+    plan from _pattern(f, True).  If none of them has an isolated vertex
+    (no_isolated) and v has no neighbour in the block, no such copy exists
+    (the vertex mapped to v lies on an edge, whose image would give v a
+    neighbour; an edge plus a vertex could have its isolated vertex at v)
+    and the search is skipped.  Every additive factor qualifies, since
+    forbidden graphs have at least 2 vertices.
 
     A block larger than a generated factor's bound cannot be decided.
     Such branches are cut; a solution found elsewhere is still definite,
@@ -406,18 +449,42 @@ def partition_solve(g: Hypergraph, factors: Sequence) -> Optional[PartitionAssig
         raise ValueError("need at least one factor")
     deferred = [i for i, fac in enumerate(factors)
                 if not isinstance(fac, (FiniteForbidden, GeneratedBounded))]
-    # built, not memoised: most graphs here are join members seen once
-    host = _incidence.__wrapped__(g)
-    nbr = host[1]
-    patterns = [[_pattern(f, True) for f in fac.forbidden]
+    pair_sets = [fac.pair_edge_sets if isinstance(fac, FiniteForbidden) else frozenset()
+                 for fac in factors]
+    partners = {}
+    if any(pair_sets):
+        on_pair = {}
+        for e in g.edges:
+            if len(e.vertices) == 2:
+                a, b = e.vertices
+                lo, hi = (a, b) if a < b else (b, a)
+                on_pair.setdefault((lo, hi), []).append(_pair_code(e, lo))
+        on_pair = [(a, b, frozenset(codes)) for (a, b), codes in on_pair.items()]
+        full = (1 << g.n) - 1
+        for sets in {sets for sets in pair_sets if sets}:
+            # every pair starts at 2K1's verdict; an edged pair whose
+            # verdict differs toggles
+            empty = frozenset() in sets
+            mask = [full ^ (1 << v) if empty else 0 for v in range(g.n)]
+            for a, b, codes in on_pair:
+                if (codes in sets) != empty:
+                    mask[a] ^= 1 << b
+                    mask[b] ^= 1 << a
+            partners[sets] = mask
+    partner = [partners.get(sets) for sets in pair_sets]
+    patterns = [[_pattern(f, True) for f in fac.forbidden if f.n > 2]
                 if isinstance(fac, FiniteForbidden) else () for fac in factors]
+    # built, not memoised: most graphs here are join members seen once
+    host = _incidence.__wrapped__(g) if any(patterns) else None
     cut_bound = None  # least bound of a generated factor that cut a branch
 
     def fits(i: int, block: int, v: int) -> bool:
         nonlocal cut_bound
         fac = factors[i]
         if isinstance(fac, FiniteForbidden):
-            if not nbr[v] & block and fac.no_isolated:
+            if partner[i] is not None and partner[i][v] & block:
+                return False
+            if not patterns[i] or fac.no_isolated and not host[1][v] & block:
                 return True
             return all(_find(pat, host, block, v) is None for pat in patterns[i])
         if isinstance(fac, GeneratedBounded):

@@ -885,9 +885,11 @@ def test_bipartite_sweep_work_counts(g, u, props, monkeypatch):
     under deleting an edge, so each of them is decided on its one densest
     member (72 built) and none is streamed (59 before; 113 before the
     cuts) or tried by the certificate, which ran _exact_split 134 times
-    before (254 before the cuts).  partition_solve runs _find 602 times
-    (576 before, 968 before the cuts): a densest member carries every
-    crossing edge, so its vertices meet more neighbours in a block."""
+    before (254 before the cuts).  partition_solve runs _find 0 times:
+    edgeless forbids K2 alone, a graph on 2 vertices, which it decides by
+    partner bitmasks with no embedding search.  It ran _find 602 times
+    while it searched for K2 (576 before the densest members, 968 before
+    the cuts)."""
     calls = {"_decide": [], "_first_bad_member": [], "_join_bounded": [],
              "_exact_split": [], "_densest_member": [], "_find": []}
 
@@ -909,7 +911,7 @@ def test_bipartite_sweep_work_counts(g, u, props, monkeypatch):
             for h in members + [g.two_k2]] == [True] * 28 + [False]
     assert {name: len(c) for name, c in calls.items()} == {
         "_decide": 308, "_join_bounded": 72, "_first_bad_member": 0, "_exact_split": 0,
-        "_densest_member": 72, "_find": 602}
+        "_densest_member": 72, "_find": 0}
 
 
 def test_pruned_levels_match_a_flat_scan(monkeypatch):

@@ -44,7 +44,7 @@ from helpers import (
     random_hereditary,
     solve_by_assignment,
 )
-from test_core import UNIVERSE_CASES, mixed_universe, triple_universe
+from test_core import UNIVERSE_CASES, mixed_universe, triple_universe, two_colour_universe
 
 SEED = 77003
 
@@ -190,15 +190,28 @@ def test_partition_solve_matches_assignment_scan_beyond_simple_graphs():
     # no neighbour in its block, so the neighbour guard must not skip the
     # search for them.  2K2 and two disjoint arcs have none, so the guard
     # skips it for them.
+    #
+    # Forbidden graphs on 2 vertices are decided by partner bitmasks, so
+    # the 2-colour and mixed cases pin what a pair is: 2K1 (a pair with no
+    # arity-2 edge, also when a 3-edge covers it), a colour-distinguished
+    # edge, an arc and an edge on one pair, and a lone arc, which a
+    # 2-cycle must not match.  Some factors mix 2-vertex and 3-vertex
+    # forbidden graphs, and some are equal but built apart.
     rng = random.Random(SEED + 2)
     su = Universe(frozenset({EdgeKind.UNORDERED}), frozenset({2}), ("e",))
     du = Universe(frozenset({EdgeKind.ORDERED}), frozenset({2}), ("a",))
     tu = Universe(frozenset({EdgeKind.UNORDERED}), frozenset({3}), ("e",))
+    cu = two_colour_universe()
+    mu = mixed_universe()
+    O, U = EdgeKind.ORDERED, EdgeKind.UNORDERED
 
     def graph(uni, n, edges):
         kind = next(iter(uni.kinds))
         return Hypergraph(uni, n, frozenset(EdgeObject(kind, e, uni.colours[0])
                                             for e in edges))
+
+    def shaped(uni, n, edges):  # edges as (kind, vertices, colour)
+        return Hypergraph(uni, n, frozenset(EdgeObject(*e) for e in edges))
 
     arc = graph(du, 2, [(0, 1)])
     two_cycle = graph(du, 2, [(0, 1), (1, 0)])
@@ -225,6 +238,27 @@ def test_partition_solve_matches_assignment_scan_beyond_simple_graphs():
                       forbidden_property(tu, [triple])]),
         (tu, 0.5, 8, [forbidden_property(tu, [triple]),
                       forbidden_property(tu, [pair, loose])]),
+    ]
+    red = shaped(cu, 2, [(U, (0, 1), "r")])
+    red_blue = shaped(cu, 2, [(U, (0, 1), "r"), (U, (0, 1), "b")])
+    blue_k3 = shaped(cu, 3, [(U, e, "b") for e in ((0, 1), (0, 2), (1, 2))])
+    blue_vertex = shaped(cu, 3, [(U, (0, 1), "b")])
+    lone_arc = shaped(mu, 2, [(O, (0, 1), "e")])
+    arc_edge = shaped(mu, 2, [(O, (0, 1), "e"), (U, (0, 1), "e")])
+    spanned = shaped(mu, 3, [(U, (0, 1, 2), "e")])
+    ordered_triple = shaped(mu, 3, [(O, (2, 0, 1), "e"), (U, (0, 1), "e")])
+    cases += [
+        (cu, 0.5, 6, [forbidden_property(cu, [red]), forbidden_property(cu, [red])]),
+        (cu, 0.6, 6, [forbidden_property(cu, [Hypergraph(cu, 2, frozenset()), blue_k3]),
+                      forbidden_property(cu, [red_blue, blue_vertex])]),
+        (cu, 0.7, 6, [forbidden_property(cu, [Hypergraph(cu, 2, frozenset())])
+                      for _ in range(3)]),
+        (mu, 0.15, 6, [forbidden_property(mu, [lone_arc]),
+                       forbidden_property(mu, [arc_edge, spanned])]),
+        (mu, 0.2, 6, [forbidden_property(mu, [arc_edge, ordered_triple]),
+                      forbidden_property(mu, [arc_edge, ordered_triple])]),
+        (mu, 0.5, 5, [forbidden_property(mu, [Hypergraph(mu, 2, frozenset())])
+                      for _ in range(2)]),
     ]
     runs = solved = 0
     for uni, p, n_max, factors in cases:
