@@ -1,22 +1,27 @@
 """Machine-independent work counts of canonical labelling in enumeration.
 
-For each enumeration below, every keying that generate._layer makes is
-captured, with its one layer memo cleared first.  Per enumeration it
-prints, as one JSON object per line:
+For each enumeration below, every candidate that generate._layer tries
+is captured at generate._key_candidate, with its one layer memo cleared
+first.  Per enumeration it prints, as one JSON object per line:
 
-- keyings: calls of core._canon (an edgeless graph is keyed without
-  refinement or ordering, and counts nowhere below);
+- probed: candidates tried, one per orbit of subsets that leave the new
+  vertex of least degree;
+- rejected: probed candidates whose new vertex is outside the first cell
+  of least degree, so that core._cells gave up on it and none was keyed;
+- keyings: probed candidates keyed, probed minus rejected (an edgeless
+  graph is keyed without refinement or ordering, and counts in neither
+  discrete nor orderings);
 - discrete: keyings whose refinement leaves every vertex alone in its cell;
-- orderings: the orderings in the product of the refined cells, summed
-  (the leaves of a search that pruned nothing);
-- leaves: the orderings core._canon keys, counted as calls of its
-  nested key function;
+- orderings: the orderings in the product of the refined cells of the
+  keyings, summed (the leaves of a search that pruned nothing);
+- leaves: the orderings the keyings' searches key, counted as calls of
+  the nested key function of core._canon_search;
 - profiles: the vertex profiles that the refinement rounds after the
-  first build (a vertex alone in its cell gets none), counted as calls
-  of the nested profile function of core._cells.
+  first build, rejected probes included (a vertex alone in its cell gets
+  none), counted as calls of the nested profile function of core._cells.
 
-Only candidate keyings, the calls of generate._canon, are counted; the
-searches that find each parent's automorphisms are not.
+Only candidates are counted; the searches that find each parent's
+automorphisms are not.
 
 Run from the repository root:
 
@@ -46,15 +51,15 @@ PROFILE_CODE = nested_code(core._cells, "profile")
 
 
 def counts(universe, top):
-    keyings = []
-    canon = generate._canon
-    generate._canon = lambda n, codes: keyings.append((n, codes)) or canon(n, codes)
+    probes = []
+    key_candidate = generate._key_candidate
+    generate._key_candidate = lambda n, codes: probes.append((n, codes)) or key_candidate(n, codes)
     try:
         generate._layer.cache_clear()
         for _ in enumerate_hypergraphs(EnumSpec(universe, top)):
             pass
     finally:
-        generate._canon = canon
+        generate._key_candidate = key_candidate
     leaves = profiles = 0
 
     def profile(frame, event, arg):
@@ -63,20 +68,23 @@ def counts(universe, top):
             leaves += frame.f_code is KEY_CODE
             profiles += frame.f_code is PROFILE_CODE
 
-    orderings = discrete = 0
-    for n, codes in keyings:
-        if not codes:
-            continue
-        cells = core._cells(n, codes)
-        orderings += math.prod(math.factorial(len(c)) for c in cells)
-        discrete += len(cells) == n
+    keyings = orderings = discrete = 0
+    for n, codes in probes:
         sys.setprofile(profile)
         try:
-            core._canon(n, codes)
+            key = key_candidate(n, codes)
         finally:
             sys.setprofile(None)
-    return {"keyings": len(keyings), "discrete": discrete,
-            "orderings": orderings, "leaves": leaves, "profiles": profiles}
+        if key is None:
+            continue
+        keyings += 1
+        if codes:
+            cells = core._cells(n, codes)
+            orderings += math.prod(math.factorial(len(c)) for c in cells)
+            discrete += len(cells) == n
+    return {"probed": len(probes), "rejected": len(probes) - keyings, "keyings": keyings,
+            "discrete": discrete, "orderings": orderings, "leaves": leaves,
+            "profiles": profiles}
 
 
 if __name__ == "__main__":

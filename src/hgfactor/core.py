@@ -459,7 +459,7 @@ def _codes(u: Universe, edges: Iterable) -> tuple:
                   e.colour) for e in edges)
 
 
-def _cells(n: int, codes: Sequence) -> list:
+def _cells(n: int, codes: Sequence, probe: int = -1) -> Optional[list]:
     """Refined vertex classes of the graph on n vertices with these _codes,
     as ascending vertex lists in colour order.
 
@@ -487,6 +487,14 @@ def _cells(n: int, codes: Sequence) -> list:
     in place into its distinct profiles in profile order.  The colours,
     the cells and their order are those of ranking every signature, and
     "no cell split" is the test that the class count stopped growing.
+
+    Given a probe vertex, _cells returns None as soon as a round leaves
+    the probe outside the first cell of least degree (edges at a vertex,
+    of any kind and colour).  A vertex's degree is the length of its
+    first-round profile, so degree is constant on first-round cells, and
+    later rounds only split cells in place: that cell's first piece is
+    the next round's first cell of least degree, so the cell only shrinks
+    and a probe that has left it never returns.
     """
     # at[v]: (profile entry head, vertices whose colours it carries, sort?)
     at = [[] for _ in range(n)]
@@ -506,6 +514,12 @@ def _cells(n: int, codes: Sequence) -> list:
     cell_list = [[] for _ in rank]
     for v, c in enumerate(colours):
         cell_list[c].append(v)
+    first = -1  # the first cell of least degree, tracked for a probe only
+    if probe >= 0:
+        least = min(map(len, sigs))
+        first = next(c for c, cell in enumerate(cell_list) if len(sigs[cell[0]]) == least)
+        if colours[probe] != first:
+            return None
     look = colours.__getitem__
 
     def profile(v: int) -> tuple:
@@ -518,7 +532,10 @@ def _cells(n: int, codes: Sequence) -> list:
     # colouring cannot split further
     while 1 < len(cell_list) < n:
         refined = []
-        for cell in cell_list:
+        split_first = first
+        for c, cell in enumerate(cell_list):
+            if c == first:
+                split_first = len(refined)
             if len(cell) == 1:
                 refined.append(cell)
                 continue
@@ -528,10 +545,12 @@ def _cells(n: int, codes: Sequence) -> list:
             refined += [pieces[p] for p in sorted(pieces)]
         if len(refined) == len(cell_list):
             break
-        cell_list = refined
+        cell_list, first = refined, split_first
         for c, cell in enumerate(cell_list):
             for v in cell:
                 colours[v] = c
+        if first >= 0 and colours[probe] != first:
+            return None
     total = 1
     for cell in cell_list:
         for i in range(2, len(cell) + 1):
@@ -547,10 +566,13 @@ def _canon(n: int, codes: Sequence) -> tuple:
     return _canon_search(n, codes)[0]
 
 
-def _canon_search(n: int, codes: Sequence) -> tuple:
+def _canon_search(n: int, codes: Sequence, probe: int = -1) -> Optional[tuple]:
     """(canonical_key, automorphism generators) of the graph on n vertices
     with these _codes; a generator is a tuple whose v-th entry is v's
-    image.
+    image.  Given a probe vertex, None when _cells gives up on it (the
+    probe is outside the first cell of least degree), and otherwise the
+    search runs on the cells _cells built for the probe, which are the
+    cells it builds without one.
 
     An ordering hands out labels 0..n-1 to the _cells classes in class
     order, each class's vertices in some order; it maps the edges to
@@ -597,7 +619,9 @@ def _canon_search(n: int, codes: Sequence) -> tuple:
     if not codes:
         gens = [(1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,)] if n > 1 else []
         return (n, ()), gens
-    cell_list = _cells(n, codes)
+    cell_list = _cells(n, codes, probe)
+    if cell_list is None:
+        return None
     mapping = [-1] * n  # vertex -> label, -1 while unplaced
     look = mapping.__getitem__
 

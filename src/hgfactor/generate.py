@@ -11,7 +11,6 @@ from .core import (
     Hypergraph,
     Universe,
     _bits,
-    _canon,
     _canon_search,
     _codes,
     _key_graph,
@@ -49,9 +48,11 @@ def enumerate_hypergraphs(spec: EnumSpec):
     canonical-key order.  Classes on n vertices are grown from classes on
     n-1 vertices by adding a vertex together with a subset of the edges
     through it.  Only subsets that leave the new vertex of least degree
-    are keyed, one per orbit of the parent's automorphisms; every class
-    is still reached, because deleting a least-degree vertex of any
-    graph gives a graph on one vertex fewer (see _grow).
+    are tried, one per orbit of the parent's automorphisms, and only
+    those whose new vertex lies in the first cell of least degree of
+    the refinement are keyed; every class is still reached, because
+    deleting any vertex of that cell gives a graph on one vertex fewer
+    (see _grow).
 
     Layers are memoised (_layer) and kept while the memo holds them, so
     repeated bounded scans enumerate each layer once.  A layer is built
@@ -81,6 +82,11 @@ def _layer(u: Universe, p, n: int) -> _Layer:
     None, or from the property p's members on n-1 vertices.  verdicts
     holds p's answers on a prefix of classes, filled by _decided; the
     null graph is in every p.
+
+    A member layer holds every member of p on n vertices and those
+    non-members that _grow reaches from a member parent by deleting a
+    vertex of their first least-degree cell: fewer non-members than
+    growing by any least-degree vertex reaches, the same members.
     """
     if n == 0:
         return _Layer((Hypergraph(u, 0, frozenset()),), [True])
@@ -103,47 +109,76 @@ def _decided(p, n: int):
 
 def _grow(u: Universe, n: int, parents) -> tuple:
     """Canonical forms of the classes on exactly n vertices that have a
-    least-degree vertex whose deletion leaves one of the parents, in
-    canonical-key order.  The parents are canonical forms of distinct
-    classes on n-1 vertices; given every such class, the result is every
-    class on n vertices.
+    vertex of their first least-degree cell whose deletion leaves one of
+    the parents, in canonical-key order.  The parents are canonical forms
+    of distinct classes on n-1 vertices; given every such class, the
+    result is every class on n vertices.
 
     A candidate is a parent P plus a subset S of the m edges through the
     new vertex n-1, the crossing edges of n-1 isolated vertices and one
     more.  Parents and those edges are coded once (core._codes) and a
-    candidate is keyed by core._canon directly, so no graph is built and
-    no canonical_key memo entry is made per candidate, only a graph per
-    class kept.  A candidate is keyed only if it passes two rules,
+    candidate is keyed by _key_candidate directly, so no graph is built
+    and no canonical_key memo entry is made per candidate, only a graph
+    per class kept.  A candidate is keyed only if it passes three rules,
     checked in this order:
 
     (a) least degree: the new vertex has the least degree in the child,
         counting edges of any kind and colour.  Its degree is |S|; an old
-        vertex w has its degree in the parent plus |S & touch[w]|, where
-        touch[w] marks the new edges through w.  No class is lost: a
-        least-degree vertex v of a graph G leaves a graph G - v; if it is
-        isomorphic to a parent P, the candidate that rebuilds G from P
-        has v as its new vertex.
+        vertex w has its degree d[w] in the parent plus |S & touch[w]|,
+        where touch[w] marks the new edges through w, so (a) asks
+        |S & ~touch[w]| <= d[w] for every w.
     (b) orbit: Aut(P), extended to fix the new vertex, permutes the new
-        edges, and only the first subset of each orbit met is keyed;
-        keying it marks its whole orbit done, closing it under the edge
-        images of the generators core._canon_search finds for P.  No
-        class is lost: an automorphism a of P that fixes the new vertex
-        maps the child of (P, S) isomorphically onto the child of
-        (P, a(S)), and keeps the new vertex's degree, so an orbit passes
-        rule (a) as a whole.
+        edges, and only the first subset of each orbit met is tried;
+        trying it marks its whole orbit done, closing it under the edge
+        images of the generators core._canon_search finds for P.  An
+        automorphism a of P that fixes the new vertex maps the child of
+        (P, S) isomorphically onto the child of (P, a(S)), and keeps the
+        new vertex's degree, so an orbit passes rule (a) as a whole.
+    (c) first cell: the new vertex lies in the first cell of least
+        degree of the child's refinement (core._cells, cells in colour
+        order).  Refinement is isomorphism-invariant, cells and their
+        order included, so an isomorphism maps the first least-degree
+        cell onto the first least-degree cell.  The isomorphism of (b)
+        fixes the new vertex, so an orbit passes (c) as a whole too, and
+        a tried subset that fails (c) marks its orbit done all the same.
+        _cells gives up on the new vertex after the first round that
+        leaves it outside that cell: the cell only shrinks from round to
+        round (see _cells), so the vertex can never return to it, and
+        the survivors are searched on the cells already built.
 
-    Every class with a candidate keeps at least one keyed candidate, so
-    the set of keys is that of keying every candidate.
+    No class is lost.  Let v be a vertex of the first least-degree cell
+    of a class G, and G - v isomorphic to a parent P (for a hereditary p
+    and a member G, G - v is a member, so a member parent).  The
+    isomorphism extends to one from G onto a child of P that sends v to
+    the new vertex, which then has least degree and lies in the child's
+    first least-degree cell: that child passes (a) and (c), and so does
+    its whole orbit under (b), whose first subset is keyed.  Every class
+    with such a candidate keeps a keyed one, so the set of keys is that
+    of keying every candidate with such a deletion.
+
+    Rule (a) is one bitmask per parent.  Bit s of an int over the 2^m
+    subsets stands for the subset s, and rows[w][t] holds every s with
+    |s & ~touch[w]| <= t, built once per layer (_rule_a_rows); ANDing
+    rows[w][d[w]] over the old vertices leaves the subsets that pass (a),
+    and only those are visited, in ascending order as before.
+
+    Keys share their entries: each distinct (arity, vertices, kind,
+    colour) entry is held once, in a pool dropped with the call, so the
+    keys a layer holds until it is sorted do not each carry fresh tuples.
     """
     through = crossing_edge_candidates(
         [Hypergraph(u, n - 1, frozenset()), Hypergraph(u, 1, frozenset())])
     new = _codes(u, through)  # in a fixed order, so every process keys alike
     index = {(ordered, ci, verts): i for i, (ordered, ci, verts, _, _) in enumerate(new)}
+    m = len(new)
     touch = [0] * (n - 1)
     for i, (_, _, verts, _, _) in enumerate(new):
         for w in verts:
             if w < n - 1:
                 touch[w] |= 1 << i
+    rows = [_rule_a_rows(m, t) for t in touch]
+    every = (1 << (1 << m)) - 1
+    pool = _Pool()
     seen = set()
     for g in parents:
         base = _codes(u, g.edges)
@@ -151,19 +186,21 @@ def _grow(u: Universe, n: int, parents) -> tuple:
         for _, _, verts, _, _ in base:
             for w in verts:
                 deg[w] += 1
-        low = min(deg, default=0)
+        admitted = every
+        for d, row in zip(deg, rows):
+            if d < len(row):
+                admitted &= row[d]
         # per generator of Aut(P), each new edge's image bit
         images = [_edge_images(new, index, sigma + (n - 1,))
                   for sigma in _canon_search(n - 1, base)[1]]
-        done = bytearray(1 << len(new))
-        for s in range(1 << len(new)):
-            k = s.bit_count()
-            if k > low and any(k > d + (s & t).bit_count() for d, t in zip(deg, touch)):
-                continue
+        done = bytearray(1 << m)
+        for s in _set_bits(admitted):
             if done[s]:
                 continue
             picks = _bits(s)
-            seen.add(_canon(n, base + tuple(new[i] for i in picks)))
+            key = _key_candidate(n, base + tuple(new[i] for i in picks))
+            if key is not None:
+                seen.add((n, tuple(map(pool.__getitem__, key[1]))))
             done[s] = 1
             orbit = [picks]  # mark s's orbit done: close it under the generators
             while orbit:
@@ -174,6 +211,52 @@ def _grow(u: Universe, n: int, parents) -> tuple:
                         done[t] = 1
                         orbit.append(_bits(t))
     return tuple(_key_graph(u, k) for k in sorted(seen))
+
+
+def _key_candidate(n: int, codes: tuple):
+    """The canonical key of the candidate on n vertices with these _codes,
+    whose new vertex is n-1, or None when rule (c) of _grow rejects it.
+    The one place _grow keys a candidate."""
+    found = _canon_search(n, codes, n - 1)
+    return None if found is None else found[0]
+
+
+def _rule_a_rows(m: int, touch: int) -> list:
+    """rows[t]: every subset s of m new edges with |s & ~touch| <= t, as
+    one int with bit s set for each, for t up to the number of new edges
+    outside touch, where every subset is in.
+
+    Built edge by edge: a subset with edge i has one more edge outside
+    touch than the same subset without it, or as many if i is in touch,
+    and the subsets with edge i sit 2^i bits above those without it."""
+    rows = [1]  # the one subset of no edges
+    for i in range(m):
+        shift = 1 << i
+        if touch >> i & 1:
+            rows = [r | r << shift for r in rows]
+        else:
+            rows = [rows[0]] + [r | low << shift for low, r in zip(rows, rows[1:])] \
+                + [rows[-1] | rows[-1] << shift]
+    return rows
+
+
+def _set_bits(mask: int):
+    """The set bit positions of a bitmask of any length, ascending, found
+    by scanning its binary digits."""
+    digits = bin(mask)[:1:-1]
+    i = digits.find("1")
+    while i >= 0:
+        yield i
+        i = digits.find("1", i + 1)
+
+
+class _Pool(dict):
+    """One shared object per distinct value looked up: a value missing
+    from the pool becomes its own entry."""
+
+    def __missing__(self, value):
+        self[value] = value
+        return value
 
 
 def _edge_images(new: tuple, index: dict, sigma: tuple) -> list:
@@ -190,17 +273,21 @@ def _members_up_to(p, max_vertices: int):
     as the same graphs in the same order.
 
     p must be closed under induced subgraphs and contain the null graph,
-    as every representation in props is.  Then deleting a least-degree
-    vertex of a member G on n vertices leaves a member on n-1, so G is
-    isomorphic to a class that _grow reaches from p's members on n-1
-    (rules (a) and (b) of _grow hold unchanged).  _grow sorts by
-    canonical key, so each layer is the full layer filtered to members,
-    in the same order.
+    as every representation in props is.  Then deleting a vertex of the
+    first least-degree cell of a member G on n vertices leaves a member
+    on n-1, so G is isomorphic to a class that _grow reaches from p's
+    members on n-1 (rules (a) to (c) of _grow hold unchanged).  _grow
+    sorts by canonical key, so each layer is the full layer filtered to
+    members, in the same order.
 
-    p is asked only about classes with a member parent, when the stream
-    reaches them: a subset of the classes the full stream has, in the
-    same order.  A class with no member parent is outside p, since its
-    least-degree deletions are all non-members.  Each verdict is kept
+    p is asked only about the classes _grow reaches from a member
+    parent, when the stream reaches them: a subset of the classes the
+    full stream has, in the same order.  A class it does not reach is
+    outside p, since deleting a vertex of its first least-degree cell
+    leaves a non-member.  Rule (c) leaves out some non-members that a
+    member parent reaches through another least-degree vertex, so p may
+    be asked about fewer classes, while the member stream and the order
+    of the verdicts asked are unchanged.  Each verdict is kept
     with its layer (_decided), so a scan that stops early leaves its
     verdicts to the next scan, which asks p only about the classes the
     earlier ones did not reach.

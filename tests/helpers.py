@@ -45,6 +45,7 @@ from hgfactor import (
     unique_decomposition,
     verify_factorisation,
 )
+from hgfactor.core import _codes
 
 
 def edge_triple(e):
@@ -254,11 +255,13 @@ def unpruned_layer(parents):
     return tuple(canonical_form(reps[k]) for k in sorted(reps))
 
 
-def least_degree_orbits(parent):
+def least_degree_orbits(parent, first_cell=False):
     """How many orbits, under the parent's automorphisms with the new
     vertex fixed, the one-vertex extensions of the parent in which the
     new vertex has the least degree (edges at a vertex, of any kind and
-    colour) fall into."""
+    colour) fall into.  With first_cell, only the orbits whose new vertex
+    also lies in the first cell of least degree of reference_cells, the
+    cells of a refinement run to the end, are counted."""
     z = parent.n
     auts = [perm + (z,) for perm in brute_automorphisms(parent)]
     orbits = set()
@@ -267,8 +270,13 @@ def least_degree_orbits(parent):
         for e in h.edges:
             for v in e.vertices:
                 deg[v] += 1
-        if deg[z] == min(deg):
-            orbits.add(min(tuple(sorted(mapped_triples(h, a))) for a in auts))
+        if deg[z] != min(deg):
+            continue
+        if first_cell and h.edges:
+            cells = reference_cells(z + 1, _codes(h.universe, h.edges))
+            if z not in next(c for c in cells if deg[c[0]] == deg[z]):
+                continue
+        orbits.add(min(tuple(sorted(mapped_triples(h, a))) for a in auts))
     return len(orbits)
 
 

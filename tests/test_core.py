@@ -469,6 +469,18 @@ def cells_or_cap_error(cells, n, codes):
         return str(err)
 
 
+def assert_probes_as_reference(n, codes, cells):
+    # a probe vertex gets the reference cells when it lies in their first
+    # cell of least degree, and None otherwise, whichever round it left in
+    deg = [0] * n
+    for _, _, verts, _, _ in codes:
+        for v in verts:
+            deg[v] += 1
+    first = next(c for c in cells if deg[c[0]] == min(deg))
+    for v in range(n):
+        assert _cells(n, codes, v) == (cells if v in first else None)
+
+
 @pytest.mark.parametrize("universe, p", UNIVERSE_CASES)
 def test_cells_equal_the_reference_on_larger_random_graphs(universe, p):
     # graphs too large for the ordering product: refinement alone, with
@@ -477,8 +489,10 @@ def test_cells_equal_the_reference_on_larger_random_graphs(universe, p):
     for _ in range(100):
         g_ = random_graph(universe, rng.randint(9, 14), p, rng)
         codes = _codes(g_.universe, g_.edges)
-        assert cells_or_cap_error(_cells, g_.n, codes) \
-            == cells_or_cap_error(reference_cells, g_.n, codes)
+        cells = cells_or_cap_error(reference_cells, g_.n, codes)
+        assert cells_or_cap_error(_cells, g_.n, codes) == cells
+        if codes and not isinstance(cells, str):
+            assert_probes_as_reference(g_.n, codes, cells)
 
 
 def test_cells_equal_the_reference_over_several_rounds():
@@ -495,6 +509,7 @@ def test_cells_equal_the_reference_over_several_rounds():
                coloured, mixed):
         codes = _codes(g_.universe, g_.edges)
         assert _cells(g_.n, codes) == reference_cells(g_.n, codes)
+        assert_probes_as_reference(g_.n, codes, reference_cells(g_.n, codes))
 
 
 def test_canonical_order_cap_raises_unchanged():

@@ -403,19 +403,27 @@ def test_dec_bounds_skip_test_stops_at_the_first_decomposition(props, monkeypatc
 
 def test_cold_dec_bounds_keys_only_children_of_members(props, monkeypatch):
     """bip at 6 from cold memos: the strict-member scan grows each layer
-    from bip's members alone, so enumeration keys 74 candidates where
-    every class on up to 6 vertices needs 239, and the bracket and its
-    witness are the full scan's."""
-    keyed = []
-    canon = generate._canon
-    monkeypatch.setattr(generate, "_canon", lambda *a: keyed.append(a) or canon(*a))
+    from bip's members alone, so enumeration tries 74 candidates and
+    keys 64 where every class on up to 6 vertices needs 239 tries and
+    208 keyings, and the bracket and its witness are the full scan's."""
+    probed, keyed = [], []
+    key_candidate = generate._key_candidate
+
+    def probe(n, codes):
+        probed.append(n)
+        key = key_candidate(n, codes)
+        if key is not None:
+            keyed.append(n)
+        return key
+
+    monkeypatch.setattr(generate, "_key_candidate", probe)
     generate._layer.cache_clear()
     assert len(list(enumerate_hypergraphs(EnumSpec(props.bip.universe, 6)))) == 209
-    assert len(keyed) == 239
-    del keyed[:]
+    assert (len(probed), len(keyed)) == (239, 208)
+    del probed[:], keyed[:]
     generate._layer.cache_clear()
     got = factor._dec_bounds.__wrapped__(props.bip, 6, 1)
-    assert len(keyed) == 74
+    assert (len(probed), len(keyed)) == (74, 64)
     assert got == reference_dec_bounds(props.bip, 6)[0]
     assert tuple(got) == (1, 2)
 

@@ -186,22 +186,40 @@ def test_enumeration_stream_digest(universe, top, digest):
 
 
 def test_enumeration_keys_equal_the_ordering_product(monkeypatch):
-    # every keying made while enumerating the pinned universes gets the
-    # cells and the key of the least ordering in the cell product; the
-    # classes, built without the per-edge universe checks, pass them
-    keyings = []
-    canon = generate._canon
-    monkeypatch.setattr(generate, "_canon",
-                        lambda n, codes: keyings.append((n, codes)) or canon(n, codes))
+    # every candidate tried while enumerating the pinned universes is
+    # keyed exactly when its new vertex lies in the first least-degree
+    # cell of the reference refinement, and then gets the cells and the
+    # key of the least ordering in the cell product; the classes, built
+    # without the per-edge universe checks, pass them
+    probes = []
+    key_candidate = generate._key_candidate
+
+    def probe(n, codes):
+        key = key_candidate(n, codes)
+        probes.append((n, codes, key))
+        return key
+
+    monkeypatch.setattr(generate, "_key_candidate", probe)
     generate._layer.cache_clear()
     for case in DIGEST_CASES:
         universe, top, _ = case.values
         for g in enumerate_hypergraphs(EnumSpec(universe, top)):
             assert Hypergraph(universe, g.n, g.edges) == g
-    assert len(keyings) > 500
-    for n, codes in keyings:
-        assert core._cells(n, codes) == reference_cells(n, codes)
-        assert core._canon(n, codes) == reference_canon(n, codes)
+    keyed = [(n, codes) for n, codes, key in probes if key is not None]
+    assert len(keyed) > 500 and len(keyed) < len(probes)
+    for n, codes, key in probes:
+        if not codes:
+            assert key == (n, ())
+            continue
+        cells = reference_cells(n, codes)
+        deg = [0] * n
+        for _, _, verts, _, _ in codes:
+            for v in verts:
+                deg[v] += 1
+        assert (key is not None) == (n - 1 in next(c for c in cells if deg[c[0]] == deg[n - 1]))
+        if key is not None:
+            assert core._cells(n, codes) == cells
+            assert key == reference_canon(n, codes)
 
 
 def test_layers_add_no_canonical_key_memo_entries():
@@ -272,42 +290,64 @@ def test_layers_match_unpruned_growth(universe, top):
 
 @pytest.mark.parametrize("universe, top", LAYER_CASES)
 def test_layer_keys_one_candidate_per_least_degree_orbit(universe, top, monkeypatch):
-    # machine-independent work count: the top layer keys exactly one
+    # machine-independent work count: the top layer tries exactly one
     # candidate per orbit, under each parent's automorphisms, of the
-    # subsets that leave the new vertex of least degree
+    # subsets that leave the new vertex of least degree, and keys those
+    # whose new vertex lies in the first least-degree cell of the
+    # reference refinement, which knows nothing of the early exit
     generate._layer.cache_clear()
     parents = generate._layer(universe, None, top - 1).classes  # memoised before counting
-    keyed = []
-    canon = generate._canon
-    monkeypatch.setattr(generate, "_canon", lambda n, codes: keyed.append(n) or canon(n, codes))
+    probed, keyed = [], []
+    key_candidate = generate._key_candidate
+
+    def probe(n, codes):
+        probed.append(n)
+        key = key_candidate(n, codes)
+        if key is not None:
+            keyed.append(n)
+        return key
+
+    monkeypatch.setattr(generate, "_key_candidate", probe)
     assert generate._layer(universe, None, top).classes
-    assert keyed and set(keyed) == {top}
-    assert len(keyed) == sum(least_degree_orbits(p) for p in parents)
+    assert keyed and set(probed) == {top}
+    assert len(probed) == sum(least_degree_orbits(p) for p in parents)
+    assert len(keyed) == sum(least_degree_orbits(p, first_cell=True) for p in parents)
 
 
-# prints a digest of every candidate _layer keys for 3-uniform
-# hypergraphs up to 5 vertices, each as (n, sorted codes): the order of a
-# candidate's codes changes no work, which candidate of an orbit is keyed does
+# prints how many candidates _layer tries for 3-uniform hypergraphs up to
+# 5 vertices, and a digest of them, each as (n, sorted codes, keyed?):
+# the order of a candidate's codes changes no work, which candidate of an
+# orbit is tried does
 KEYINGS_DIGEST = """
 import hashlib
 from hgfactor import EdgeKind, Universe, generate
 h = hashlib.sha256()
-canon = generate._canon
-generate._canon = lambda n, codes: h.update(repr((n, sorted(codes))).encode()) or canon(n, codes)
+probes = []
+key_candidate = generate._key_candidate
+
+def probe(n, codes):
+    key = key_candidate(n, codes)
+    probes.append(key)
+    h.update(repr((n, sorted(codes), key is not None)).encode())
+    return key
+
+generate._key_candidate = probe
 generate._layer(Universe(frozenset({EdgeKind.UNORDERED}), frozenset({3}), ("e",)), None, 5)
-print(h.hexdigest())
+assert probes, "no candidate was hashed"
+print(len(probes), sum(key is not None for key in probes), h.hexdigest())
 """
 
 
 def test_layers_key_the_same_candidates_under_any_hash_seed():
     # machine-independent work must not follow set iteration order
     src = os.path.dirname(os.path.dirname(os.path.abspath(core.__file__)))
-    digests = [subprocess.run([sys.executable, "-c", KEYINGS_DIGEST], check=True,
+    outputs = [subprocess.run([sys.executable, "-c", KEYINGS_DIGEST], check=True,
                               capture_output=True, text=True,
                               env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)).stdout
                for seed in ("1", "2")]
-    assert len(digests[0].strip()) == 64
-    assert digests[0] == digests[1]
+    probed, keyed, digest = outputs[0].split()
+    assert int(probed) > int(keyed) > 0 and len(digest) == 64
+    assert outputs[0] == outputs[1]
 
 
 def test_enumeration_cap():
