@@ -22,7 +22,10 @@ Per case and level it prints, as one JSON object per line:
   deleting an edge;
 - coloured: calls of decomp._coloured that found a colouring, the skip
   tests (_has_decomposition, EXACT) settled with no level read or walked,
-  as the join over that many single vertices holds.
+  as the join over that many single vertices holds;
+- solves: calls of props.partition_solve, one per product membership;
+- plans: the partition_solve plans built (props._solve_plan misses), one
+  per distinct factor tuple, as the plan memo starts empty too.
 
 Work is charged to the level whose walk (decomp._valid) was running when
 it was done; the level read below it is charged to its own line.  A last
@@ -45,11 +48,12 @@ from hgfactor import (
     simple_graph,
     simple_universe,
 )
-from hgfactor import decomp, factor
+from hgfactor import decomp, factor, props
 
 COUNTED = {"_decide": "decisions", "_join_bounded": "bounded_misses",
            "_first_bad_member": "streamed", "_densest_member": "densest",
            "_coloured": "coloured"}
+COLUMNS = (*COUNTED.values(), "solves", "plans")
 
 
 def sweep():
@@ -77,9 +81,10 @@ def counts(run):
     outside any walk."""
     levels, stack = {}, []
     real = {name: getattr(decomp, name) for name in (*COUNTED, "_valid")}
+    real_solve = props.partition_solve
 
     def row(level):
-        return levels.setdefault(level, dict.fromkeys(COUNTED.values(), 0))
+        return levels.setdefault(level, dict.fromkeys(COLUMNS, 0))
 
     def counting(name):
         def call(*args):
@@ -88,6 +93,14 @@ def counts(run):
             at[COUNTED[name]] += bool(result) if name == "_coloured" else 1
             return result
         return call
+
+    def solve(g, factors):
+        at = row(stack[-1] if stack else None)
+        built = props._solve_plan.cache_info().misses
+        result = real_solve(g, factors)
+        at["solves"] += 1
+        at["plans"] += props._solve_plan.cache_info().misses - built
+        return result
 
     def valid(g, p, mode, k_max, member_cap, k):
         row(k)
@@ -105,14 +118,17 @@ def counts(run):
     decomp._level.cache_clear()
     decomp._singletons_refuted.cache_clear()
     decomp._join_memo.clear()
+    props._solve_plan.cache_clear()
     for name in COUNTED:
         setattr(decomp, name, counting(name))
     decomp._valid = valid
+    props.partition_solve = solve
     try:
         run()
     finally:
         for name, f in real.items():
             setattr(decomp, name, f)
+        props.partition_solve = real_solve
     return levels
 
 
@@ -122,4 +138,4 @@ if __name__ == "__main__":
         for level in sorted(levels, key=lambda k: -1 if k is None else k):
             print(json.dumps({"case": label, "level": level, **levels[level]}))
         print(json.dumps({"case": label, "level": "all", **{
-            name: sum(row[name] for row in levels.values()) for name in COUNTED.values()}}))
+            name: sum(row[name] for row in levels.values()) for name in COLUMNS}}))

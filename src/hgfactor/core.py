@@ -82,6 +82,36 @@ class EdgeKind(str, Enum):
         return self.value
 
 
+def _hash_once(cls):
+    """Class decorator, above @dataclass(frozen=True): the instance keeps
+    the hash of its field tuple, which the dataclass's own __hash__
+    computes, in its dict under "_hash" on first use.  Memo keys hash the
+    same property and graph values many times, and a value's hash walks
+    every field, factors and forbidden graphs included, each time.  The
+    kept hash equals the computed one, so no set or dict order moves.
+
+    str hashes differ between processes (PYTHONHASHSEED), so pickled and
+    copied state leaves the kept hash out, and the copy computes its own."""
+    field_hash = cls.__hash__
+
+    def __hash__(self) -> int:
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            h = self.__dict__["_hash"] = field_hash(self)
+            return h
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
+
+
+@_hash_once
 @dataclass(frozen=True)
 class Universe:
     """Shape of the objects under study.
@@ -150,6 +180,7 @@ class EdgeObject:
         return f"{mark}({','.join(map(str, self.vertices))};{self.colour})"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Hypergraph:
     """A finite hypergraph over a universe.
@@ -738,6 +769,24 @@ def _unchecked_graph(u: Universe, n: int, edges: frozenset) -> Hypergraph:
     object.__setattr__(g, "n", n)
     object.__setattr__(g, "edges", edges)
     return g
+
+
+def _unchecked_edge(kind: EdgeKind, vertices: tuple, colour: str) -> EdgeObject:
+    """The EdgeObject with these fields, built without __post_init__; for
+    callers whose fields it would leave as they are: kind an EdgeKind,
+    vertices a tuple of distinct ints, at least two, and ascending when
+    the edge is unordered.
+
+    _densest_member's copied edges qualify: each is an edge of a checked
+    graph with every vertex v moved to offset + rank(v) + c * size, rank
+    being v's rank in its block.  That map is strictly increasing on the
+    block, so it keeps the vertices distinct and an unordered edge's
+    vertices ascending, and its kind, arity and colour are the original's."""
+    e = object.__new__(EdgeObject)
+    object.__setattr__(e, "kind", kind)
+    object.__setattr__(e, "vertices", vertices)
+    object.__setattr__(e, "colour", colour)
+    return e
 
 
 @lru_cache(maxsize=200_000)

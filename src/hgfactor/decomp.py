@@ -76,7 +76,6 @@ from typing import Iterable, Optional, Sequence
 
 from .core import (
     CapExceededError,
-    EdgeObject,
     Embedding,
     HgError,
     Hypergraph,
@@ -93,6 +92,7 @@ from .core import (
     _incidence,
     _join_stream,
     _pattern,
+    _unchecked_edge,
     _unchecked_graph,
 )
 from .props import (
@@ -102,6 +102,7 @@ from .props import (
     Property,
     min_forbidden_order,
     _assign,
+    _twins,
 )
 
 __all__ = [
@@ -365,7 +366,7 @@ def _product_certificate(p: ProductProperty, g: Hypergraph, masks: Sequence) -> 
     if not all(isinstance(f, FiniteForbidden) for f in factors):
         return False
     host = _incidence(g)
-    return _assign(factors, len(masks), lambda i, group, j: _exact_split(
+    return _assign(_twins(factors), len(masks), lambda i, group, j: _exact_split(
         factors[i], host, [masks[b] for b in _bits(group)]) is None) is not None
 
 
@@ -443,7 +444,10 @@ def _densest_member(g: Hypergraph, masks: Sequence, k: int) -> Hypergraph:
     block)).  Built from g's edges, block after block, with block i's k
     copies side by side as replicate lays them out; the crossing edges,
     which join different blocks and never two copies of one, come from
-    _crossing."""
+    _crossing.  The copied edges skip EdgeObject's checks (_unchecked_edge,
+    whose docstring proves they would change nothing), and the graph skips
+    Hypergraph's: every edge is a relabelled edge of g or a crossing edge
+    over g's universe, inside the vertex count."""
     u, sizes, edges = g.universe, [], set()
     for mask in masks:
         if mask:
@@ -451,8 +455,8 @@ def _densest_member(g: Hypergraph, masks: Sequence, k: int) -> Hypergraph:
             at = {v: sum(sizes) + r for r, v in enumerate(vs)}
             for e in g.edges:
                 if all(v in at for v in e.vertices):
-                    edges.update(EdgeObject(e.kind, tuple(at[v] + c * len(vs)
-                                                          for v in e.vertices), e.colour)
+                    edges.update(_unchecked_edge(e.kind, tuple(at[v] + c * len(vs)
+                                                               for v in e.vertices), e.colour)
                                  for c in range(k))
             sizes.append(k * len(vs))
     return _unchecked_graph(u, sum(sizes), frozenset(edges | _crossing(u, tuple(sizes))))
@@ -799,7 +803,7 @@ def _coloured(g: Hypergraph, n_parts: int) -> bool:
     tops = [set() for _ in range(g.n)]
     for sup, *_ in _coded_edges(g):
         tops[sup.bit_length() - 1].add(sup)
-    return _assign((0,) * n_parts, g.n, lambda i, block, v: all(
+    return _assign(_twins((0,) * n_parts), g.n, lambda i, block, v: all(
         sup & block != sup for sup in tops[v])) is not None
 
 

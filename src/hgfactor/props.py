@@ -18,8 +18,8 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from functools import cached_property, lru_cache
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .core import (
     EdgeKind,
@@ -41,6 +41,7 @@ from .core import (
     _parse_universe_spec,
     _bits,
     _find,
+    _hash_once,
     _incidence,
     _pattern,
     _unchecked_graph,
@@ -149,6 +150,7 @@ def minimize_forbidden(graphs: Iterable) -> tuple:
     return tuple(sorted(keep, key=lambda g: (g.n, canonical_key(g))))
 
 
+@_hash_once
 @dataclass(frozen=True)
 class FiniteForbidden(Property):
     """Graphs avoiding every listed forbidden induced subhypergraph.
@@ -244,6 +246,7 @@ def forbidden_property(universe: Universe, graphs: Iterable) -> FiniteForbidden:
     return FiniteForbidden(universe, minimize_forbidden(graphs))
 
 
+@_hash_once
 @dataclass(frozen=True)
 class ProductProperty(Property):
     """Ordered composition of at least two factor properties."""
@@ -283,6 +286,7 @@ class ProductProperty(Property):
         return MembershipResult(True, pa)
 
 
+@_hash_once
 @dataclass(frozen=True)
 class GeneratedBounded(Property):
     """Everything embedding induced into some generator, queryable only
@@ -345,9 +349,18 @@ def is_additive(p: Property, search_bound: Optional[int] = None) -> bool:
     return all(is_connected(f) for f in forbidden_up_to(p, search_bound))
 
 
-def _assign(factors: Sequence, n: int, fits, complete=None) -> Optional[list]:
+def _twins(factors: Sequence) -> tuple:
+    """Per factor, the index of the nearest earlier factor equal (==) to
+    it, or None: the twins _assign takes."""
+    return tuple(next((t for t in range(i - 1, -1, -1) if factors[t] == fac), None)
+                 for i, fac in enumerate(factors))
+
+
+def _assign(twins: Sequence, n: int, fits, complete=None) -> Optional[list]:
     """Lexicographically least assignment of items 0..n-1 to one block
-    per factor, as block bitmasks over the items, or None.
+    per factor, as block bitmasks over the items, or None.  twins is
+    _twins(factors): one entry per factor, the nearest earlier factor
+    equal to it, or None.
 
     Complete backtracking: items are placed in ascending order, each
     trying the blocks in ascending order.  fits(i, block, j) is asked as
@@ -357,15 +370,14 @@ def _assign(factors: Sequence, n: int, fits, complete=None) -> Optional[list]:
     when given, is asked about every full assignment that fits.
 
     Equal factors are interchangeable: an item may open an empty block i
-    only if the nearest earlier factor equal (==) to factors[i] has a
-    nonempty block already.  This needs fits(i, block, j) to depend on
-    factors[i] only through its value, and complete to keep its answer
-    when the blocks of two equal factors are swapped.  Take an accepted
-    assignment that opens block i while an equal earlier block t is
-    empty: swapping blocks i and t gives an accepted assignment that is
-    smaller at the first item placed in either block, so the least one is
-    never in a skipped subtree.  A skipped subtree is the swap image of
-    the subtree that places the same item in block t, block sizes
+    only if block twins[i] is nonempty already.  This needs fits(i, block,
+    j) to depend on factors[i] only through its value, and complete to
+    keep its answer when the blocks of two equal factors are swapped.
+    Take an accepted assignment that opens block i while an equal earlier
+    block t is empty: swapping blocks i and t gives an accepted assignment
+    that is smaller at the first item placed in either block, so the least
+    one is never in a skipped subtree.  A skipped subtree is the swap image
+    of the subtree that places the same item in block t, block sizes
     included, so every fits question asked in it is asked in that image
     too, about an equal factor and the same block, with the same answer;
     by induction along the equal factors and down the items, the search
@@ -373,16 +385,14 @@ def _assign(factors: Sequence, n: int, fits, complete=None) -> Optional[list]:
     that of the search without the rule, and a search that returns None
     has asked, up to equal factors, every question that one asks.
     """
-    m = len(factors)
-    twin = [next((t for t in range(i - 1, -1, -1) if factors[t] == fac), None)
-            for i, fac in enumerate(factors)]
+    m = len(twins)
     blocks = [0] * m
 
     def place(j: int) -> bool:
         if j == n:
             return complete is None or complete(blocks)
         for i in range(m):
-            if not blocks[i] and twin[i] is not None and not blocks[twin[i]]:
+            if not blocks[i] and twins[i] is not None and not blocks[twins[i]]:
                 continue
             blocks[i] |= 1 << j
             if fits(i, blocks[i], j) and place(j + 1):
@@ -393,9 +403,43 @@ def _assign(factors: Sequence, n: int, fits, complete=None) -> Optional[list]:
     return blocks if place(0) else None
 
 
+class _SolvePlan(NamedTuple):
+    """What partition_solve needs of a factor tuple, whatever the graph."""
+
+    deferred: tuple  # factors checked on complete blocks only: products
+    pair_sets: tuple  # per factor, its pair_edge_sets, or frozenset()
+    distinct_pair_sets: tuple  # the nonempty pair_sets, each once
+    patterns: tuple  # per factor, _pattern(f, True) of its forbidden f on 3+ vertices
+    twins: tuple  # _twins(factors)
+
+
+@lru_cache(maxsize=1024)
+def _solve_plan(factors: tuple) -> _SolvePlan:
+    """partition_solve's plan for a factor tuple, built once per distinct
+    tuple (== of the factors, which compares their values).  Every entry
+    depends on the factors' values only, so equal tuples built apart
+    share one plan."""
+    pair_sets = tuple(fac.pair_edge_sets if isinstance(fac, FiniteForbidden) else frozenset()
+                      for fac in factors)
+    return _SolvePlan(
+        deferred=tuple(i for i, fac in enumerate(factors)
+                       if not isinstance(fac, (FiniteForbidden, GeneratedBounded))),
+        pair_sets=pair_sets,
+        distinct_pair_sets=tuple(dict.fromkeys(sets for sets in pair_sets if sets)),
+        patterns=tuple(tuple(_pattern(f, True) for f in fac.forbidden if f.n > 2)
+                       if isinstance(fac, FiniteForbidden) else () for fac in factors),
+        twins=_twins(factors))
+
+
 def partition_solve(g: Hypergraph, factors: Sequence) -> Optional[PartitionAssignment]:
     """First vertex partition (empty blocks allowed) whose i-th block
     induces a member of factors[i]; None when none exists.
+
+    What does not depend on g comes from the factor tuple's plan
+    (_solve_plan), built once per distinct tuple: which factors wait for
+    complete blocks, each factor's pair_edge_sets, the anchored _pattern
+    of each forbidden graph on 3 or more vertices, and _assign's twins.
+    Everything that reads g is built per call.
 
     The vertices are _assign's items, so the returned assignment vector
     is the lexicographically least solution.  Equal factors are
@@ -447,12 +491,10 @@ def partition_solve(g: Hypergraph, factors: Sequence) -> Optional[PartitionAssig
             raise UniverseMismatchError("factor universe differs from the graph's")
     if not factors:
         raise ValueError("need at least one factor")
-    deferred = [i for i, fac in enumerate(factors)
-                if not isinstance(fac, (FiniteForbidden, GeneratedBounded))]
-    pair_sets = [fac.pair_edge_sets if isinstance(fac, FiniteForbidden) else frozenset()
-                 for fac in factors]
+    factors = tuple(factors)
+    deferred, pair_sets, distinct_pair_sets, patterns, twins = _solve_plan(factors)
     partners = {}
-    if any(pair_sets):
+    if distinct_pair_sets:
         on_pair = {}
         for e in g.edges:
             if len(e.vertices) == 2:
@@ -461,7 +503,7 @@ def partition_solve(g: Hypergraph, factors: Sequence) -> Optional[PartitionAssig
                 on_pair.setdefault((lo, hi), []).append(_pair_code(e, lo))
         on_pair = [(a, b, frozenset(codes)) for (a, b), codes in on_pair.items()]
         full = (1 << g.n) - 1
-        for sets in {sets for sets in pair_sets if sets}:
+        for sets in distinct_pair_sets:
             # every pair starts at 2K1's verdict; an edged pair whose
             # verdict differs toggles
             empty = frozenset() in sets
@@ -472,8 +514,6 @@ def partition_solve(g: Hypergraph, factors: Sequence) -> Optional[PartitionAssig
                     mask[b] ^= 1 << a
             partners[sets] = mask
     partner = [partners.get(sets) for sets in pair_sets]
-    patterns = [[_pattern(f, True) for f in fac.forbidden if f.n > 2]
-                if isinstance(fac, FiniteForbidden) else () for fac in factors]
     # built, not memoised: most graphs here are join members seen once
     host = _incidence.__wrapped__(g) if any(patterns) else None
     cut_bound = None  # least bound of a generated factor that cut a branch
@@ -497,7 +537,7 @@ def partition_solve(g: Hypergraph, factors: Sequence) -> Optional[PartitionAssig
     def complete(blocks: list) -> bool:
         return all(bool(factors[i].member(induced(g, _bits(blocks[i])))) for i in deferred)
 
-    blocks = _assign(factors, g.n, fits, complete)
+    blocks = _assign(twins, g.n, fits, complete)
     if blocks is not None:
         return PartitionAssignment(tuple(frozenset(_bits(b)) for b in blocks))
     if cut_bound is not None:

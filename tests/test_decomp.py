@@ -8,6 +8,7 @@ import pytest
 
 from hgfactor import (
     BOUNDED,
+    BoundExceededError,
     CapExceededError,
     DecWitness,
     Decomposition,
@@ -15,6 +16,7 @@ from hgfactor import (
     EdgeKind,
     EdgeObject,
     EnumSpec,
+    FiniteForbidden,
     GeneratedBounded,
     HgError,
     Hypergraph,
@@ -41,6 +43,7 @@ from hgfactor import (
     member,
     min_forbidden_order,
     multiplicity,
+    partition_solve,
     replicate,
     respects,
     respects_uniformly,
@@ -546,6 +549,79 @@ def test_densest_member_decides_like_the_dense_first_stream(u, name):
         assert closed_at_two and sparse_bad, (closed_at_two, sparse_bad)
 
 
+def _solved(g_, factors):
+    """partition_solve's answer as a comparable value: the parts, None, or
+    the bound error's message."""
+    try:
+        pa = partition_solve(g_, factors)
+    except BoundExceededError as exc:
+        return str(exc)
+    return None if pa is None else pa.parts
+
+
+@pytest.mark.parametrize("name", _KERNEL_NAMES)
+def test_solve_plans_answer_like_plans_built_per_call(u, name, monkeypatch):
+    """partition_solve reads one memoised plan per factor tuple; it must
+    answer as it does with the plan built afresh on every call: the same
+    assignment, None, or BoundExceededError with the same bound.  Six
+    factor tuples of two and three factors are asked about each of 40
+    random graphs in turn, so every plan is read again after plans of
+    other tuples of its length.  Two factors are random forbidden sets;
+    a third forbids every edge of the least arity, and a copy of it built
+    apart is equal, which the plan's twins must pair as _twins does; two
+    tuples have a GeneratedBounded factor that holds every graph on 2
+    vertices, up to its bound 2.  Each distinct tuple's plan is built
+    once."""
+    _, uu, dens = next(c for c in _kernel_universes(u) if c[0] == name)
+    rng = random.Random(f"{SEED}:plans:{name}")
+    a, b = (_random_forbidden(uu, dens, rng, name) for _ in range(2))
+    r = min(uu.arities)
+    e = forbidden_property(uu, [Hypergraph(uu, r, frozenset({edge}))
+                                for edge in admissible_edges(uu, range(r))
+                                if len(edge.vertices) == r])
+    twin = FiniteForbidden(uu, e.forbidden)
+    assert twin == e and twin is not e
+    gen = GeneratedBounded(uu, tuple(h for h in enumerate_hypergraphs(EnumSpec(uu, 2))
+                                     if h.n == 2), 2)
+    tuples = [(a, b), (b, a), (e, twin), (gen, e), (a, b, e), (b, gen, a)]
+    assert hgprops._solve_plan.__wrapped__((e, twin)).twins == (None, 0)
+    graphs = [random_graph(uu, rng.randint(1, 6 if name == "UNORDERED-3" else 5), dens, rng)
+              for _ in range(40)]
+    hgprops._solve_plan.cache_clear()
+    memoised = [[_solved(g_, factors) for factors in tuples] for g_ in graphs]
+    assert hgprops._solve_plan.cache_info().misses == len(tuples)
+    monkeypatch.setattr(hgprops, "_solve_plan", hgprops._solve_plan.__wrapped__)
+    assert memoised == [[_solved(g_, factors) for factors in tuples] for g_ in graphs]
+    answers = {type(x) for row in memoised for x in row}
+    assert answers == {tuple, type(None), str}, (name, answers)
+
+
+@pytest.mark.parametrize("name", ["ORDERED-2", "UNORDERED-3", "2-colour", "mixed"])
+def test_densest_member_equals_the_validated_build(u, name):
+    """_densest_member builds its copied edges unchecked; the graph must
+    equal the one built through EdgeObject's and Hypergraph's checks: k
+    copies of each nonempty block's induced graph side by side, plus every
+    crossing edge, at k = 1..3, on directed, 3-uniform, 2-colour and
+    mixed-kind blocks, an empty block among them at times."""
+    _, uu, dens = next(c for c in _kernel_universes(u) if c[0] == name)
+    rng = random.Random(f"{SEED}:unchecked:{name}")
+    for _ in range(15):
+        g_ = random_graph(uu, rng.randint(2, 5), dens, rng)
+        assign = [rng.randrange(3) for _ in range(g_.n)]
+        masks = [sum(1 << v for v in g_.vertices if assign[v] == i) for i in range(3)]
+        blocks = [induced(g_, [v for v in g_.vertices if assign[v] == i])
+                  for i in range(3) if i in assign]
+        for k in (1, 2, 3):
+            copies = [replicate(k, h) for h in blocks]
+            base = reduce(disjoint_union, copies)
+            want = Hypergraph(uu, base.n, base.edges | {
+                EdgeObject(e.kind, e.vertices, e.colour)
+                for e in crossing_edge_candidates(copies)})
+            got = decomp._densest_member(g_, masks, k)
+            assert got == want, (g_, masks, k)
+            assert all(EdgeObject(e.kind, e.vertices, e.colour) == e for e in got.edges)
+
+
 def test_crossing_memo_keeps_only_small_joins(u):
     """The crossing edges of densest members are memoised for at most
     _CROSSING_KEYS block sizes, each with at most _CROSSING_KEPT edges:
@@ -889,9 +965,12 @@ def test_bipartite_sweep_work_counts(g, u, props, monkeypatch):
     edgeless forbids K2 alone, a graph on 2 vertices, which it decides by
     partner bitmasks with no embedding search.  It ran _find 602 times
     while it searched for K2 (576 before the densest members, 968 before
-    the cuts)."""
+    the cuts).  The walk's 101 product memberships call partition_solve,
+    which builds the plan of its one factor tuple once, from a cold plan
+    memo, and reads it on every later call."""
     calls = {"_decide": [], "_first_bad_member": [], "_join_bounded": [],
-             "_exact_split": [], "_densest_member": [], "_find": []}
+             "_exact_split": [], "_densest_member": [], "_find": [],
+             "partition_solve": []}
 
     def count(module, name):
         real = getattr(module, name)
@@ -904,14 +983,18 @@ def test_bipartite_sweep_work_counts(g, u, props, monkeypatch):
                  "_densest_member"):
         count(decomp, name)
     count(hgprops, "_find")
+    count(hgprops, "partition_solve")
     decomp._level.cache_clear()
     decomp._singletons_refuted.cache_clear()
     decomp._join_memo.clear()
+    hgprops._solve_plan.cache_clear()
     assert [is_uniquely_decomposable(h, props.two_colour, BOUNDED, k_max=1)
             for h in members + [g.two_k2]] == [True] * 28 + [False]
     assert {name: len(c) for name, c in calls.items()} == {
         "_decide": 308, "_join_bounded": 72, "_first_bad_member": 0, "_exact_split": 0,
-        "_densest_member": 72, "_find": 0}
+        "_densest_member": 72, "_find": 0, "partition_solve": 101}
+    distinct = {tuple(factors) for _, factors in calls["partition_solve"]}
+    assert len(distinct) == hgprops._solve_plan.cache_info().misses == 1
 
 
 def test_pruned_levels_match_a_flat_scan(monkeypatch):

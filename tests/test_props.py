@@ -1,7 +1,13 @@
 """Property representations: membership, witnesses, additivity, files."""
 
+import copy
+import dataclasses
 import itertools
+import os
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -89,6 +95,111 @@ def test_generated_bounded_validation(u, g):
     q = GeneratedBounded(u, (g.c4, g.k2, canonical_form(g.k2)), 4)
     assert len(q.generators) == 2  # duplicates collapse
     assert [h.n for h in q.generators] == [2, 4]
+
+
+# --- kept hashes --------------------------------------------------------------
+
+# Builds one value of every class that keeps its hash, over simple and
+# mixed-kind 2-colour universes; run here and in fresh processes.
+KEPT_VALUES = """
+from hgfactor import (EdgeKind, EdgeObject, GeneratedBounded, Hypergraph, ProductProperty,
+                      Universe, forbidden_property, simple_graph)
+
+def values():
+    o, un = EdgeKind.ORDERED, EdgeKind.UNORDERED
+    mixed = Universe(frozenset({o, un}), frozenset({2, 3}), ("r", "b"))
+    k3 = simple_graph(3, [(0, 1), (0, 2), (1, 2)])
+    shaped = Hypergraph(mixed, 3, frozenset({EdgeObject(o, (2, 0), "r"),
+                                             EdgeObject(un, (0, 1, 2), "b")}))
+    edgeless = forbidden_property(k3.universe, [simple_graph(2, [(0, 1)])])
+    trifree = forbidden_property(k3.universe, [k3])
+    return [k3.universe, mixed, k3, shaped, Hypergraph(mixed, 4, frozenset()),
+            edgeless, trifree, forbidden_property(mixed, [shaped]),
+            ProductProperty((edgeless, trifree)),
+            ProductProperty((ProductProperty((edgeless, edgeless)), trifree)),
+            GeneratedBounded(k3.universe, (k3, simple_graph(4, [(0, 1)])), 5)]
+"""
+
+PICKLE_VALUES = KEPT_VALUES + """
+import pickle, sys
+vals = values()
+hashes = [hash(v) for v in vals]
+assert all(vars(v)["_hash"] == h for v, h in zip(vals, hashes))
+with open(sys.argv[1], "wb") as fh:
+    pickle.dump((vals, hashes), fh)
+"""
+
+LOAD_VALUES = KEPT_VALUES + """
+import pickle, sys
+with open(sys.argv[1], "rb") as fh:
+    loaded, their = pickle.load(fh)
+fresh = values()
+assert not any("_hash" in vars(v) for v in loaded)
+assert loaded == fresh and not any(a is b for a, b in zip(loaded, fresh))
+assert [hash(v) for v in loaded] == [hash(v) for v in fresh]
+assert set(loaded) == set(fresh) and all(v in set(fresh) for v in loaded)
+index = {v: i for i, v in enumerate(fresh)}
+assert [index[v] for v in loaded] == list(range(len(fresh)))
+back = {v: i for i, v in enumerate(loaded)}
+assert [back[v] for v in fresh] == list(range(len(fresh)))
+print(sum(h != hash(v) for h, v in zip(their, fresh)))
+"""
+
+FIELDS = {"Universe": ["kinds", "arities", "colours"], "Hypergraph": ["universe", "n", "edges"],
+          "FiniteForbidden": ["universe", "forbidden"], "ProductProperty": ["factors"],
+          "GeneratedBounded": ["universe", "generators", "bound"]}
+
+
+def _kept_values():
+    namespace = {}
+    exec(KEPT_VALUES, namespace)
+    return namespace["values"]()
+
+
+def test_kept_hashes_are_the_field_tuple_hashes():
+    # each value keeps the hash of the tuple of its fields; equal values
+    # built apart hash equal; fields, repr and == are the dataclass's
+    values, apart = _kept_values(), _kept_values()
+    assert {type(v).__name__ for v in values} == set(FIELDS)
+    assert len(set(values)) == len(values)
+    for v, w in zip(values, apart):
+        names = [f.name for f in dataclasses.fields(v)]
+        assert names == FIELDS[type(v).__name__]
+        fields = tuple(getattr(v, name) for name in names)
+        assert hash(v) == hash(fields) == vars(v)["_hash"]
+        assert v == w and v is not w and hash(v) == hash(w)
+        assert (v == w) == (fields == tuple(getattr(w, name) for name in names))
+        assert sum(v == x for x in apart) == 1
+        if type(v).__name__ != "Hypergraph":  # which has its own repr
+            assert repr(v) == f"{type(v).__name__}(" + ", ".join(
+                f"{name}={value!r}" for name, value in zip(names, fields)) + ")"
+    assert repr(values[0]) == "Universe(kinds=frozenset({UNORDERED}), " \
+        "arities=frozenset({2}), colours=('e',))"
+    assert repr(values[2]) == "H(n=3; U(0,1;e) U(0,2;e) U(1,2;e))"
+
+
+def test_copies_leave_the_kept_hash_behind():
+    for v in _kept_values():
+        hash(v)
+        for c in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+            assert "_hash" not in vars(c)
+            assert c == v and hash(c) == hash(v) and vars(c)["_hash"] == vars(v)["_hash"]
+
+
+def test_kept_hashes_never_travel_between_processes(tmp_path):
+    # values pickled under one hash seed and loaded under another hash and
+    # compare as fresh ones do there, and are found in sets and dicts of
+    # them; the first process's hashes would be wrong there
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hgprops.__file__)))
+    path = str(tmp_path / "values.pickle")
+
+    def run(script, seed):
+        return subprocess.run([sys.executable, "-c", script, path], check=True,
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)).stdout
+
+    run(PICKLE_VALUES, "1")
+    assert int(run(LOAD_VALUES, "2")) > 0
 
 
 # --- membership -------------------------------------------------------------
@@ -349,11 +460,13 @@ def test_assign_asks_as_items_join_and_opens_equal_blocks_in_turn():
         asked.append((i, block, j))
         return False
 
-    assert hgprops._assign([t, t2, e], 2, fits) is None
+    assert hgprops._twins([t, t2, e]) == (None, 0, None)
+    assert hgprops._assign(hgprops._twins([t, t2, e]), 2, fits) is None
     assert asked == [(0, 0b1, 0), (2, 0b1, 0)]
     asked.clear()
     # block 0 is empty when item 1 comes, so block 1 stays shut
-    assert hgprops._assign([t, t2], 2, lambda i, block, j: asked.append((i, block, j))
+    assert hgprops._assign(hgprops._twins([t, t2]), 2,
+                           lambda i, block, j: asked.append((i, block, j))
                            or block != 0b11) == [0b01, 0b10]
     assert asked == [(0, 0b01, 0), (0, 0b11, 1), (1, 0b10, 1)]
 
@@ -383,7 +496,8 @@ def test_assign_finds_the_least_assignment_of_a_full_scan():
                             for i in range(m))
                      and complete([sum(1 << v for v in range(n) if vec[v] == i)
                                    for i in range(m)])), None)
-        got = hgprops._assign(caps, n, lambda i, block, j: ok(i, block), complete)
+        got = hgprops._assign(hgprops._twins(caps), n, lambda i, block, j: ok(i, block),
+                              complete)
         if want is None:
             assert got is None, (caps, conflict)
         else:
