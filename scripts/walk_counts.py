@@ -17,9 +17,14 @@ Per case and level it prints, as one JSON object per line:
   that missed the join memo;
 - streamed: calls of decomp._first_bad_member, the bounded joins whose
   members were streamed;
+- masked: the densest-member verdicts read from partner masks of the
+  host's pair index (calls of decomp._densest_holds that built no
+  member), one per copy count decided, for a product closed under
+  deleting an edge whose factors forbid only graphs on 2 vertices;
 - densest: calls of decomp._densest_member, the densest join members
-  built, one per copy count decided, for a product closed under
-  deleting an edge;
+  built: for the verdicts of other closed products, and for the
+  counterexamples that join_subset_of and is_decomposition return, which
+  the walk never reads;
 - coloured: calls of decomp._coloured that found a colouring, the skip
   tests (_has_decomposition, EXACT) settled with no level read or walked,
   as the join over that many single vertices holds;
@@ -53,7 +58,7 @@ from hgfactor import decomp, factor, props
 COUNTED = {"_decide": "decisions", "_join_bounded": "bounded_misses",
            "_first_bad_member": "streamed", "_densest_member": "densest",
            "_coloured": "coloured"}
-COLUMNS = (*COUNTED.values(), "solves", "plans")
+COLUMNS = (*COUNTED.values(), "masked", "solves", "plans")
 
 
 def sweep():
@@ -80,7 +85,7 @@ def counts(run):
     """{level: {count name: n}} for one case; level None is work done
     outside any walk."""
     levels, stack = {}, []
-    real = {name: getattr(decomp, name) for name in (*COUNTED, "_valid")}
+    real = {name: getattr(decomp, name) for name in (*COUNTED, "_valid", "_densest_holds")}
     real_solve = props.partition_solve
 
     def row(level):
@@ -93,6 +98,13 @@ def counts(run):
             at[COUNTED[name]] += bool(result) if name == "_coloured" else 1
             return result
         return call
+
+    def densest_holds(*args):
+        at = row(stack[-1] if stack else None)
+        built = at["densest"]
+        result = real["_densest_holds"](*args)
+        at["masked"] += at["densest"] == built
+        return result
 
     def solve(g, factors):
         at = row(stack[-1] if stack else None)
@@ -122,6 +134,7 @@ def counts(run):
     for name in COUNTED:
         setattr(decomp, name, counting(name))
     decomp._valid = valid
+    decomp._densest_holds = densest_holds
     props.partition_solve = solve
     try:
         run()

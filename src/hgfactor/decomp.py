@@ -28,11 +28,15 @@ an edge (ProductProperty.edge_closed: every factor a finite forbidden
 set no forbidden graph of which becomes a member when an edge is added)
 is decided on one member per copy count, the densest, with every
 crossing edge (_densest_member): every other member is it minus some
-crossing edges, so it is bad iff some member is.  Another product whose
-factors are all finite forbidden sets first tries a certificate
-(_product_certificate): the parts grouped by factor, each group passing
-the exact test on sub-masks of the host, searched by props._assign.  It
-proves every k-fold join a member, so "holds" costs no join member.
+crossing edges, so it is bad iff some member is.  When its factors
+forbid only graphs on 2 vertices, that member's verdict is read from
+partner bitmasks of the host's pair index (_densest_holds), and the
+member is built only for a caller that reads the counterexample.
+Another product whose factors are all finite forbidden sets first tries
+a certificate (_product_certificate): the parts grouped by factor, each
+group passing the exact test on sub-masks of the host, searched by
+props._assign.  It proves every k-fold join a member, so "holds" costs
+no join member.
 Other joins are scanned by brute force, densest member first
 (_first_bad_member), and only these build part graphs; member_cap
 bounds the members a join would stream.  A refutation is exact; a pass
@@ -43,7 +47,9 @@ walk or the constructions, goes through one decision point (_decide),
 which validates its arguments and keeps its answers in one memo
 (_join_memo) keyed on the property, the block codes (_block_codes: each
 block's order and edges on ranks, so equal part graphs of any hosts share
-an entry) and the mode, with k_max and member_cap in BOUNDED mode.
+an entry) and the mode, with k_max and member_cap in BOUNDED mode.  The
+lattice walk asks for verdicts only (verdict_only), so no counterexample
+is built for it.
 
 One memoised walk of the partition lattice (_level) answers every
 decomposition query: level k holds the valid k-part decompositions, each
@@ -72,10 +78,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from math import comb, factorial
 from typing import Iterable, Optional, Sequence
 
 from .core import (
+    DEFAULT_JOIN_EDGE_CAP,
     CapExceededError,
+    EdgeKind,
     Embedding,
     HgError,
     Hypergraph,
@@ -102,6 +111,10 @@ from .props import (
     Property,
     min_forbidden_order,
     _assign,
+    _full_pair_type,
+    _pair_index,
+    _partners,
+    _solve_plan,
     _twins,
 )
 
@@ -462,8 +475,101 @@ def _densest_member(g: Hypergraph, masks: Sequence, k: int) -> Hypergraph:
     return _unchecked_graph(u, sum(sizes), frozenset(edges | _crossing(u, tuple(sizes))))
 
 
+@lru_cache(maxsize=1024)
+def _crossing_count(u, sizes: tuple) -> int:
+    """len(_crossing(u, sizes)), counted with no edge built: per arity r,
+    the r-sets of vertices meeting two blocks or more, each carrying per
+    colour one unordered edge and r! ordered ones, as far as u admits
+    those kinds."""
+    total = sum(sizes)
+    per_set = [(EdgeKind.UNORDERED in u.kinds) + (EdgeKind.ORDERED in u.kinds) * factorial(r)
+               for r in range(max(u.arities) + 1)]
+    return len(u.colours) * sum((comb(total, r) - sum(comb(s, r) for s in sizes)) * per_set[r]
+                                for r in u.arities)
+
+
+def _pairs_only(p: ProductProperty) -> bool:
+    """For a product closed under deleting an edge: do its factors all
+    forbid graphs on 2 vertices only?  Read from partition_solve's plan:
+    no factor waits for complete blocks (a nested product) and none has a
+    forbidden graph on 3 or more vertices; closure leaves no other kind of
+    factor."""
+    plan = _solve_plan(p.factors)
+    return not plan.deferred and not any(plan.patterns)
+
+
+_host_pairs = lru_cache(maxsize=4096)(_pair_index)  # per host; _level has hashed it
+
+
+def _densest_holds(p: ProductProperty, g: Hypergraph, masks: Sequence, k: int,
+                   pairs: Optional[dict]) -> bool:
+    """Is the densest member of the k-fold join over the nonempty blocks
+    of g given as vertex bitmasks, _densest_member(g, masks, k), in P, a
+    product closed under deleting an edge?
+
+    pairs is g's pair index (props._pair_index) when the factors forbid
+    only graphs on 2 vertices (_pairs_only), else None, and then the
+    member is built and tested.  With the index the verdict is read from
+    partner masks with no member built.  p.member runs partition_solve,
+    which for such factors is props._assign over the member's vertices
+    with one test: v fits a block iff v's partner mask misses it, the
+    partners being the w whose pair with v has a type (the edge set of
+    the pair's induced graph, see _pair_index) among the factor's
+    pair_edge_sets.  The member's pair types follow from g's and the
+    blocks alone:
+    - two vertices of one copy of a block: the copy holds g's edges inside
+      the block renamed by rank, which keeps the lower vertex lower, so
+      the pair has its type in g;
+    - two copies of one block: no edge meets both, as copied edges stay in
+      their copy and crossing edges meet two blocks, so the type is 2K1's,
+      frozenset();
+    - two blocks: every admissible arity-2 edge on the pair is a crossing
+      edge, so the type is _full_pair_type(u).
+
+    The items are g's own labels: item c*|V(G)| + v stands for copy c of
+    vertex v, a renaming of the member, which changes no verdict.  An item
+    whose vertex lies in no block stands for nothing: no mask names it,
+    and it is pinned to block 0, so the search never branches on it and
+    every other item meets the same tests as in the member.  The
+    pin breaks the symmetry _assign's equal-factor rule asks for, but not
+    its completeness: given any assignment of the member, give each run
+    of equal factors its blocks in order of least item, block 0 first,
+    and add the pinned items to block 0, which can only lower its least
+    item; the rule lets every block open in that assignment, so the
+    search meets it unless it returns sooner.
+
+    The crossing edges are never built here, but when there are more
+    than DEFAULT_JOIN_EDGE_CAP of them (_crossing_count) the member is
+    built anyway, so CapExceededError is raised as before."""
+    u, n = g.universe, g.n
+    if pairs is None or _crossing_count(
+            u, tuple(k * m.bit_count() for m in masks if m)) > DEFAULT_JOIN_EDGE_CAP:
+        return bool(p.member(_densest_member(g, masks, k)))
+    plan, full = _solve_plan(p.factors), _full_pair_type(u)
+    repeat = sum(1 << c * n for c in range(k))  # x * repeat: x in every copy
+    own, cover = [0] * n, 0
+    for b in masks:
+        cover |= b
+        for v in _bits(b):
+            own[v] = b
+    rows = {}
+    for sets in plan.distinct_pair_sets:
+        host = _partners(pairs, sets, n)
+        apart, across = frozenset() in sets, full in sets
+        row = [1 << x for x in range(k * n)]  # pinned items fit no block but 0
+        for v in _bits(cover):
+            b = own[v]
+            side = (cover ^ b) * repeat if across else 0
+            for at in range(0, k * n, n):
+                row[at + v] = (host[v] & b) << at | side | (b * repeat ^ b << at if apart else 0)
+        rows[sets] = row
+    partner = [rows[sets] for sets in plan.pair_sets]
+    partner[0] = [0 if not own[x % n] else mask for x, mask in enumerate(partner[0])]
+    return _assign(plan.twins, k * n, lambda i, block, v: not partner[i][v] & block) is not None
+
+
 def _join_bounded(p: Property, g: Hypergraph, masks: Sequence, k_max: int,
-                  member_cap: int) -> JoinCheck:
+                  member_cap: int) -> JoinCheck | int:
     """The BOUNDED decision on blocks of g given as vertex bitmasks: tries
     k = 1..k_max copies of every block; its refutations are exact.
 
@@ -474,7 +580,12 @@ def _join_bounded(p: Property, g: Hypergraph, masks: Sequence, k_max: int,
     join holds iff its densest member is in P, and that member is the
     first of _first_bad_member's stream: the verdict and counterexample
     are those of the stream, and member_cap counts the members streamed,
-    one per copy count.  After k = 1 holds, _product_certificate may prove
+    one per copy count.  Each test is _densest_holds, on the host's
+    memoised pair index when the factors forbid only graphs on 2 vertices
+    (_pairs_only), with no member built.  A refutation returns the least
+    failing copy count k, not a JoinCheck: _decide builds the
+    counterexample, _densest_member(g, masks, k), only for a caller that
+    reads it.  After k = 1 holds, _product_certificate may prove
     every k at once; otherwise k = 2..k_max are tested in turn.  The
     certificate changes no verdict here, only the time: at k_max = 3 it
     settles most joins that reach k = 2 and saves the larger members,
@@ -493,12 +604,12 @@ def _join_bounded(p: Property, g: Hypergraph, masks: Sequence, k_max: int,
     """
     holds = JoinCheck(True, f"bounded k_max={k_max}")
     if isinstance(p, ProductProperty) and p.edge_closed and member_cap >= 1 and any(masks):
+        pairs = _host_pairs(g) if _pairs_only(p) else None
         for k in range(1, k_max + 1):
             if k == 2 and _product_certificate(p, g, masks):
                 break
-            m = _densest_member(g, masks, k)
-            if not p.member(m):
-                return JoinCheck(False, EXACT, counterexample=m)
+            if not _densest_holds(p, g, masks, k, pairs):
+                return k
         return holds
     if isinstance(p, ProductProperty) and _product_certificate(p, g, masks):
         return holds
@@ -553,12 +664,12 @@ def is_decomposition(g: Hypergraph, d, p: Property, mode: str = EXACT,
                    mode, k_max, member_cap)
 
 
-_join_memo = {}  # (p, block codes, mode[, k_max, member_cap]) -> witness or JoinCheck
+_join_memo = {}  # (p, block codes, mode[, k_max, member_cap]) -> witness, JoinCheck or k
 
 
 def _decide(g: Hypergraph, p: Property, masks: Sequence, mode: str = EXACT,
-            k_max: int = DEFAULT_K_MAX,
-            member_cap: int = DEFAULT_MEMBER_CAP) -> JoinCheck:
+            k_max: int = DEFAULT_K_MAX, member_cap: int = DEFAULT_MEMBER_CAP,
+            verdict_only: bool = False):
     """The one join decision point: do the k-fold joins over the blocks
     of G given as vertex bitmasks (disjoint, 0 for an empty block, not
     necessarily covering V(G)) stay in P?  Raises ValueError for no
@@ -570,7 +681,19 @@ def _decide(g: Hypergraph, p: Property, masks: Sequence, mode: str = EXACT,
     skipped for good once it is not _in_host at all; BOUNDED mode decides
     by _join_bounded.  Answers are memoised on p, the block codes and the
     mode, with k_max and member_cap in BOUNDED mode; the oldest entry is
-    dropped past 120,000, and a raise is not stored."""
+    dropped past 120,000, and a raise is not stored.  With verdict_only
+    the answer is bool(JoinCheck) alone, and nothing more is built.
+
+    A closed product's refutation is memoised as its least failing copy
+    count k, and the counterexample is built here from the caller's own G
+    and masks, _densest_member(g, masks, k).  It is the member the first
+    caller was refuted with: the entry is keyed on the block codes, and
+    equal codes mean equal part graphs, as a block's code is its order
+    and its edges on ranks, the part graph itself as induced() labels it
+    (an empty block's code is (0, ()), and _densest_member skips it).
+    _densest_member reads the blocks only as those part graphs, laid side
+    by side in order with k copies each, plus the crossing edges of their
+    sizes over p's universe, so equal codes give equal densest members."""
     if not masks:
         raise ValueError("need at least one part")
     if g.universe != p.universe:
@@ -590,7 +713,12 @@ def _decide(g: Hypergraph, p: Property, masks: Sequence, mode: str = EXACT,
         if len(_join_memo) > 120_000:
             del _join_memo[next(iter(_join_memo))]
     value = _join_memo[key]
-    return JoinCheck(value is None, EXACT, witness=value) if mode == EXACT else value
+    if mode == EXACT:
+        return value is None if verdict_only else JoinCheck(value is None, EXACT, witness=value)
+    if isinstance(value, int):
+        return False if verdict_only else \
+            JoinCheck(False, EXACT, counterexample=_densest_member(g, masks, value))
+    return value.holds if verdict_only else value
 
 
 def _rgs(d: Decomposition) -> tuple:
@@ -625,7 +753,7 @@ def _singletons_refuted(p: Property, mode: str, k_max: int, member_cap: int,
     refutes nothing."""
     try:
         return not _decide(Hypergraph(p.universe, k, frozenset()), p,
-                           [1 << i for i in range(k)], mode, k_max, member_cap)
+                           [1 << i for i in range(k)], mode, k_max, member_cap, True)
     except (CapExceededError, BoundExceededError):
         return False
 
@@ -704,7 +832,7 @@ def _valid(g: Hypergraph, p: Property, mode: str, k_max: int, member_cap: int,
         settled = isinstance(p, FiniteForbidden) and p.additive if mode == EXACT \
             else mode == BOUNDED and k_max == 1 and member_cap >= 1
         if p.member(g) and g.n and (settled or _decide(
-                g, p, [(1 << g.n) - 1], mode, k_max, member_cap)):
+                g, p, [(1 << g.n) - 1], mode, k_max, member_cap, True)):
             yield Decomposition((g.vertices,))
         return
     below = _level(g, p, mode, k_max, member_cap, k - 1)
@@ -713,7 +841,7 @@ def _valid(g: Hypergraph, p: Property, mode: str, k_max: int, member_cap: int,
 
     def refuted(node):
         try:
-            return not _decide(g, p, node, mode, k_max, member_cap)
+            return not _decide(g, p, node, mode, k_max, member_cap, True)
         except (CapExceededError, BoundExceededError):
             return False
 
@@ -739,7 +867,7 @@ def _valid(g: Hypergraph, p: Property, mode: str, k_max: int, member_cap: int,
                     continue
                 seen.add(node)
                 try:
-                    ok = _decide(g, p, node, mode, k_max, member_cap)
+                    ok = _decide(g, p, node, mode, k_max, member_cap, True)
                 except (CapExceededError, BoundExceededError) as exc:
                     key = _rgs(Decomposition(tuple(map(_bits, node))))
                     if held is None or key < held[0]:
@@ -930,12 +1058,14 @@ def is_strict(g: Hypergraph, p: Property, member_cap: int = DEFAULT_MEMBER_CAP) 
     extension alone, G plus a vertex joined to it by every admissible
     edge: every other extension is it minus some edges, so it leaves P
     iff some extension does.  That is one member streamed, refused only
-    when member_cap < 1.  Another product whose factors are all finite
-    forbidden sets first tries _product_certificate on G and one vertex:
-    a certificate proves every one-vertex join extension a member, so G
-    is not strict and no extension is streamed.  Otherwise brute force
-    over all single-vertex join extensions, raising CapExceededError
-    when there are more than member_cap of them.
+    when member_cap < 1, and decided by _densest_holds, with no member
+    built when the factors forbid only graphs on 2 vertices.  Another
+    product whose factors are all finite forbidden sets first tries
+    _product_certificate on G and one vertex: a certificate proves every
+    one-vertex join extension a member, so G is not strict and no
+    extension is streamed.  Otherwise brute force over all single-vertex
+    join extensions, raising CapExceededError when there are more than
+    member_cap of them.
     """
     if isinstance(p, FiniteForbidden):
         return strictness_witness(g, p) is not None
@@ -954,7 +1084,8 @@ def _is_strict_join(g: Hypergraph, p: Property, member_cap: int) -> bool:
     one = Hypergraph(g.universe, 1, frozenset())
     host, masks = disjoint_union(g, one), [(1 << g.n) - 1, 1 << g.n]
     if isinstance(p, ProductProperty) and p.edge_closed and member_cap >= 1:
-        return not p.member(_densest_member(host, masks, 1))
+        pairs = _pair_index(host) if _pairs_only(p) else None
+        return not _densest_holds(p, host, masks, 1, pairs)
     if isinstance(p, ProductProperty) and _product_certificate(p, host, masks):
         return False
     return _first_bad_member(p, [g, one], member_cap, "one-vertex join") is not None

@@ -241,6 +241,61 @@ def _pair_code(e, first: int) -> tuple:
     return ordered, not ordered or e.vertices[0] == first, e.colour
 
 
+def _pair_index(g: Hypergraph) -> dict:
+    """g's vertex pairs by edge: each _pair_code met, read from the lower
+    vertex of its edge, -> per vertex v the bitmask of the w such that
+    {v,w} carries an edge with that code.  One pass over g's arity-2
+    edges, each coded inline.  A pair's type, the edge set of g[{v,w}]
+    read that way (frozenset() for 2K1), is the set of codes whose masks
+    hold it, since g[{v,w}]'s edges are exactly the arity-2 edges on
+    {v,w}: every edge has at least 2 distinct vertices.  Built per call by
+    partition_solve, and memoised per host by decomp's densest-member
+    verdict."""
+    index = {}
+    for e in g.edges:
+        if len(e.vertices) == 2:
+            a, b = e.vertices
+            ordered = e.kind is EdgeKind.ORDERED
+            code = ordered, not ordered or a < b, e.colour
+            rows = index.get(code)
+            if rows is None:
+                rows = index[code] = [0] * g.n
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
+    return index
+
+
+def _partners(index: dict, sets: frozenset, n: int) -> list:
+    """Per vertex v of an n-vertex graph with pair index `index`
+    (_pair_index), the bitmask of the w whose pair with v has a type in
+    sets: its masks hold {v,w} for every code of the type and for no
+    other code.  The list may be one of the index's own: read it only."""
+    out = None
+    for t in sets:
+        if not t <= index.keys():
+            continue  # some code of t is on no pair
+        has = [index[c] for c in t] or [[(1 << n) - 1 ^ 1 << v for v in range(n)]]
+        got = has[0]
+        for rows in has[1:]:
+            got = [a & b for a, b in zip(got, rows)]
+        for c, rows in index.items():
+            if c not in t:
+                got = [a & ~b for a, b in zip(got, rows)]
+        out = got if out is None else [a | b for a, b in zip(out, got)]
+    return [0] * n if out is None else out
+
+
+@lru_cache(maxsize=256)
+def _full_pair_type(u: Universe) -> frozenset:
+    """The type (see _pair_index) of a pair joined by every arity-2 edge
+    that u admits, both orientations of each ordered one: that of two
+    vertices of different blocks in a densest join member, whose crossing
+    edges are every admissible edge meeting two blocks.  frozenset() when
+    u has no arity 2."""
+    one = Hypergraph(u, 1, frozenset())
+    return frozenset(_pair_code(e, 0) for e in crossing_edge_candidates([one, one]))
+
+
 def forbidden_property(universe: Universe, graphs: Iterable) -> FiniteForbidden:
     """FiniteForbidden from any finite family; minimizes it first."""
     return FiniteForbidden(universe, minimize_forbidden(graphs))
@@ -454,12 +509,14 @@ def partition_solve(g: Hypergraph, factors: Sequence) -> Optional[PartitionAssig
     it was clean before vertex v joined, so only forbidden copies through
     v can appear.
 
-    A forbidden graph on 2 vertices is decided by one bitmask test.  One
-    pass over g's arity-2 edges gives each vertex v, per distinct
-    pair_edge_sets value, a partner mask: the w for which g[{v,w}], its
-    edges read as _pair_code tuples from the lower of v and w, is one of
-    those forbidden graphs.  The block stays clean of them iff v's partner
-    mask misses it, which is what _find would answer:
+    A forbidden graph on 2 vertices is decided by one bitmask test.  g's
+    pair index (_pair_index, built per call, as a memo would hash every
+    graph asked about, join members seen once among them) gives each
+    vertex v, per distinct pair_edge_sets value, a partner mask
+    (_partners): the w for which g[{v,w}], its edges read as _pair_code
+    tuples from the lower of v and w, is one of those forbidden graphs.
+    The block stays clean of them iff v's partner mask misses it, which
+    is what _find would answer:
     - g[{v,w}]'s edges are exactly g's arity-2 edges on {v,w}, since every
       edge has at least 2 distinct vertices; a pair with none is 2K1,
       whose edge set is empty;
@@ -493,26 +550,8 @@ def partition_solve(g: Hypergraph, factors: Sequence) -> Optional[PartitionAssig
         raise ValueError("need at least one factor")
     factors = tuple(factors)
     deferred, pair_sets, distinct_pair_sets, patterns, twins = _solve_plan(factors)
-    partners = {}
-    if distinct_pair_sets:
-        on_pair = {}
-        for e in g.edges:
-            if len(e.vertices) == 2:
-                a, b = e.vertices
-                lo, hi = (a, b) if a < b else (b, a)
-                on_pair.setdefault((lo, hi), []).append(_pair_code(e, lo))
-        on_pair = [(a, b, frozenset(codes)) for (a, b), codes in on_pair.items()]
-        full = (1 << g.n) - 1
-        for sets in distinct_pair_sets:
-            # every pair starts at 2K1's verdict; an edged pair whose
-            # verdict differs toggles
-            empty = frozenset() in sets
-            mask = [full ^ (1 << v) if empty else 0 for v in range(g.n)]
-            for a, b, codes in on_pair:
-                if (codes in sets) != empty:
-                    mask[a] ^= 1 << b
-                    mask[b] ^= 1 << a
-            partners[sets] = mask
+    index = _pair_index(g) if distinct_pair_sets else None
+    partners = {sets: _partners(index, sets, g.n) for sets in distinct_pair_sets}
     partner = [partners.get(sets) for sets in pair_sets]
     # built, not memoised: most graphs here are join members seen once
     host = _incidence.__wrapped__(g) if any(patterns) else None

@@ -622,6 +622,123 @@ def test_densest_member_equals_the_validated_build(u, name):
             assert all(EdgeObject(e.kind, e.vertices, e.colour) == e for e in got.edges)
 
 
+def _pair_only_forbidden(uu, rng):
+    """A random forbidden set of graphs on 2 vertices closed under
+    deleting an edge: every graph on 2 vertices whose edges contain those
+    of one or two random ones.  A random 2K1 forbids every graph on 2
+    vertices; on UNORDERED-3, which has no arity 2, that is all there
+    is."""
+    pool = admissible_edges(uu, range(2))
+    out = []
+    for _ in range(rng.randint(1, 2)):
+        f = random_graph(uu, 2, 0.5, rng)
+        free = [e for e in pool if e not in f.edges]
+        out += [Hypergraph(uu, 2, f.edges | set(more))
+                for r in range(len(free) + 1) for more in itertools.combinations(free, r)]
+    return forbidden_property(uu, out)
+
+
+@pytest.mark.parametrize("name", _KERNEL_NAMES)
+def test_mask_verdict_matches_the_built_densest_member(u, name):
+    """_densest_holds on the host's pair index, with no member built,
+    equals p.member of the densest member it stands for, on products of
+    two or three random forbidden sets of graphs on 2 vertices closed
+    under deleting an edge (2K1 forbidden at times; equal factors at
+    times, which _assign pairs by its twin rule), random hosts, three
+    blocks of which some are empty and some vertices in none, and k =
+    1..3.  _crossing_count must equal the crossing edges built.  Both
+    verdicts must be met, and a join refuted only once its blocks are
+    copied, a join holding and one refuted with a vertex in no block, and
+    a factor forbidding 2K1."""
+    _, uu, dens = next(c for c in _kernel_universes(u) if c[0] == name)
+    rng = random.Random(f"{SEED}:masks:{name}")
+    two_k1 = Hypergraph(uu, 2, frozenset())
+    seen = set()
+    for _ in range(40):
+        factors = [_pair_only_forbidden(uu, rng) for _ in range(rng.randint(2, 3))]
+        if rng.random() < 0.3:
+            factors[-1] = factors[0]
+        prod = ProductProperty(tuple(factors))
+        assert prod.edge_closed and decomp._pairs_only(prod), prod
+        seen |= {"2K1"} if any(two_k1 in f.forbidden for f in factors) else set()
+        g_ = random_graph(uu, rng.randint(1, 4 if name == "mixed" else 5), dens, rng)
+        pairs = hgprops._pair_index(g_)
+        for _ in range(3):
+            assign = [rng.randrange(4) for _ in range(g_.n)]  # 3: in no block
+            masks = [sum(1 << v for v in g_.vertices if assign[v] == i) for i in range(3)]
+            if not any(masks):
+                continue
+            before = True
+            for k in (1, 2, 3):
+                sizes = tuple(k * m.bit_count() for m in masks if m)
+                assert decomp._crossing_count(uu, sizes) == len(decomp._crossing(uu, sizes))
+                want = bool(member(prod, decomp._densest_member(g_, masks, k)))
+                got = decomp._densest_holds(prod, g_, masks, k, pairs)
+                assert got == want, (prod, g_, masks, k)
+                seen.add(want)
+                if before and not want and k > 1:
+                    seen.add("copies")
+                if 3 in assign:
+                    seen.add(("pinned", want))
+                before = want
+    assert seen >= {True, False, "copies", ("pinned", True), ("pinned", False), "2K1"}, seen
+
+
+def test_mask_verdict_builds_the_member_past_the_edge_cap(g, props, monkeypatch):
+    """Past DEFAULT_JOIN_EDGE_CAP crossing edges _densest_holds builds the
+    densest member, whose crossing edges raise CapExceededError as they
+    did before the mask verdict; the count is faked here, as a real one
+    needs a join of over 2,000 vertices."""
+    built = []
+    real = decomp._densest_member
+    monkeypatch.setattr(decomp, "_densest_member", lambda *a: built.append(a) or real(*a))
+    pairs = hgprops._pair_index(g.p3)
+    assert decomp._densest_holds(props.two_colour, g.p3, [1, 6], 1, pairs) is False
+    assert not built
+    monkeypatch.setattr(decomp, "_crossing_count",
+                        lambda *a: decomp.DEFAULT_JOIN_EDGE_CAP + 1)
+    assert decomp._densest_holds(props.two_colour, g.p3, [1, 6], 1, pairs) is False
+    assert [a[0] for a in built] == [g.p3]
+
+
+def test_shared_memo_counterexamples_come_from_the_callers_host(g, u, props, monkeypatch):
+    """A closed product's refutation is memoised as its least failing copy
+    count, filled here by the lattice walk of a host A, which builds no
+    densest member.  join_subset_of and is_decomposition on a host B whose
+    blocks have equal codes hit that entry and return the counterexample
+    that the dense-first stream gives over B's parts, built from B: under
+    edgeless*edgeless, K1 | K2 refuted at one copy from the path 0-1-2,
+    and under edgeless * {K2, 2K1}-free, K2 alone refuted at two copies
+    from a K2 equal to B but built apart."""
+    built, missed = [], []
+    real_member, real_bounded = decomp._densest_member, decomp._join_bounded
+    monkeypatch.setattr(decomp, "_densest_member",
+                        lambda *a: built.append(a) or real_member(*a))
+    monkeypatch.setattr(decomp, "_join_bounded", lambda *a: missed.append(a) or real_bounded(*a))
+    point = forbidden_property(u, [g.k2, g.e2])
+    cases = [(props.two_colour, g.p3, 1, simple_graph(3, [(1, 2)]), [{0}, {1, 2}]),
+             (ProductProperty((props.edgeless, point)), g.k2, 2,
+              simple_graph(2, [(0, 1)]), [{0, 1}])]
+    for p, a, k_max, b, d in cases:
+        assert a is not b
+        decomp._level.cache_clear()
+        decomp._join_memo.clear()
+        dec_number(a, p, BOUNDED, k_max=k_max)
+        masks = [sum(1 << v for v in part) for part in d]
+        key = (p, decomp._block_codes(b, masks), BOUNDED, k_max, decomp.DEFAULT_MEMBER_CAP)
+        assert decomp._join_memo[key] == k_max
+        assert not built
+        missed.clear()
+        parts = [induced(b, sorted(part)) for part in d]
+        want = _first_bad_descending(lambda m: bool(member(p, m)), parts, k_max)
+        for chk in (is_decomposition(b, d, p, BOUNDED, k_max=k_max),
+                    join_subset_of(p, [b] if len(d) == 1 else parts, BOUNDED, k_max=k_max)):
+            assert chk == JoinCheck(False, EXACT, counterexample=want)
+        assert not missed
+        assert len(built) == 2 and all(args[0] is not a for args in built)
+        built.clear()
+
+
 def test_crossing_memo_keeps_only_small_joins(u):
     """The crossing edges of densest members are memoised for at most
     _CROSSING_KEYS block sizes, each with at most _CROSSING_KEPT edges:
@@ -959,17 +1076,21 @@ def test_bipartite_sweep_work_counts(g, u, props, monkeypatch):
     the walk's cuts) and decides 72 distinct bounded joins, the misses of
     the join memo (128 before the cuts).  edgeless*edgeless is closed
     under deleting an edge, so each of them is decided on its one densest
-    member (72 built) and none is streamed (59 before; 113 before the
+    member (72 verdicts) and none is streamed (59 before; 113 before the
     cuts) or tried by the certificate, which ran _exact_split 134 times
-    before (254 before the cuts).  partition_solve runs _find 0 times:
-    edgeless forbids K2 alone, a graph on 2 vertices, which it decides by
-    partner bitmasks with no embedding search.  It ran _find 602 times
-    while it searched for K2 (576 before the densest members, 968 before
-    the cuts).  The walk's 101 product memberships call partition_solve,
-    which builds the plan of its one factor tuple once, from a cold plan
-    memo, and reads it on every later call."""
+    before (254 before the cuts).  Its factors forbid a graph on 2
+    vertices alone, so each verdict is read from partner masks of the
+    host's pair index and no densest member is built (72 were, each then
+    asked of partition_solve, before the mask verdict).  partition_solve
+    runs _find 0 times: it decides K2 by partner bitmasks with no
+    embedding search.  It ran _find 602 times while it searched for K2
+    (576 before the densest members, 968 before the cuts).  The walk's 29
+    product memberships, the levels 1 read from membership, call
+    partition_solve (101 with the 72 densest members), which builds the
+    plan of its one factor tuple once, from a cold plan memo, and reads
+    it on every later call."""
     calls = {"_decide": [], "_first_bad_member": [], "_join_bounded": [],
-             "_exact_split": [], "_densest_member": [], "_find": [],
+             "_exact_split": [], "_densest_member": [], "_densest_holds": [], "_find": [],
              "partition_solve": []}
 
     def count(module, name):
@@ -980,7 +1101,7 @@ def test_bipartite_sweep_work_counts(g, u, props, monkeypatch):
                if props.two_colour.member(h)]
     assert len(members) == 28
     for name in ("_decide", "_first_bad_member", "_join_bounded", "_exact_split",
-                 "_densest_member"):
+                 "_densest_member", "_densest_holds"):
         count(decomp, name)
     count(hgprops, "_find")
     count(hgprops, "partition_solve")
@@ -992,7 +1113,7 @@ def test_bipartite_sweep_work_counts(g, u, props, monkeypatch):
             for h in members + [g.two_k2]] == [True] * 28 + [False]
     assert {name: len(c) for name, c in calls.items()} == {
         "_decide": 308, "_join_bounded": 72, "_first_bad_member": 0, "_exact_split": 0,
-        "_densest_member": 72, "_find": 0, "partition_solve": 101}
+        "_densest_member": 0, "_densest_holds": 72, "_find": 0, "partition_solve": 29}
     distinct = {tuple(factors) for _, factors in calls["partition_solve"]}
     assert len(distinct) == hgprops._solve_plan.cache_info().misses == 1
 
