@@ -36,12 +36,37 @@ Work is charged to the level whose walk (decomp._valid) was running when
 it was done; the level read below it is charged to its own line.  A last
 line per case, with level "all", holds the sums.
 
+A second mode counts the work of ``hgfactor factorize`` on the benchmark's
+three commands (bip at 6, dir_two_colour at 4, trifree at 6, from
+perfbench/data), each in a fresh process, one JSON object per command:
+
+- find_anchored, find_plain: calls of core._find with an anchor (a
+  copy through one vertex: layer verdicts and partition_solve) and
+  without one (embed_induced and the exact join test);
+- members: membership tests of finite forbidden sets, calls of
+  FiniteForbidden.member plus the layer verdicts decided through a
+  growth vertex (props._member_through on a finite forbidden set);
+- products: calls of ProductProperty.member, the product's verdicts
+  that verify_factorisation compares;
+- strict: strictness tests (decomp._strict_member, or decomp.is_strict
+  in a tree without it);
+- skip: skip tests of the dec scan (decomp._has_decomposition).
+
+The counts read only the names a tree has, so the same script counts an
+older checkout's work when run with its src on PYTHONPATH.
+
 Run from the repository root:
 
     PYTHONPATH=src python3 scripts/walk_counts.py
+    PYTHONPATH=src python3 scripts/walk_counts.py factorize
 """
 
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
 
 from hgfactor import (
     BOUNDED,
@@ -145,7 +170,62 @@ def counts(run):
     return levels
 
 
+DATA = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                    "perfbench", "data")
+FACTORIZE = {"bip": 6, "dir_two_colour": 4, "trifree": 6}
+
+
+def factorize_counts(name):
+    """The work counts of one factorize command, from a fresh process."""
+    from hgfactor import cli, core
+
+    found = dict.fromkeys(("find_anchored", "find_plain", "members", "products", "strict",
+                           "skip"), 0)
+    real_find = core._find
+
+    def find(pattern, host, allowed, anchor=None):
+        found["find_plain" if anchor is None else "find_anchored"] += 1
+        return real_find(pattern, host, allowed, anchor)
+
+    def counting(column, f):
+        def call(*args, **kwargs):
+            found[column] += 1
+            return f(*args, **kwargs)
+        return call
+
+    for module in (core, props, decomp):
+        module._find = find
+    props.FiniteForbidden.member = counting("members", props.FiniteForbidden.member)
+    props.ProductProperty.member = counting("products", props.ProductProperty.member)
+    if hasattr(props, "_member_through"):
+        through = props._member_through
+
+        def member_through(p, g, v):
+            # a finite forbidden set's verdict here makes no member call
+            found["members"] += isinstance(p, props.FiniteForbidden)
+            return through(p, g, v)
+
+        props._member_through = member_through
+    strict = "_strict_member" if hasattr(decomp, "_strict_member") else "is_strict"
+    strict_test = counting("strict", getattr(decomp, strict))
+    for module in (decomp, factor):
+        setattr(module, strict, strict_test)
+    factor._has_decomposition = counting("skip", decomp._has_decomposition)
+    argv = ["factorize", "-p", os.path.join(DATA, f"{name}.prop"),
+            "--bound", str(FACTORIZE[name])]
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.run(argv)
+    return found
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["factorize"]:
+        for name in FACTORIZE:
+            subprocess.run([sys.executable, __file__, "factorize", name], check=True)
+        sys.exit()
+    if sys.argv[1:2] == ["factorize"]:
+        print(json.dumps({"command": sys.argv[2], **factorize_counts(sys.argv[2])}))
+        sys.exit()
     for label, run in CASES:
         levels = counts(run)
         for level in sorted(levels, key=lambda k: -1 if k is None else k):

@@ -296,14 +296,16 @@ def replicate(k: int, g: Hypergraph) -> Hypergraph:
 
 @lru_cache(maxsize=65536)
 def _incidence(g: Hypergraph) -> tuple:
-    """g's host index for _find: edges at each vertex, in sorted edge
-    order, and each vertex's neighbour bitmask."""
+    """g's host index for _find: the edges at each vertex, in sorted edge
+    order, as plain (support bitmask, kind, colour, vertices) tuples, and
+    each vertex's neighbour bitmask."""
     at = [[] for _ in range(g.n)]
     nbr = [0] * g.n
     for e in g.sorted_edges():
         support = sum(1 << v for v in e.vertices)
+        entry = (support, e.kind, e.colour, e.vertices)
         for v in e.vertices:
-            at[v].append(e)
+            at[v].append(entry)
             nbr[v] |= support & ~(1 << v)
     return tuple(tuple(es) for es in at), tuple(nbr)
 
@@ -407,11 +409,13 @@ def _find(pattern: tuple, host: tuple, allowed: int,
     anchored=True) only embeddings whose image contains it count: each
     start vertex in turn is pinned to it.
 
-    No EdgeObject is built.  Placing v on u maps every host edge at u
-    whose vertices are all placed back into f's labels; the move stands
-    when each lands on an f edge and their number equals v's closing
-    count.  Mapping back is injective, so equal counts also prove that
-    every closing edge has its image.  Candidates for v are the bitmask
+    No EdgeObject is read.  Placing v on u maps every host edge at u
+    whose support lies inside the placed vertices plus u back into f's
+    labels, a bitmask test on its support; the other edges are skipped
+    unread.  The move stands when each edge mapped back lands on an f
+    edge and their number equals v's closing count.  Mapping back is
+    injective, so equal counts also prove that every closing edge has
+    its image.  Candidates for v are the bitmask
     nbr[image[link]] & free (free allowed vertices next to the image of
     v's linked f neighbour; bitset domains as in the Glasgow Subgraph
     Solver, ICGT 2020), taken lowest bit first, so in ascending order,
@@ -427,6 +431,7 @@ def _find(pattern: tuple, host: tuple, allowed: int,
     def extend(i: int, free: int) -> bool:
         if i == n:
             return True
+        placed = allowed ^ free
         v = order[i]
         if i == 0 and anchor is not None:
             cands = free & (1 << anchor)
@@ -441,12 +446,12 @@ def _find(pattern: tuple, host: tuple, allowed: int,
             if len(g_at[u]) < deg[v]:
                 continue
             pre[u] = v
+            inside = placed | bit
             hits = 0
-            for e in g_at[u]:
-                back = tuple(map(look, e.vertices))
-                if -1 in back:
+            for sup, kind, colour, verts in g_at[u]:
+                if sup & inside != sup:
                     continue
-                if (e.kind, back, e.colour) not in keys:
+                if (kind, tuple(map(look, verts)), colour) not in keys:
                     break
                 hits += 1
             else:
@@ -603,7 +608,9 @@ def _canon_search(n: int, codes: Sequence, probe: int = -1) -> Optional[tuple]:
     image.  Given a probe vertex, None when _cells gives up on it (the
     probe is outside the first cell of least degree), and otherwise the
     search runs on the cells _cells built for the probe, which are the
-    cells it builds without one.
+    cells it builds without one, and a third entry follows: the label
+    the probe gets in the least leaf, that is the vertex of the key's
+    graph (_key_graph) that the probe becomes.
 
     An ordering hands out labels 0..n-1 to the _cells classes in class
     order, each class's vertices in some order; it maps the edges to
@@ -649,7 +656,8 @@ def _canon_search(n: int, codes: Sequence, probe: int = -1) -> Optional[tuple]:
     """
     if not codes:
         gens = [(1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,)] if n > 1 else []
-        return (n, ()), gens
+        # every ordering is a least leaf, the identity too
+        return ((n, ()), gens) if probe < 0 else ((n, ()), gens, probe)
     cell_list = _cells(n, codes, probe)
     if cell_list is None:
         return None
@@ -664,7 +672,8 @@ def _canon_search(n: int, codes: Sequence, probe: int = -1) -> Optional[tuple]:
     if len(cell_list) == n:
         for i, (v,) in enumerate(cell_list):
             mapping[v] = i
-        return (n, tuple(key())), []
+        canon = (n, tuple(key()))
+        return (canon, []) if probe < 0 else (canon, [], mapping[probe])
     cell_at, end_at = [], []  # per label: its class, and the label after the class
     for cell in cell_list:
         cell_at += [cell] * len(cell)
@@ -719,7 +728,8 @@ def _canon_search(n: int, codes: Sequence, probe: int = -1) -> Optional[tuple]:
         return n
 
     search(0)
-    return (n, tuple(best[0])), gens
+    canon = (n, tuple(best[0]))
+    return (canon, gens) if probe < 0 else (canon, gens, best[1].index(probe))
 
 
 def _orbit(points: list, gens: list) -> set:

@@ -1040,6 +1040,12 @@ def strictness_witness(g: Hypergraph, p: FiniteForbidden) -> Optional[Strictness
         raise HgError("strictness witnesses need a finite forbidden set")
     if not p.member(g):
         raise HgError("graph is not in the property")
+    return _first_strictness_witness(g, p)
+
+
+def _first_strictness_witness(g: Hypergraph, p: FiniteForbidden) \
+        -> Optional[StrictnessWitness]:
+    """strictness_witness' search, for a G already known to lie in P."""
     for f in p.forbidden:
         slices = _slices(f)
         for v in range(f.n):
@@ -1067,20 +1073,28 @@ def is_strict(g: Hypergraph, p: Property, member_cap: int = DEFAULT_MEMBER_CAP) 
     join extensions, raising CapExceededError when there are more than
     member_cap of them.
     """
+    if not p.member(g):
+        raise HgError("graph is not in the property")
+    return _strict_member(g, p, member_cap)
+
+
+def _strict_member(g: Hypergraph, p: Property,
+                   member_cap: int = DEFAULT_MEMBER_CAP) -> bool:
+    """is_strict for a G known to lie in P, with no membership test: for
+    is_strict after its own, and for factor's strict-member scan, whose
+    members come from P's member layers."""
     if isinstance(p, FiniteForbidden):
-        return strictness_witness(g, p) is not None
+        return _first_strictness_witness(g, p) is not None
     return _is_strict_join(g, p, member_cap)
 
 
 @lru_cache(maxsize=65536)
 def _is_strict_join(g: Hypergraph, p: Property, member_cap: int) -> bool:
-    """is_strict for a property that is no finite forbidden set, memoised:
-    factor._strict_members asks again about every member on each pass,
-    and without a certificate or closure under deleting an edge each
-    answer streams every one-vertex extension.  A raise is not
+    """_strict_member for a property that is no finite forbidden set,
+    memoised: factor._strict_members asks again about every member on
+    each pass, and without a certificate or closure under deleting an
+    edge each answer streams every one-vertex extension.  A raise is not
     memoised."""
-    if not p.member(g):
-        raise HgError("graph is not in the property")
     one = Hypergraph(g.universe, 1, frozenset())
     host, masks = disjoint_union(g, one), [(1 << g.n) - 1, 1 << g.n]
     if isinstance(p, ProductProperty) and p.edge_closed and member_cap >= 1:

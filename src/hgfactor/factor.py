@@ -26,7 +26,7 @@ from .core import (
     embed_induced,
     induced,
 )
-from .generate import EnumSpec, _members_up_to, enumerate_hypergraphs
+from .generate import EnumSpec, _decided, _members_up_to, enumerate_hypergraphs
 from .props import (
     FiniteForbidden,
     GeneratedBounded,
@@ -41,9 +41,9 @@ from .decomp import (
     EXACT,
     _factors,
     _has_decomposition,
+    _strict_member,
     all_decompositions,
     dec_number,
-    is_strict,
 )
 
 __all__ = [
@@ -146,48 +146,40 @@ def verify_factorisation(p: Property, factors: Sequence, n: int,
     factor of any other kind, such as a GeneratedBounded one that raises
     past its bound, always gets the full scan.
 
-    When P is a finite forbidden set and so is every flattened factor,
-    the product is induced-hereditary: partition_solve allows empty
-    blocks, so a valid partition of G restricted to an induced subgraph H
-    is a valid partition of H, each block of H inducing a subgraph of the
-    same block of G and each factor being hereditary.  So a non-member G
-    of P whose witness, the forbidden graph F that P.member finds in G,
-    lies outside the product lies outside it too, and P and the product
-    agree on G.  If every forbidden graph of P on at most n vertices lies
-    outside the product (asked in P's order, each once), every non-member
-    of P up to n is such a G, and only P's members are scanned, from
-    generate._members_up_to: the full stream filtered to members, in the
-    same order.  Otherwise the full stream is scanned, and the product is
-    not asked about a non-member whose witness lies outside it.  Either
-    way a skipped graph never disagrees, so the first disagreeing graph
-    is still the one reported.  Any other P, or a factor of any other
-    kind, gets the full scan.
+    When P's flattened factors and the product's are all finite forbidden
+    sets, P and the product are both induced-hereditary (partition_solve
+    allows empty blocks, so a valid partition of G restricted to an
+    induced subgraph H is a valid partition of H, each block of H
+    inducing a subgraph of the same block of G and each factor being
+    hereditary).  Then only P's member layers are scanned
+    (generate._decided): P's members, and the non-members that its
+    layers reach from a member parent, each with P's verdict kept there.
+    A skipped graph never comes first among the disagreeing ones.  Let G
+    be the first graph in enumeration order on which P and the product
+    disagree.  If G is in P, it is in P's layers.  If not, G holds a
+    minimal non-member H of P as an induced subgraph, and H lies in the
+    product since G does, so H disagrees too; H comes no later than G,
+    vertex counts ascending first, so H is G.  Deleting a vertex of its
+    first least-degree cell then leaves a member, so G is in P's layers
+    too.  The layers are the full stream's classes filtered, in the same
+    order, so the first disagreeing graph they hold is the one reported.
+    Any other P, or a factor of any other kind, gets the full scan.
     """
     _check_workers(workers)
     prod = ProductProperty(tuple(factors))
     spec = EnumSpec(p.universe, n)  # an over-cap or negative n still raises
     own = _factors(prod)
-    forbidden_only = all(isinstance(f, FiniteForbidden) for f in own)
-    if forbidden_only and Counter(own) == Counter(_factors(p)):
-        return VerifyResult(True, n)
-    settles = forbidden_only and isinstance(p, FiniteForbidden)
-    outside = {}  # forbidden graph of P -> is it outside the product?
-
-    def lies_outside(f) -> bool:
-        if f not in outside:
-            outside[f] = not prod.member(f)
-        return outside[f]
-
-    if settles and all(lies_outside(f) for f in p.forbidden if f.n <= n):
-        for g in _members_up_to(p, n):
-            if not prod.member(g):
-                return VerifyResult(False, n, g)
-        return VerifyResult(True, n)
+    if all(isinstance(f, FiniteForbidden) for f in own):
+        if Counter(own) == Counter(_factors(p)):
+            return VerifyResult(True, n)
+        if all(isinstance(f, FiniteForbidden) for f in _factors(p)):
+            for m in range(n + 1):
+                for g, holds in _decided(p, m):
+                    if holds != bool(prod.member(g)):
+                        return VerifyResult(False, n, g)
+            return VerifyResult(True, n)
     for g in enumerate_hypergraphs(spec):
-        res = p.member(g)
-        if settles and not res and lies_outside(res.detail.forbidden):
-            continue  # g contains its witness, so it is outside the product too
-        if bool(res) != bool(prod.member(g)):
+        if bool(p.member(g)) != bool(prod.member(g)):
             return VerifyResult(False, n, g)
     return VerifyResult(True, n)
 
@@ -195,9 +187,11 @@ def verify_factorisation(p: Property, factors: Sequence, n: int,
 def _strict_members(p: Property, n: int):
     """P's strict members on 1 to n vertices, in enumeration order.  Only
     P's members are enumerated (generate._members_up_to, which has the
-    proof that they are the full stream's members in the same order)."""
+    proof that they are the full stream's members in the same order), so
+    strictness is asked with no second membership test
+    (decomp._strict_member)."""
     for g in _members_up_to(p, n):
-        if g.n and is_strict(g, p):
+        if g.n and _strict_member(g, p):
             yield g
 
 
@@ -256,6 +250,21 @@ def _dec_bounds(p: Property, n: int, k_max: int) -> DecBounds:
     is held back and raised only when the walk finds no valid partition,
     so a member with a decomposition into upper parts is skipped without
     a raise.
+
+    Each member is decided once, with the least work that settles it.
+    Its membership comes from P's member layers (generate._decided, with
+    a finite forbidden set asked only about copies through the growth
+    vertex), so its strictness is asked with no second membership test
+    (decomp._strict_member).  Once upper is set, EXACT mode asks the
+    skip test before strictness: a member with dec >= upper cannot lower
+    the bracket whether or not it is strict, the EXACT skip test cannot
+    raise (see decomp._has_decomposition), and a colouring settles it for
+    less than a strictness test costs.  A member that fails it is still
+    tested for strictness before dec_number, since a member that is not
+    strict may have dec below upper (the paw in C5-free, for one).  So
+    the members passed to dec_number, and the bracket, are those of the
+    strictness-first order.  BOUNDED mode keeps that order: there a walk
+    may raise, and it costs more than a strictness test.
     """
     mode = _mode_for(p)
     factors = _factors(p)
@@ -263,9 +272,16 @@ def _dec_bounds(p: Property, n: int, k_max: int) -> DecBounds:
     closes = all(isinstance(f, FiniteForbidden) and is_additive(f) for f in factors)
     upper = None
     witness = None
-    for g in _strict_members(p, n):
-        if upper is not None and _has_decomposition(g, p, upper, mode, k_max):
-            continue  # dec(g) >= upper: it cannot lower the bracket
+    for g in _members_up_to(p, n):
+        if not g.n:
+            continue
+        if upper is None or mode != EXACT:
+            if not _strict_member(g, p):
+                continue
+            if upper is not None and _has_decomposition(g, p, upper, mode, k_max):
+                continue  # dec(g) >= upper: it cannot lower the bracket
+        elif _has_decomposition(g, p, upper, mode, k_max) or not _strict_member(g, p):
+            continue  # the skip test first: in EXACT mode it cannot raise
         res = dec_number(g, p, mode, k_max)
         if upper is None or res.value < upper:
             upper, witness = res.value, (g, res.decomposition)

@@ -70,18 +70,21 @@ def enumerate_hypergraphs(spec: EnumSpec):
 
 class _Layer(NamedTuple):
     classes: tuple
+    growth: bytes  # per class, its growth vertex (see _grow)
     verdicts: list
 
 
 @lru_cache(maxsize=256)
 def _layer(u: Universe, p, n: int) -> _Layer:
-    """The classes on exactly n vertices over u, with p's verdicts on them.
+    """The classes on exactly n vertices over u, with their growth
+    vertices and p's verdicts on them.
 
     classes are canonical forms in canonical-key order: the null graph,
     then each layer grown (_grow) from the whole layer below it when p is
-    None, or from the property p's members on n-1 vertices.  verdicts
-    holds p's answers on a prefix of classes, filled by _decided; the
-    null graph is in every p.
+    None, or from the property p's members on n-1 vertices.  growth holds
+    each class's growth vertex, one byte per class (empty for the null
+    graph), and verdicts p's answers on a prefix of classes, filled by
+    _decided; the null graph is in every p.
 
     A member layer holds every member of p on n vertices and those
     non-members that _grow reaches from a member parent by deleting a
@@ -89,30 +92,41 @@ def _layer(u: Universe, p, n: int) -> _Layer:
     growing by any least-degree vertex reaches, the same members.
     """
     if n == 0:
-        return _Layer((Hypergraph(u, 0, frozenset()),), [True])
+        return _Layer((Hypergraph(u, 0, frozenset()),), b"", [True])
     if p is None:
-        return _Layer(_grow(u, n, _layer(u, None, n - 1).classes), [])
-    return _Layer(_grow(u, n, tuple(g for g, holds in _decided(p, n - 1) if holds)), [])
+        return _Layer(*_grow(u, n, _layer(u, None, n - 1).classes), [])
+    return _Layer(*_grow(u, n, tuple(g for g, holds in _decided(p, n - 1) if holds)), [])
 
 
 def _decided(p, n: int):
     """Yield (class, is it in p?) for each class of p's layer on n
     vertices, in canonical-key order.  p is asked about a class the first
-    time a consumer reaches it, and the verdict is kept with the layer;
-    a p.member that raises keeps nothing for that class."""
-    classes, verdicts = _layer(p.universe, p, n)
+    time a consumer reaches it, through props._member_through with the
+    class's growth vertex, and the verdict is kept with the layer; a
+    verdict that raises keeps nothing for that class."""
+    from .props import _member_through  # props imports this module
+    classes, growth, verdicts = _layer(p.universe, p, n)
     for i, g in enumerate(classes):
         if i == len(verdicts):
-            verdicts.append(bool(p.member(g)))
+            verdicts.append(_member_through(p, g, growth[i]))
         yield g, verdicts[i]
 
 
 def _grow(u: Universe, n: int, parents) -> tuple:
-    """Canonical forms of the classes on exactly n vertices that have a
-    vertex of their first least-degree cell whose deletion leaves one of
-    the parents, in canonical-key order.  The parents are canonical forms
-    of distinct classes on n-1 vertices; given every such class, the
-    result is every class on n vertices.
+    """(classes, growth): canonical forms of the classes on exactly n
+    vertices that have a vertex of their first least-degree cell whose
+    deletion leaves one of the parents, in canonical-key order, and each
+    one's growth vertex as one byte.  The parents are canonical forms of
+    distinct classes on n-1 vertices; given every such class, the classes
+    are every class on n vertices.
+
+    A class's growth vertex is the vertex of its canonical form that the
+    new vertex of the first candidate keyed to it becomes (the probe
+    label of _key_candidate).  Deleting it leaves a graph isomorphic to
+    that candidate's parent, so for a member layer a member: the one
+    fact props._member_through rests on.  The growth vertices of the
+    keys seen are kept in the dict of keys the layer is sorted from, so
+    a layer costs one bytes object more and no object per class.
 
     A candidate is a parent P plus a subset S of the m edges through the
     new vertex n-1, the crossing edges of n-1 isolated vertices and one
@@ -179,7 +193,7 @@ def _grow(u: Universe, n: int, parents) -> tuple:
     rows = [_rule_a_rows(m, t) for t in touch]
     every = (1 << (1 << m)) - 1
     pool = _Pool()
-    seen = set()
+    seen = {}  # key -> growth vertex of its first candidate
     for g in parents:
         base = _codes(u, g.edges)
         deg = [0] * (n - 1)
@@ -198,9 +212,10 @@ def _grow(u: Universe, n: int, parents) -> tuple:
             if done[s]:
                 continue
             picks = _bits(s)
-            key = _key_candidate(n, base + tuple(new[i] for i in picks))
-            if key is not None:
-                seen.add((n, tuple(map(pool.__getitem__, key[1]))))
+            found = _key_candidate(n, base + tuple(new[i] for i in picks))
+            if found is not None:
+                key, label = found
+                seen.setdefault((n, tuple(map(pool.__getitem__, key[1]))), label)
             done[s] = 1
             orbit = [picks]  # mark s's orbit done: close it under the generators
             while orbit:
@@ -210,15 +225,17 @@ def _grow(u: Universe, n: int, parents) -> tuple:
                     if not done[t]:
                         done[t] = 1
                         orbit.append(_bits(t))
-    return tuple(_key_graph(u, k) for k in sorted(seen))
+    keys = sorted(seen)
+    return tuple(_key_graph(u, k) for k in keys), bytes(map(seen.__getitem__, keys))
 
 
 def _key_candidate(n: int, codes: tuple):
-    """The canonical key of the candidate on n vertices with these _codes,
-    whose new vertex is n-1, or None when rule (c) of _grow rejects it.
-    The one place _grow keys a candidate."""
+    """(canonical key, probe label) of the candidate on n vertices with
+    these _codes, whose new vertex is n-1, or None when rule (c) of _grow
+    rejects it; the label is the vertex of the key's graph that the new
+    vertex becomes.  The one place _grow keys a candidate."""
     found = _canon_search(n, codes, n - 1)
-    return None if found is None else found[0]
+    return None if found is None else (found[0], found[2])
 
 
 def _rule_a_rows(m: int, touch: int) -> list:

@@ -381,6 +381,27 @@ def member(p: Property, g: Hypergraph) -> MembershipResult:
     return p.member(g)
 
 
+def _member_through(p: Property, g: Hypergraph, v: int) -> bool:
+    """bool(p.member(g)) for a class g of one of p's member layers
+    (generate._layer) whose growth vertex is v; generate._decided asks
+    every verdict here.
+
+    A FiniteForbidden is asked only about copies of its forbidden graphs
+    that contain v: _find on g's index (_incidence), anchored at v, with
+    each forbidden graph's anchored plan, _pattern(f, True).  That is
+    enough.  g minus v is isomorphic to a member parent (for g on one
+    vertex, to the null graph; see generate._grow), and p is
+    induced-hereditary, so g minus v holds no forbidden copy: every copy
+    in g meets v, and g is a member iff no copy meets v.  Every other
+    kind of property is asked p.member(g)."""
+    if not isinstance(p, FiniteForbidden):
+        return bool(p.member(g))
+    host = _incidence(g)
+    every = (1 << g.n) - 1
+    return all(_find(_pattern(f, True), host, every, v) is None
+               for f in p.forbidden if f.n <= g.n and len(f.edges) <= len(g.edges))
+
+
 def min_forbidden_order(p: FiniteForbidden) -> int:
     """Smallest vertex count among the minimal forbidden graphs."""
     if not isinstance(p, FiniteForbidden):

@@ -52,6 +52,7 @@ from helpers import (
     reference_verify_factorisation,
 )
 from test_core import UNIVERSE_CASES, mixed_universe, triple_universe
+from test_decomp import _kernel_universes
 
 SEED = 424242
 
@@ -144,10 +145,12 @@ def test_verify_own_factors_scans_nothing(props, monkeypatch):
     for factors in lists:
         assert _explicit_scan(target, factors, 5)
 
-    def refuse(spec):
+    def refuse(*args):
         raise AssertionError("verify_factorisation scanned graphs")
 
+    # the full stream and the target's member layers both count as scans
     monkeypatch.setattr(factor, "enumerate_hypergraphs", refuse)
+    monkeypatch.setattr(factor, "_decided", refuse)
     for factors in lists:
         res = verify_factorisation(target, factors, 5)
         assert res == VerifyResult(True, 5)
@@ -184,14 +187,14 @@ def _count_solves(monkeypatch):
 
 @pytest.mark.parametrize("uu, density", UNIVERSE_CASES)
 def test_verify_matches_full_scan(uu, density, monkeypatch):
-    """verify_factorisation, which skips graphs whose forbidden witness
-    lies outside the product, returns what the full scan returns,
-    counterexample included: on targets equal to the product up to n, on
-    targets with a forbidden graph inside the product, on random targets,
-    and with a generated factor, where it makes the full scan's product
-    checks.  A product of two forbidden sets contains every graph on two
-    vertices, so on the mixed universe, scanned to 2 vertices, nothing
-    can be skipped and only the fallback is met."""
+    """verify_factorisation, which scans only the target's member layers
+    when the target and the factors are forbidden sets, returns what the
+    full scan returns, counterexample included: on targets equal to the
+    product up to n, on targets with a forbidden graph inside the
+    product, on random targets, and with a generated factor, where it
+    makes the full scan's product checks.  A product of two forbidden
+    sets contains every graph on two vertices, so on the mixed universe,
+    scanned to 2 vertices, nothing can be skipped."""
     rng = random.Random(SEED)
     n = {simple_universe(): 5, triple_universe(): 5, mixed_universe(): 2}.get(uu, 4)
     calls = _count_solves(monkeypatch)
@@ -234,14 +237,54 @@ def test_verify_matches_full_scan(uu, density, monkeypatch):
 
 
 def test_verify_decides_the_product_only_where_it_can_differ(props, monkeypatch):
-    """bip against edgeless^2 at 6: the 62 members of bip and its two
-    forbidden graphs, not all 209 graphs, are asked about the product."""
+    """bip against edgeless^2 at 6: the 65 classes of bip's member layers,
+    its 62 members (the null graph included) and the 3 non-members grown
+    from a member parent (K3, C5 and one graph on 6 vertices), not all
+    209 graphs, are asked about the product.  Asking the members and
+    bip's two forbidden graphs took 64."""
     calls = _count_solves(monkeypatch)
     assert verify_factorisation(props.bip, [props.edgeless] * 2, 6)
-    assert len(calls) == 64
+    assert len(calls) == 65
     del calls[:]
     assert reference_verify_factorisation(props.bip, [props.edgeless] * 2, 6)
     assert len(calls) == 209
+
+
+@pytest.mark.parametrize("name", ["simple", "ORDERED-2", "UNORDERED-3", "2-colour",
+                                  "mixed"])
+def test_verify_over_member_layers_matches_full_scan(name, monkeypatch):
+    """With P and every factor built from finite forbidden sets, P a
+    forbidden set or a product, verification scans P's member layers and
+    never the full stream, and returns the full scan's VerifyResult,
+    counterexample included."""
+    _, uu, dens = next(c for c in _kernel_universes(simple_universe()) if c[0] == name)
+    n = {"simple": 5, "UNORDERED-3": 5, "mixed": 2}.get(name, 4)
+    rng = random.Random(f"{SEED}:{name}")
+
+    def forbidden_set():
+        graphs = [random_graph(uu, rng.randint(2, min(n, 3)), dens, rng) for _ in range(3)]
+        graphs = [h for h in graphs if h.edges] or [random_graph(uu, 2, 1.0, rng)]
+        return forbidden_property(uu, rng.sample(graphs, rng.randint(1, len(graphs))))
+
+    def refuse(spec):
+        raise AssertionError("the full stream was scanned")
+
+    outcomes = set()
+    for _ in range(6):
+        factors = (forbidden_set(), forbidden_set())
+        prod = ProductProperty(factors)
+        targets = [forbidden_set(), ProductProperty((forbidden_set(), forbidden_set())),
+                   ProductProperty((factors[0], forbidden_set()))]
+        exact = forbidden_up_to(prod, n)
+        if exact:
+            targets.append(forbidden_property(uu, exact))
+        for p in targets:
+            want = reference_verify_factorisation(p, factors, n)
+            with monkeypatch.context() as m:
+                m.setattr(factor, "enumerate_hypergraphs", refuse)
+                assert verify_factorisation(p, factors, n) == want, (p, factors)
+            outcomes.add(want.holds)
+    assert outcomes == {True, False}
 
 
 # --- dec brackets -------------------------------------------------------------
@@ -377,13 +420,16 @@ def test_dec_bounds_matches_full_scan(p, n, monkeypatch):
 
 
 def test_dec_bounds_skip_test_stops_at_the_first_decomposition(props, monkeypatch):
-    """bip at 6: a strict member with a decomposition into upper parts is
-    skipped once the first is found.  Each of the 54 skip tests is
-    settled by a colouring with at most upper = 2 classes, none holding
-    an edge, once the join over two single vertices holds, so the scan
-    makes 3 decisions, all in dec_number of the first member, K2: the
-    single-vertex joins over two and three vertices and the split
-    {0}|{1}.  Walking level upper up
+    """bip at 6: a member with a decomposition into upper parts is
+    skipped once the first is found, before its strictness is asked (in
+    EXACT mode the skip test comes first).  Each of the 58 skip tests,
+    one per member after K2, is settled by a colouring with at most
+    upper = 2 classes, none holding an edge, once the join over two
+    single vertices holds, so the scan makes 3 decisions, all in
+    dec_number of the first strict member, K2: the single-vertex joins
+    over two and three vertices and the split {0}|{1}.  Asking
+    strictness first skip-tested the 54 strict members among them.
+    Walking level upper up
     to its first valid partition made 342, reading all of it 1,460, and
     the walk made 499 before level 1 was read from membership and parts
     were split along edges, right side first."""
@@ -398,7 +444,24 @@ def test_dec_bounds_skip_test_stops_at_the_first_decomposition(props, monkeypatc
     got = factor._dec_bounds.__wrapped__(props.bip, 6, 1)
     assert tuple(got) == (1, 2)
     assert len(calls) == 3
-    assert coloured == [True] * 54
+    assert coloured == [True] * 58
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_dec_bounds_asks_strictness_after_the_skip_test(n, monkeypatch):
+    """C5-free: once P4, its first strict member, sets upper = 2, the
+    paw and K3 plus a vertex fail the skip test (dec 1) but are not
+    strict, as they hold no induced P4; the scan must still leave them
+    out.  The bracket and witness are the full scan's, and every member
+    dec_number is asked about is strict."""
+    u = simple_universe()
+    c5 = forbidden_property(u, [simple_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])])
+    asked = []
+    real = factor.dec_number
+    monkeypatch.setattr(factor, "dec_number", lambda g, *a: asked.append(g) or real(g, *a))
+    got = factor._dec_bounds.__wrapped__(c5, n, 1)
+    assert got == reference_dec_bounds(c5, n)[0]
+    assert asked and all(decomp.is_strict(g, c5) for g in asked)
 
 
 def test_cold_dec_bounds_keys_only_children_of_members(props, monkeypatch):

@@ -29,7 +29,7 @@ from hgfactor import (
     is_connected,
     simple_universe,
 )
-from hgfactor import core, generate
+from hgfactor import core, generate, props as props_module
 from helpers import (
     admissible_edges,
     bell,
@@ -177,6 +177,13 @@ DIGEST_CASES = [
 ]
 
 
+def _minus_vertex(codes, v):
+    """core._codes of a graph with vertex v deleted, the vertices above it
+    moved down by one."""
+    return tuple((o, ci, tuple(w - (w > v) for w in verts), kind, colour)
+                 for o, ci, verts, kind, colour in codes if v not in verts)
+
+
 @pytest.mark.parametrize("universe, top, digest", DIGEST_CASES)
 def test_enumeration_stream_digest(universe, top, digest):
     h = hashlib.sha256()
@@ -189,15 +196,16 @@ def test_enumeration_keys_equal_the_ordering_product(monkeypatch):
     # every candidate tried while enumerating the pinned universes is
     # keyed exactly when its new vertex lies in the first least-degree
     # cell of the reference refinement, and then gets the cells and the
-    # key of the least ordering in the cell product; the classes, built
-    # without the per-edge universe checks, pass them
+    # key of the least ordering in the cell product, and a probe label
+    # whose deletion from the key's graph leaves the candidate's parent;
+    # the classes, built without the per-edge universe checks, pass them
     probes = []
     key_candidate = generate._key_candidate
 
     def probe(n, codes):
-        key = key_candidate(n, codes)
-        probes.append((n, codes, key))
-        return key
+        found = key_candidate(n, codes)
+        probes.append((n, codes, found))
+        return found
 
     monkeypatch.setattr(generate, "_key_candidate", probe)
     generate._layer.cache_clear()
@@ -205,9 +213,16 @@ def test_enumeration_keys_equal_the_ordering_product(monkeypatch):
         universe, top, _ = case.values
         for g in enumerate_hypergraphs(EnumSpec(universe, top)):
             assert Hypergraph(universe, g.n, g.edges) == g
-    keyed = [(n, codes) for n, codes, key in probes if key is not None]
+    keyed = [(n, codes) for n, codes, found in probes if found is not None]
     assert len(keyed) > 500 and len(keyed) < len(probes)
-    for n, codes, key in probes:
+    for n, codes, found in probes:
+        key, label = found or (None, None)
+        if key is not None:
+            colour_index = {colour: ci for _, ci, _, _, colour in codes}
+            key_codes = [(kind == "ORDERED", colour_index[colour], verts, kind, colour)
+                         for _, verts, kind, colour in key[1]]
+            assert core._canon(n - 1, _minus_vertex(key_codes, label)) \
+                == core._canon(n - 1, _minus_vertex(codes, n - 1))
         if not codes:
             assert key == (n, ())
             continue
@@ -397,7 +412,8 @@ def test_member_stream_stopped_early_asks_nothing_past_its_stop(monkeypatch):
     # a consumer that stops early has asked the property only about
     # classes up to its stopping point, in enumeration order; the next
     # full pass asks only about the classes the first did not reach, and
-    # the two together ask what one cold pass asks, each class once
+    # the two together ask what one cold pass asks, each class once.
+    # Every verdict goes through props._member_through, watched here.
     u = digraph_universe()
     arc = EdgeObject(EdgeKind.ORDERED, (0, 1), "a")
     back = EdgeObject(EdgeKind.ORDERED, (1, 0), "a")
@@ -406,9 +422,9 @@ def test_member_stream_stopped_early_asks_nothing_past_its_stop(monkeypatch):
     position = {g: i for i, g in enumerate(full)}
     members = [g for g in full if p.member(g)]
     asked = []
-    real = FiniteForbidden.member
-    monkeypatch.setattr(FiniteForbidden, "member",
-                        lambda self, g: asked.append(g) or real(self, g))
+    real = props_module._member_through
+    monkeypatch.setattr(props_module, "_member_through",
+                        lambda q, g, v: asked.append(g) or real(q, g, v))
     generate._layer.cache_clear()
     stop = len(members) // 2
     got = list(itertools.islice(generate._members_up_to(p, 4), stop))
@@ -447,16 +463,16 @@ def test_member_stream_that_raised_raises_again(monkeypatch):
     q = FiniteForbidden(u, (Hypergraph(u, 3, frozenset()),))
     members = [g for g in enumerate_hypergraphs(EnumSpec(u, 4)) if q.member(g)]
     target = members[-2]
-    real = FiniteForbidden.member
+    real = props_module._member_through
 
-    def flaky(self, g):
+    def flaky(q, g, v):
         if g == target and not raised:
             raised.append(g)
             raise HgError("flaky")
-        return real(self, g)
+        return real(q, g, v)
 
     raised = []
-    monkeypatch.setattr(FiniteForbidden, "member", flaky)
+    monkeypatch.setattr(props_module, "_member_through", flaky)
     got = []
     with pytest.raises(HgError, match="flaky"):
         for g in generate._members_up_to(q, 4):

@@ -29,6 +29,7 @@ from hgfactor import (
     forbidden_property,
     forbidden_up_to,
     format_property,
+    induced,
     is_additive,
     load_property,
     member,
@@ -40,7 +41,7 @@ from hgfactor import (
     simple_graph,
     simple_universe,
 )
-from hgfactor import props as hgprops
+from hgfactor import generate, props as hgprops
 from helpers import (
     brute_member_ff,
     image_triples,
@@ -51,6 +52,7 @@ from helpers import (
     solve_by_assignment,
 )
 from test_core import UNIVERSE_CASES, mixed_universe, triple_universe, two_colour_universe
+from test_decomp import _kernel_universes
 
 SEED = 77003
 
@@ -244,6 +246,34 @@ def test_membership_matches_brute_force(u, props):
         g_ = random_graph(u, rng.randint(0, 5), 0.4, rng)
         for p in [props.edgeless, props.trifree, props.bip]:
             assert bool(member(p, g_)) == brute_member_ff(p.forbidden, g_)
+
+
+@pytest.mark.parametrize("name", ["simple", "ORDERED-2", "UNORDERED-3", "2-colour",
+                                  "mixed"])
+def test_member_layer_verdicts_through_the_growth_vertex(u, name):
+    """Every class of a random finite forbidden set's member layers,
+    members and the non-members grown from a member parent alike, gets
+    p.member's verdict from copies through its growth vertex alone
+    (props._member_through, as generate._decided asks it); and deleting
+    the growth vertex leaves a member, the fact that rests on."""
+    _, uu, dens = next(c for c in _kernel_universes(u) if c[0] == name)
+    # a mixed class on 2 vertices has 2^13 candidate children
+    top = {"simple": 5, "UNORDERED-3": 5, "mixed": 2}.get(name, 4)
+    rng = random.Random(f"{SEED}:{name}")
+    verdicts = set()
+    for _ in range(8):
+        graphs = [random_graph(uu, rng.randint(2, top), dens, rng) for _ in range(3)]
+        p = forbidden_property(uu, rng.sample(graphs, rng.randint(1, 3)))
+        generate._layer.cache_clear()
+        for n in range(top + 1):
+            for i, (h, holds) in enumerate(generate._decided(p, n)):
+                assert holds is bool(p.member(h)), (p, h)
+                verdicts.add(holds)
+                if n:
+                    v = generate._layer(uu, p, n).growth[i]
+                    assert hgprops._member_through(p, h, v) is holds
+                    assert p.member(induced(h, [w for w in range(n) if w != v]))
+    assert verdicts == {True, False}
 
 
 def test_membership_universe_mismatch(props):
