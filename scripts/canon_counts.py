@@ -20,8 +20,9 @@ first.  Per enumeration it prints, as one JSON object per line:
   first build, rejected probes included (a vertex alone in its cell gets
   none), counted as calls of the nested profile function of core._cells.
 
-Only candidates are counted; the searches that find each parent's
-automorphisms are not.
+Only candidates are counted.  A layer makes no other canonical search:
+each parent's automorphisms are the generators its class's keying found
+one layer down (generate._grow).
 
 Run from the repository root:
 

@@ -50,7 +50,13 @@ perfbench/data), each in a fresh process, one JSON object per command:
   that verify_factorisation compares;
 - strict: strictness tests (decomp._strict_member, or decomp.is_strict
   in a tree without it);
-- skip: skip tests of the dec scan (decomp._has_decomposition).
+- skip: skip tests of the dec scan (decomp._has_decomposition);
+- parsers: argparse.ArgumentParser constructions, the command line
+  parsers cli.run builds;
+- searches: calls of core._canon_search without a probe, the canonical
+  searches made outside enumeration's candidate keyings (canonical_key
+  and the anchored embedding plans, and in an older tree the searches
+  for each layer parent's automorphisms).
 
 The counts read only the names a tree has, so the same script counts an
 older checkout's work when run with its src on PYTHONPATH.
@@ -177,10 +183,12 @@ FACTORIZE = {"bip": 6, "dir_two_colour": 4, "trifree": 6}
 
 def factorize_counts(name):
     """The work counts of one factorize command, from a fresh process."""
-    from hgfactor import cli, core
+    import argparse
+
+    from hgfactor import cli, core, generate
 
     found = dict.fromkeys(("find_anchored", "find_plain", "members", "products", "strict",
-                           "skip"), 0)
+                           "skip", "parsers", "searches"), 0)
     real_find = core._find
 
     def find(pattern, host, allowed, anchor=None):
@@ -211,6 +219,16 @@ def factorize_counts(name):
     for module in (decomp, factor):
         setattr(module, strict, strict_test)
     factor._has_decomposition = counting("skip", decomp._has_decomposition)
+    argparse.ArgumentParser.__init__ = counting("parsers", argparse.ArgumentParser.__init__)
+    real_search = core._canon_search
+
+    def search(n, codes, probe=-1):
+        found["searches"] += probe < 0
+        return real_search(n, codes, probe)
+
+    for module in (core, generate):
+        if hasattr(module, "_canon_search"):
+            module._canon_search = search
     argv = ["factorize", "-p", os.path.join(DATA, f"{name}.prop"),
             "--bound", str(FACTORIZE[name])]
     with contextlib.redirect_stdout(io.StringIO()):

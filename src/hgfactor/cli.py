@@ -310,7 +310,8 @@ def cmd_factorize(args, cfg: CliConfig):
 
 def cmd_enumerate(args, cfg: CliConfig):
     _check_vertex_count(args.vertices, "--vertices", cfg)
-    u = _parse_universe_spec(args.universe, None) if args.universe else simple_universe()
+    u = simple_universe() if args.universe is None \
+        else _parse_universe_spec(args.universe, None)
     spec = EnumSpec(u, args.vertices, connected_only=args.connected)
     blocks = [format_hypergraph(g) for g in enumerate_hypergraphs(spec)]
     return 0, "\n".join(blocks)
@@ -383,7 +384,105 @@ def cmd_export_dot(args, cfg: CliConfig):
 
 # --- wiring -----------------------------------------------------------------
 
+def _graph_prop(sp):
+    sp.add_argument("-g", "--graph", required=True,
+                    help="hypergraph file, - for stdin")
+    sp.add_argument("-p", "--property", required=True, help="property file")
+
+
+def _mode_arg(sp):
+    sp.add_argument("--mode", choices=("auto", "exact", "bounded"),
+                    default="auto")
+
+
+def _partition_args(sp):
+    sp.add_argument("-g", "--graph", required=True,
+                    help="hypergraph file, - for stdin")
+    sp.add_argument("-p", "--property", required=True, action="append",
+                    help="a product property file, or repeat for each factor")
+
+
+def _dec_args(sp):
+    _graph_prop(sp)
+    _mode_arg(sp)
+
+
+def _decompositions_args(sp):
+    _dec_args(sp)
+    sp.add_argument("--parts", type=int, required=True)
+
+
+def _construct_args(sp):
+    sp.add_argument("kind", choices=("c1", "c2", "gstar", "unique-super"))
+    _graph_prop(sp)
+    sp.add_argument("--classes", required=True,
+                    help="reference partition, e.g. 0,2|1,3")
+    sp.add_argument("--target", help="decomposition to block (c2 only)")
+
+
+def _factorize_args(sp):
+    sp.add_argument("-p", "--property", required=True)
+    sp.add_argument("--bound", type=int, required=True,
+                    help="equality is checked on all graphs up to this size")
+    sp.add_argument("--forbidden-size", type=int, default=2,
+                    help="largest forbidden graph in candidate factors")
+
+
+def _enumerate_args(sp):
+    sp.add_argument("--vertices", "--max-vertices", dest="vertices",
+                    type=int, required=True)
+    sp.add_argument("--connected", action="store_true")
+    sp.add_argument("--universe",
+                    help='e.g. "kinds=UNORDERED arities=2 colours=e"')
+
+
+def _export_dot_args(sp):
+    sp.add_argument("-g", "--graph", required=True)
+    sp.add_argument("-d", "--decomposition",
+                    help='JSON file {"parts": [[0,2],[1,3]]}')
+    sp.add_argument("--parts", help="inline partition, e.g. 0,2|1,3")
+
+
+# name, help line, handler, and the function that adds the arguments
+_COMMANDS = (
+    ("member", "membership with a witness on failure", cmd_member, _graph_prop),
+    ("partition", "first admissible product partition", cmd_partition, _partition_args),
+    ("dec", "maximum part count with one maximizer", cmd_dec, _dec_args),
+    ("strict", "does some one-vertex extension leave the property?", cmd_strict,
+     _graph_prop),
+    ("decompositions", "all decompositions with a given part count", cmd_decompositions,
+     _decompositions_args),
+    ("construct", "tracked-copy constructions", cmd_construct, _construct_args),
+    ("factorize", "bounded factorization search", cmd_factorize, _factorize_args),
+    ("enumerate", "all graphs up to a size, one canonical representative each",
+     cmd_enumerate, _enumerate_args),
+    ("export-dot", "GraphViz rendering", cmd_export_dot, _export_dot_args),
+)
+
+
+class _Subcommand:
+    """What add_subparsers makes for each subcommand: the keyword
+    arguments of its ArgumentParser, which is built, with its arguments
+    and its handler as the fn default, only when argparse dispatches to
+    it (argparse asks a subcommand's parser for parse_known_args alone)."""
+
+    def __init__(self, fn, arguments, **kwargs):
+        self._fn, self._arguments, self._kwargs = fn, arguments, kwargs
+
+    def parse_known_args(self, args=None, namespace=None):
+        sp = argparse.ArgumentParser(**self._kwargs)
+        self._arguments(sp)
+        sp.set_defaults(fn=self._fn)
+        return sp.parse_known_args(args, namespace)
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """The top-level parser.  Each subcommand in _COMMANDS is declared
+    with its name and help line, which are all that the top-level help,
+    usage and errors show; its own parser is built only for the
+    subcommand that runs (_Subcommand), so a command builds two parsers
+    and top-level --help one.  Every help text, usage line, error and
+    exit code is that of building every subcommand's parser up front."""
     ap = argparse.ArgumentParser(
         prog="hgfactor",
         description="membership, decomposition and factorization for "
@@ -392,77 +491,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--workers", type=int,
                     help="accepted and ignored (at least 1); searches run serially")
     ap.add_argument("--output", help="write the report here instead of stdout")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    def graph_prop(sp):
-        sp.add_argument("-g", "--graph", required=True,
-                        help="hypergraph file, - for stdin")
-        sp.add_argument("-p", "--property", required=True, help="property file")
-
-    def mode_arg(sp):
-        sp.add_argument("--mode", choices=("auto", "exact", "bounded"),
-                        default="auto")
-
-    sp = sub.add_parser("member", help="membership with a witness on failure")
-    graph_prop(sp)
-    sp.set_defaults(fn=cmd_member)
-
-    sp = sub.add_parser("partition", help="first admissible product partition")
-    sp.add_argument("-g", "--graph", required=True,
-                    help="hypergraph file, - for stdin")
-    sp.add_argument("-p", "--property", required=True, action="append",
-                    help="a product property file, or repeat for each factor")
-    sp.set_defaults(fn=cmd_partition)
-
-    sp = sub.add_parser("dec", help="maximum part count with one maximizer")
-    graph_prop(sp)
-    mode_arg(sp)
-    sp.set_defaults(fn=cmd_dec)
-
-    sp = sub.add_parser("strict", help="does some one-vertex extension leave "
-                                       "the property?")
-    graph_prop(sp)
-    sp.set_defaults(fn=cmd_strict)
-
-    sp = sub.add_parser("decompositions", help="all decompositions with a "
-                                               "given part count")
-    graph_prop(sp)
-    mode_arg(sp)
-    sp.add_argument("--parts", type=int, required=True)
-    sp.set_defaults(fn=cmd_decompositions)
-
-    sp = sub.add_parser("construct", help="tracked-copy constructions")
-    sp.add_argument("kind", choices=("c1", "c2", "gstar", "unique-super"))
-    graph_prop(sp)
-    sp.add_argument("--classes", required=True,
-                    help="reference partition, e.g. 0,2|1,3")
-    sp.add_argument("--target", help="decomposition to block (c2 only)")
-    sp.set_defaults(fn=cmd_construct)
-
-    sp = sub.add_parser("factorize", help="bounded factorization search")
-    sp.add_argument("-p", "--property", required=True)
-    sp.add_argument("--bound", type=int, required=True,
-                    help="equality is checked on all graphs up to this size")
-    sp.add_argument("--forbidden-size", type=int, default=2,
-                    help="largest forbidden graph in candidate factors")
-    sp.set_defaults(fn=cmd_factorize)
-
-    sp = sub.add_parser("enumerate", help="all graphs up to a size, one "
-                                          "canonical representative each")
-    sp.add_argument("--vertices", "--max-vertices", dest="vertices",
-                    type=int, required=True)
-    sp.add_argument("--connected", action="store_true")
-    sp.add_argument("--universe",
-                    help='e.g. "kinds=UNORDERED arities=2 colours=e"')
-    sp.set_defaults(fn=cmd_enumerate)
-
-    sp = sub.add_parser("export-dot", help="GraphViz rendering")
-    sp.add_argument("-g", "--graph", required=True)
-    sp.add_argument("-d", "--decomposition",
-                    help='JSON file {"parts": [[0,2],[1,3]]}')
-    sp.add_argument("--parts", help="inline partition, e.g. 0,2|1,3")
-    sp.set_defaults(fn=cmd_export_dot)
-
+    sub = ap.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
+    for name, help_line, fn, arguments in _COMMANDS:
+        sub.add_parser(name, help=help_line, fn=fn, arguments=arguments)
     return ap
 
 

@@ -608,9 +608,19 @@ def _canon_search(n: int, codes: Sequence, probe: int = -1) -> Optional[tuple]:
     image.  Given a probe vertex, None when _cells gives up on it (the
     probe is outside the first cell of least degree), and otherwise the
     search runs on the cells _cells built for the probe, which are the
-    cells it builds without one, and a third entry follows: the label
-    the probe gets in the least leaf, that is the vertex of the key's
-    graph (_key_graph) that the probe becomes.
+    cells it builds without one, so it finds the same generators.  Then
+    everything returned is said of the key's graph K (_key_graph): the
+    generators are relabelled onto K, and a third entry follows, the
+    label the probe gets in the least leaf, that is the vertex of K that
+    the probe becomes.
+
+    The least leaf's ordering is a bijection L from the vertices onto
+    0..n-1 that sends the edge set E onto K's edges, and a generator s
+    is relabelled to L s L^-1, which sends label L(v) to L(s(v)).  If s
+    keeps E, then L s L^-1 sends K's edges L(E) to L(s(E)) = L(E): it is
+    an automorphism of K.  Conjugation by L is a group isomorphism from
+    the graph's automorphisms onto K's (its inverse is conjugation by
+    L^-1), so relabelled generators of the one group generate the other.
 
     An ordering hands out labels 0..n-1 to the _cells classes in class
     order, each class's vertices in some order; it maps the edges to
@@ -729,7 +739,12 @@ def _canon_search(n: int, codes: Sequence, probe: int = -1) -> Optional[tuple]:
 
     search(0)
     canon = (n, tuple(best[0]))
-    return (canon, gens) if probe < 0 else (canon, gens, best[1].index(probe))
+    if probe < 0:
+        return canon, gens
+    order = best[1]
+    for label, v in enumerate(order):
+        mapping[v] = label
+    return canon, [tuple(mapping[s[v]] for v in order) for s in gens], mapping[probe]
 
 
 def _orbit(points: list, gens: list) -> set:

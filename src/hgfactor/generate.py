@@ -71,20 +71,24 @@ def enumerate_hypergraphs(spec: EnumSpec):
 class _Layer(NamedTuple):
     classes: tuple
     growth: bytes  # per class, its growth vertex (see _grow)
+    generators: tuple  # per class, its automorphism generators (see _grow)
     verdicts: list
 
 
 @lru_cache(maxsize=256)
 def _layer(u: Universe, p, n: int) -> _Layer:
     """The classes on exactly n vertices over u, with their growth
-    vertices and p's verdicts on them.
+    vertices, automorphism generators and p's verdicts on them.
 
     classes are canonical forms in canonical-key order: the null graph,
     then each layer grown (_grow) from the whole layer below it when p is
     None, or from the property p's members on n-1 vertices.  growth holds
     each class's growth vertex, one byte per class (empty for the null
-    graph), and verdicts p's answers on a prefix of classes, filled by
-    _decided; the null graph is in every p.
+    graph), generators each class's automorphism generators as _grow
+    keeps them (b"" for the null graph), and verdicts p's answers on a
+    prefix of classes, filled by _decided; the null graph is in every p.
+    Each parent goes to _grow with its generators from this memo, so no
+    parent's automorphisms are searched for again.
 
     A member layer holds every member of p on n vertices and those
     non-members that _grow reaches from a member parent by deleting a
@@ -92,10 +96,13 @@ def _layer(u: Universe, p, n: int) -> _Layer:
     growing by any least-degree vertex reaches, the same members.
     """
     if n == 0:
-        return _Layer((Hypergraph(u, 0, frozenset()),), b"", [True])
+        return _Layer((Hypergraph(u, 0, frozenset()),), b"", (b"",), [True])
+    below = _layer(u, p, n - 1)
     if p is None:
-        return _Layer(*_grow(u, n, _layer(u, None, n - 1).classes), [])
-    return _Layer(*_grow(u, n, tuple(g for g, holds in _decided(p, n - 1) if holds)), [])
+        return _Layer(*_grow(u, n, zip(below.classes, below.generators)), [])
+    members = [(g, gens) for (g, holds), gens in zip(_decided(p, n - 1), below.generators)
+               if holds]
+    return _Layer(*_grow(u, n, members), [])
 
 
 def _decided(p, n: int):
@@ -105,20 +112,22 @@ def _decided(p, n: int):
     class's growth vertex, and the verdict is kept with the layer; a
     verdict that raises keeps nothing for that class."""
     from .props import _member_through  # props imports this module
-    classes, growth, verdicts = _layer(p.universe, p, n)
-    for i, g in enumerate(classes):
+    layer = _layer(p.universe, p, n)
+    verdicts = layer.verdicts
+    for i, g in enumerate(layer.classes):
         if i == len(verdicts):
-            verdicts.append(_member_through(p, g, growth[i]))
+            verdicts.append(_member_through(p, g, layer.growth[i]))
         yield g, verdicts[i]
 
 
 def _grow(u: Universe, n: int, parents) -> tuple:
-    """(classes, growth): canonical forms of the classes on exactly n
-    vertices that have a vertex of their first least-degree cell whose
-    deletion leaves one of the parents, in canonical-key order, and each
-    one's growth vertex as one byte.  The parents are canonical forms of
-    distinct classes on n-1 vertices; given every such class, the classes
-    are every class on n vertices.
+    """(classes, growth, generators): canonical forms of the classes on
+    exactly n vertices that have a vertex of their first least-degree
+    cell whose deletion leaves one of the parents, in canonical-key
+    order, each one's growth vertex as one byte, and each one's
+    automorphism generators.  The parents are (canonical form, its
+    generators) pairs of distinct classes on n-1 vertices; given every
+    such class, the classes are every class on n vertices.
 
     A class's growth vertex is the vertex of its canonical form that the
     new vertex of the first candidate keyed to it becomes (the probe
@@ -127,6 +136,16 @@ def _grow(u: Universe, n: int, parents) -> tuple:
     fact props._member_through rests on.  The growth vertices of the
     keys seen are kept in the dict of keys the layer is sorted from, so
     a layer costs one bytes object more and no object per class.
+
+    A class's generators are those of the first candidate keyed to it,
+    which _key_candidate hands back relabelled onto the class's canonical
+    form; relabelling maps the candidate's automorphism group onto the
+    class's (proof in core._canon_search), and the search that keys a
+    candidate finds generators of its whole group, so they generate the
+    class's group.  They are kept as one bytes object per class, the
+    images of every generator one after another, and only for a class
+    whose group is nontrivial: every other class has b"", a shared
+    object.  A parent's generators serve rule (b) one layer up.
 
     A candidate is a parent P plus a subset S of the m edges through the
     new vertex n-1, the crossing edges of n-1 isolated vertices and one
@@ -144,7 +163,10 @@ def _grow(u: Universe, n: int, parents) -> tuple:
     (b) orbit: Aut(P), extended to fix the new vertex, permutes the new
         edges, and only the first subset of each orbit met is tried;
         trying it marks its whole orbit done, closing it under the edge
-        images of the generators core._canon_search finds for P.  An
+        images of P's generators, those kept when P's class was keyed
+        one layer down.  Any generators of Aut(P) close a subset to the
+        same orbit, so the first subset of each orbit, and so the
+        subsets keyed, do not depend on which generators they are.  An
         automorphism a of P that fixes the new vertex maps the child of
         (P, S) isomorphically onto the child of (P, a(S)), and keeps the
         new vertex's degree, so an orbit passes rule (a) as a whole.
@@ -194,7 +216,8 @@ def _grow(u: Universe, n: int, parents) -> tuple:
     every = (1 << (1 << m)) - 1
     pool = _Pool()
     seen = {}  # key -> growth vertex of its first candidate
-    for g in parents:
+    auts = {}  # key -> generators of its first candidate, if it has any
+    for g, gens in parents:
         base = _codes(u, g.edges)
         deg = [0] * (n - 1)
         for _, _, verts, _, _ in base:
@@ -204,9 +227,10 @@ def _grow(u: Universe, n: int, parents) -> tuple:
         for d, row in zip(deg, rows):
             if d < len(row):
                 admitted &= row[d]
-        # per generator of Aut(P), each new edge's image bit
-        images = [_edge_images(new, index, sigma + (n - 1,))
-                  for sigma in _canon_search(n - 1, base)[1]]
+        # per generator of Aut(P), each new edge's image bit; gens holds
+        # the generators' images of 0..n-2 one after another
+        images = [_edge_images(new, index, gens[i:i + n - 1] + bytes((n - 1,)))
+                  for i in range(0, len(gens), n - 1)] if gens else []
         done = bytearray(1 << m)
         for s in _set_bits(admitted):
             if done[s]:
@@ -214,8 +238,12 @@ def _grow(u: Universe, n: int, parents) -> tuple:
             picks = _bits(s)
             found = _key_candidate(n, base + tuple(new[i] for i in picks))
             if found is not None:
-                key, label = found
-                seen.setdefault((n, tuple(map(pool.__getitem__, key[1]))), label)
+                key, label, found_gens = found
+                entry = n, tuple(map(pool.__getitem__, key[1]))
+                if entry not in seen:
+                    seen[entry] = label
+                    if found_gens:
+                        auts[entry] = bytes(v for sigma in found_gens for v in sigma)
             done[s] = 1
             orbit = [picks]  # mark s's orbit done: close it under the generators
             while orbit:
@@ -226,16 +254,19 @@ def _grow(u: Universe, n: int, parents) -> tuple:
                         done[t] = 1
                         orbit.append(_bits(t))
     keys = sorted(seen)
-    return tuple(_key_graph(u, k) for k in keys), bytes(map(seen.__getitem__, keys))
+    return (tuple(_key_graph(u, k) for k in keys), bytes(map(seen.__getitem__, keys)),
+            tuple(auts.get(k, b"") for k in keys))
 
 
 def _key_candidate(n: int, codes: tuple):
-    """(canonical key, probe label) of the candidate on n vertices with
-    these _codes, whose new vertex is n-1, or None when rule (c) of _grow
-    rejects it; the label is the vertex of the key's graph that the new
-    vertex becomes.  The one place _grow keys a candidate."""
+    """(canonical key, probe label, generators) of the candidate on n
+    vertices with these _codes, whose new vertex is n-1, or None when
+    rule (c) of _grow rejects it; the label is the vertex of the key's
+    graph that the new vertex becomes, and the generators, automorphisms
+    of the key's graph, generate its whole group (core._canon_search).
+    The one place _grow keys a candidate."""
     found = _canon_search(n, codes, n - 1)
-    return None if found is None else (found[0], found[2])
+    return None if found is None else (found[0], found[2], found[1])
 
 
 def _rule_a_rows(m: int, touch: int) -> list:
@@ -276,7 +307,7 @@ class _Pool(dict):
         return value
 
 
-def _edge_images(new: tuple, index: dict, sigma: tuple) -> list:
+def _edge_images(new: tuple, index: dict, sigma: bytes) -> list:
     """Bit of each new edge's image under the vertex map sigma."""
     look = sigma.__getitem__
     return [1 << index[ordered, ci, tuple(map(look, verts)) if ordered

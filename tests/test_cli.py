@@ -1,5 +1,6 @@
 """Command line behaviour: verbs, exit codes, config layering, reports."""
 
+import argparse
 import io
 import json
 import time
@@ -24,6 +25,7 @@ from hgfactor import (
     simple_graph,
     unique_super,
 )
+from hgfactor import cli as cli_module
 from hgfactor.cli import CliConfig, load_config, parse_config_text, run
 from hgfactor.core import FormatError
 from hgfactor.decomp import EXACT, Decomposition
@@ -170,6 +172,91 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as ei:
         run([])
     assert ei.value.code == 2
+
+
+# --- parsers ------------------------------------------------------------------
+
+SUBCOMMANDS = [
+    ("member", "membership with a witness on failure"),
+    ("partition", "first admissible product partition"),
+    ("dec", "maximum part count with one maximizer"),
+    ("strict", "does some one-vertex extension leave the property?"),
+    ("decompositions", "all decompositions with a given part count"),
+    ("construct", "tracked-copy constructions"),
+    ("factorize", "bounded factorization search"),
+    ("enumerate", "all graphs up to a size, one canonical representative each"),
+    ("export-dot", "GraphViz rendering"),
+]
+
+
+@pytest.fixture
+def parsers_built(monkeypatch):
+    """The prog of every argparse.ArgumentParser constructed, in order."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    return built
+
+
+def test_a_command_builds_only_its_own_parser(capsys, files, parsers_built):
+    # machine-independent work count: the top-level parser and the one
+    # of the subcommand that runs, where building every subcommand's
+    # parser up front makes 10
+    code, out, err = cli(capsys, "factorize", "-p", files.bip, "--bound", "3")
+    assert code == 0
+    assert parsers_built == ["hgfactor", "hgfactor factorize"]
+    del parsers_built[:]
+    code, out, err = cli(capsys, "dec", "-g", files.c4, "-p", files.trifree)
+    assert (code, out) == (0, "dec=2, parts={0,2}|{1,3}, confidence=exact\n")
+    assert parsers_built == ["hgfactor", "hgfactor dec"]
+    del parsers_built[:]
+    with pytest.raises(SystemExit) as ei:
+        run(["--help"])
+    assert ei.value.code == 0
+    assert parsers_built == ["hgfactor"]
+
+
+def test_top_level_help_lists_every_subcommand_in_table_order(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # one line per subcommand
+    with pytest.raises(SystemExit) as ei:
+        run(["--help"])
+    assert ei.value.code == 0
+    out = capsys.readouterr().out
+    assert "{" + ",".join(name for name, _ in SUBCOMMANDS) + "}" in out
+    listed = [tuple(line.split(None, 1)) for line in out.splitlines()
+              if line.startswith("    ") and not line.startswith("     ")]
+    assert listed == SUBCOMMANDS
+    assert [(name, help_line) for name, help_line, _, _ in cli_module._COMMANDS] == SUBCOMMANDS
+
+
+@pytest.mark.parametrize("name", [name for name, _ in SUBCOMMANDS])
+def test_every_subcommand_help_exits_0(capsys, name):
+    with pytest.raises(SystemExit) as ei:
+        run([name, "--help"])
+    assert ei.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: hgfactor {name} [-h]")
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["bogus"],
+    ["factorize", "-p", "X"],
+    ["--workers", "x", "factorize", "-p", "X", "--bound", "3"],
+], ids=["no-command", "unknown-command", "factorize-without-bound", "workers-not-int"])
+def test_argument_errors_exit_2_with_usage(capsys, argv):
+    with pytest.raises(SystemExit) as ei:
+        run(argv)
+    assert ei.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: hgfactor")
+    assert "error: " in err
 
 
 # --- member / partition -----------------------------------------------------
@@ -572,6 +659,14 @@ def test_command_line_universe_error_names_no_line(capsys):
     assert (code, out) == (2, "")
     assert err.startswith("error: bad universe: ")
     assert "line" not in err
+
+
+@pytest.mark.parametrize("spec", ["", " "], ids=["empty", "blank"])
+def test_empty_universe_spec_is_a_usage_error(capsys, spec):
+    # an empty spec is malformed, not the simple universe's default
+    code, out, err = cli(capsys, "enumerate", "--vertices", "3", "--universe", spec)
+    assert (code, out) == (2, "")
+    assert err == "error: universe needs exactly kinds=, arities= and colours=\n"
 
 
 def test_output_flag_writes_file(capsys, files, tmp_path):

@@ -25,6 +25,7 @@ from hgfactor import (
     canonical_key,
     enumerate_hypergraphs,
     enumerate_partitions,
+    forbidden_property,
     format_hypergraph,
     is_connected,
     simple_universe,
@@ -34,14 +35,18 @@ from helpers import (
     admissible_edges,
     bell,
     count_unlabeled,
+    graph_triples,
     least_degree_orbits,
+    mapped_triples,
+    random_graph,
     random_hereditary,
     reference_canon,
     reference_cells,
     stirling2,
     unpruned_layer,
 )
-from test_core import UNIVERSE_CASES, mixed_universe, triple_universe
+from test_core import UNIVERSE_CASES, generated_group, mixed_universe, triple_universe
+from test_decomp import _kernel_universes
 
 
 def digraph_universe():
@@ -216,7 +221,7 @@ def test_enumeration_keys_equal_the_ordering_product(monkeypatch):
     keyed = [(n, codes) for n, codes, found in probes if found is not None]
     assert len(keyed) > 500 and len(keyed) < len(probes)
     for n, codes, found in probes:
-        key, label = found or (None, None)
+        key, label, _ = found or (None, None, None)
         if key is not None:
             colour_index = {colour: ci for _, ci, _, _, colour in codes}
             key_codes = [(kind == "ORDERED", colour_index[colour], verts, kind, colour)
@@ -363,6 +368,91 @@ def test_layers_key_the_same_candidates_under_any_hash_seed():
     probed, keyed, digest = outputs[0].split()
     assert int(probed) > int(keyed) > 0 and len(digest) == 64
     assert outputs[0] == outputs[1]
+
+
+KERNEL_NAMES = ["simple", "ORDERED-2", "UNORDERED-3", "2-colour", "mixed"]
+
+
+def assert_kept_generators(layer, n):
+    """Each class's kept generators are automorphisms of it that generate
+    the group core._canon_search finds for it, and a class keeps some
+    only when that group is nontrivial."""
+    assert len(layer.generators) == len(layer.classes)
+    for h, gens in zip(layer.classes, layer.generators):
+        assert type(gens) is bytes and len(gens) % max(n, 1) == 0
+        kept = [tuple(gens[i:i + n]) for i in range(0, len(gens), n)] if gens else []
+        own = graph_triples(h)
+        assert all(mapped_triples(h, s) == own for s in kept), h
+        group = generated_group(core._canon_search(n, core._codes(h.universe, h.edges))[1], n)
+        assert generated_group(kept, n) == group, h
+        assert bool(kept) == (len(group) > 1)
+
+
+@pytest.mark.parametrize("name", KERNEL_NAMES)
+def test_layers_keep_generators_of_each_class(u, name):
+    """Full layers and random finite forbidden sets' member layers keep,
+    for each class, generators of its automorphism group relabelled onto
+    its canonical form: the ones _grow's rule (b) reads for the class as
+    a parent, in place of a search of its own."""
+    _, uu, dens = next(c for c in _kernel_universes(u) if c[0] == name)
+    # a mixed class on 2 vertices has 2^13 candidate children
+    top = {"simple": 5, "UNORDERED-3": 5, "mixed": 2}.get(name, 4)
+    generate._layer.cache_clear()
+    symmetric = 0
+    for n in range(top + 1):
+        layer = generate._layer(uu, None, n)
+        assert_kept_generators(layer, n)
+        symmetric += sum(map(bool, layer.generators))
+    assert symmetric > top
+    rng = random.Random(f"kept-generators:{name}")
+    for _ in range(8):
+        graphs = [random_graph(uu, rng.randint(2, top), dens, rng) for _ in range(3)]
+        p = forbidden_property(uu, rng.sample(graphs, rng.randint(1, 3)))
+        generate._layer.cache_clear()
+        for n in range(top + 1):
+            assert [h for h, _ in generate._decided(p, n)] == list(generate._layer(uu, p, n).classes)
+            assert_kept_generators(generate._layer(uu, p, n), n)
+
+
+# counts, in a fresh process, the canonical searches without a probe and
+# the candidates keyed (and tried) by one factorize command
+FACTORIZE_SEARCHES = """
+import contextlib, io, sys
+from hgfactor import cli, core, generate
+searches, keyings = [], []
+canon_search, key_candidate = core._canon_search, generate._key_candidate
+
+def search(n, codes, probe=-1):
+    if probe < 0:
+        searches.append(n)
+    return canon_search(n, codes, probe)
+
+def key(n, codes):
+    found = key_candidate(n, codes)
+    keyings.append(found is not None)
+    return found
+
+for module in (core, generate):
+    module._canon_search = search
+generate._key_candidate = key
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.run(["factorize", "-p", sys.argv[1], "--bound", "6"])
+print(code, len(searches), sum(keyings), len(keyings))
+"""
+
+
+def test_cold_factorize_searches_no_layer_parent():
+    # machine-independent work count: bip at 6 from a fresh process tries
+    # 78 candidates, keys 68 of them, and makes 5 canonical searches
+    # without a probe, for keys and embedding plans; searching each layer
+    # parent for its automorphisms made 35
+    root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(core.__file__))))
+    out = subprocess.run(
+        [sys.executable, "-c", FACTORIZE_SEARCHES,
+         os.path.join(root, "perfbench", "data", "bip.prop")],
+        check=True, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.path.join(root, "src"), PYTHONHASHSEED="1")).stdout
+    assert tuple(map(int, out.split())) == (0, 5, 68, 78)
 
 
 def test_enumeration_cap():
