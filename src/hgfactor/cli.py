@@ -22,12 +22,12 @@ from .core import (
     FormatError,
     HgError,
     Hypergraph,
+    _format_key,
     _parse_universe_spec,
-    format_hypergraph,
     parse_hypergraph,
     simple_universe,
 )
-from .generate import HARD_VERTEX_CAP, EnumSpec, enumerate_hypergraphs
+from .generate import HARD_VERTEX_CAP, EnumSpec, _class_keys
 from .props import (
     BoundExceededError,
     FiniteForbidden,
@@ -313,8 +313,8 @@ def cmd_enumerate(args, cfg: CliConfig):
     u = simple_universe() if args.universe is None \
         else _parse_universe_spec(args.universe, None)
     spec = EnumSpec(u, args.vertices, connected_only=args.connected)
-    blocks = [format_hypergraph(g) for g in enumerate_hypergraphs(spec)]
-    return 0, "\n".join(blocks)
+    # the blocks of enumerate_hypergraphs' stream, formatted from the keys
+    return 0, "\n".join(_format_key(u, key) for key in _class_keys(spec))
 
 
 _DOT_PALETTE = ("black", "red", "blue", "forestgreen", "orange",

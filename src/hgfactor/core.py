@@ -14,6 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache, reduce
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 __all__ = [
@@ -507,12 +508,28 @@ def _cells(n: int, codes: Sequence, probe: int = -1) -> Optional[list]:
     automorphism, respects the final classes.  Raises CapExceededError
     when the orderings within the classes exceed CANONICAL_ORDER_CAP.
 
-    The first round ranks profiles of entry heads alone, built with the
-    incidence lists.  Every colour is 0 in that round, so an entry's
-    colours are a run of zeros whose length its kind bit and arity fix,
-    and the signature's leading colour is 0 for every vertex: dropping
-    both changes no comparison between signatures, so the ranks, the
-    colours and the cells are those of the full round.
+    Each profile entry is coded as one int whose order is the order of
+    the entry's tuple: its head (kind bit, colour index, arity, position
+    + 1, 0 for an unordered edge) as digits of radix n + 1, the kind bit
+    above the colour index through kind * span + colour index (span the
+    number of colour indices in use), then the colours as base-n digits,
+    padded to the largest arity.  Arity and position + 1 are at most n,
+    an edge's vertices being distinct, and colours are below n, so each
+    field is below its radix: a smaller head gives a smaller int
+    whatever colours follow, and equal heads have equal kind and arity,
+    so as many colours, which compare as base-n numbers of one length do.
+    Sorting and comparing the coded profiles therefore sorts and compares
+    as the tuples would: ranks, colours and cells are unchanged.
+
+    The first round ranks profiles of entry heads alone.  Every colour is
+    0 in that round, so an entry's colours are a run of zeros whose
+    length its kind bit and arity fix, and the signature's leading colour
+    is 0 for every vertex: dropping both changes no comparison between
+    signatures, so the ranks, the colours and the cells are those of the
+    full round.  The per-vertex entries later rounds read (at) are built
+    only when a later round runs: when the first leaves a colouring that
+    is neither one cell nor discrete, with the probe, if any, still in
+    the first cell of least degree.
 
     Later rounds refine cell by cell, a colour being its cell's index.
     Ranking every signature (colour, sorted profile) orders signatures
@@ -532,21 +549,24 @@ def _cells(n: int, codes: Sequence, probe: int = -1) -> Optional[list]:
     the next round's first cell of least degree, so the cell only shrinks
     and a probe that has left it never returns.
     """
-    # at[v]: (profile entry head, vertices whose colours it carries, sort?)
-    at = [[] for _ in range(n)]
-    heads = [[] for _ in range(n)]
+    radix = n + 1  # above every arity and every position + 1
+    span = max(map(itemgetter(1), codes), default=0) + 1
+    heads = [[] for _ in range(n)]  # heads[v]: v's entry heads, coded
     for ordered, ci, verts, _, _ in codes:
-        r = len(verts)
-        for i, v in enumerate(verts):
-            if ordered:
-                at[v].append((0, ci, r, i, verts, False))
-                heads[v].append((0, ci, r, i))
-            else:
-                at[v].append((1, ci, r, -1, verts[:i] + verts[i + 1:], r > 2))
-                heads[v].append((1, ci, r, -1))
-    sigs = [tuple(sorted(prof)) for prof in heads]
+        if ordered:
+            h = (ci * radix + len(verts)) * radix
+            for v in verts:
+                h += 1
+                heads[v].append(h)
+        else:
+            h = ((span + ci) * radix + len(verts)) * radix
+            for v in verts:
+                heads[v].append(h)
+    for prof in heads:
+        prof.sort()
+    sigs = list(map(tuple, heads))
     rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-    colours = [rank[s] for s in sigs]
+    colours = list(map(rank.__getitem__, sigs))
     cell_list = [[] for _ in rank]
     for v, c in enumerate(colours):
         cell_list[c].append(v)
@@ -556,13 +576,33 @@ def _cells(n: int, codes: Sequence, probe: int = -1) -> Optional[list]:
         first = next(c for c, cell in enumerate(cell_list) if len(sigs[cell[0]]) == least)
         if colours[probe] != first:
             return None
-    look = colours.__getitem__
+    if 1 < len(cell_list) < n:
+        # at[v]: per incident edge, (head * n^(arity - k), the k vertices
+        # whose colours follow it as base-n digits, sort them?)
+        arity = max(map(len, map(itemgetter(2), codes)))
+        at = [[] for _ in range(n)]
+        for ordered, ci, verts, _, _ in codes:
+            r = len(verts)
+            if ordered:
+                pad = n ** (arity - r)
+                h = (ci * radix + r) * radix * pad
+                for v in verts:
+                    h += pad
+                    at[v].append((h, verts, False))
+            else:
+                h = ((span + ci) * radix + r) * radix * n ** (arity - r + 1)
+                for i, v in enumerate(verts):
+                    at[v].append((h, verts[:i] + verts[i + 1:], r > 2))
+        look = colours.__getitem__
 
-    def profile(v: int) -> tuple:
-        prof = [(o, ci, r, i, tuple(sorted(map(look, ws))) if srt
-                 else tuple(map(look, ws))) for o, ci, r, i, ws, srt in at[v]]
-        prof.sort()
-        return tuple(prof)
+        def profile(v: int) -> tuple:
+            prof = []
+            for x, ws, srt in at[v]:
+                for c in sorted(map(look, ws)) if srt else map(look, ws):
+                    x = x * n + c
+                prof.append(x)
+            prof.sort()
+            return tuple(prof)
 
     # a first round that splits nothing ends refinement, and a discrete
     # colouring cannot split further
@@ -1010,22 +1050,27 @@ def parse_hypergraph(text: str) -> Hypergraph:
     return g
 
 
-@lru_cache(maxsize=65536)
-def _edge_line(e: EdgeObject) -> tuple:
-    """(sort_key, edge line) of one edge, formatted once per distinct edge."""
-    return e.sort_key(), f"edge: {e.kind.value} {' '.join(map(str, e.vertices))} ; {e.colour}"
+def _format_key(u: Universe, key: tuple) -> str:
+    """The text block of the graph over u that key spells out: key[0]
+    vertices and an edge line per (arity, vertices, kind value, colour)
+    entry of key[1], in the order given.
+
+    Entries are EdgeObject.sort_key values, so a canonical key, whose
+    entries are sorted, gives its graph's block with no graph built."""
+    n, entries = key
+    out = ["hypergraph v1",
+           f"universe: {_format_universe(u)}",
+           f"vertices: {n}"]
+    out += [f"edge: {kind} {' '.join(map(str, verts))} ; {colour}"
+            for _, verts, kind, colour in entries]
+    return "\n".join(out) + "\n"
 
 
 def format_hypergraph(g: Hypergraph) -> str:
     """Byte-stable serialization; parse(format(g)) == g.
 
-    Edge lines come in EdgeObject.sort_key order.  Each distinct edge is
-    formatted once per process (_edge_line), so classes that share edges
-    share their lines; sort_key is unique per edge, so sorting the
-    (sort_key, line) pairs never compares lines.
+    Edge lines come in EdgeObject.sort_key order: g's sort_keys, sorted,
+    formatted as a key is (_format_key).  sort_key is unique per edge,
+    so the sort never compares two entries equal.
     """
-    out = ["hypergraph v1",
-           f"universe: {_format_universe(g.universe)}",
-           f"vertices: {g.n}"]
-    out.extend(line for _, line in sorted(map(_edge_line, g.edges)))
-    return "\n".join(out) + "\n"
+    return _format_key(g.universe, (g.n, sorted(e.sort_key() for e in g.edges)))

@@ -8,6 +8,7 @@ from typing import NamedTuple
 
 from .core import (
     CapExceededError,
+    EdgeKind,
     Hypergraph,
     Universe,
     _bits,
@@ -22,6 +23,8 @@ __all__ = ["EnumSpec", "enumerate_hypergraphs", "enumerate_partitions"]
 
 # Enumeration is strictly a desk-scale tool; counts explode soon after this.
 HARD_VERTEX_CAP = 7
+
+_ORDERED = EdgeKind.ORDERED.value  # the kind value of an ordered key entry
 
 
 @dataclass(frozen=True)
@@ -55,21 +58,35 @@ def enumerate_hypergraphs(spec: EnumSpec):
     (see _grow).
 
     Layers are memoised (_layer) and kept while the memo holds them, so
-    repeated bounded scans enumerate each layer once.  A layer is built
-    only when the stream reaches it: a consumer that stops early never
-    pays for the larger layers.
+    repeated bounded scans enumerate each layer once.  A layer keeps its
+    classes' canonical keys, not graphs: each representative is built
+    from its key (core._key_graph) as it is yielded, and a consumer that
+    drops it leaves the memo no larger.  A layer is built only when the
+    stream reaches it: a consumer that stops early never pays for the
+    larger layers.
     """
     u = spec.universe
+    for key in _class_keys(spec):
+        yield _key_graph(u, key)
+
+
+def _class_keys(spec: EnumSpec):
+    """Yield the canonical key of each class enumerate_hypergraphs yields,
+    in the same order, read from the layers with no graph built unless
+    spec asks for connected classes only: then each class's graph is
+    built (core._key_graph) to test it, and dropped.  hgfactor enumerate
+    formats these keys directly (core._format_key)."""
+    u = spec.universe
     if not spec.connected_only or spec.max_vertices == 0:
-        yield _layer(u, None, 0).classes[0]
+        yield _layer(u, None, 0).keys[0]
     for n in range(1, spec.max_vertices + 1):
-        for h in _layer(u, None, n).classes:
-            if not spec.connected_only or is_connected(h):
-                yield h
+        for key in _layer(u, None, n).keys:
+            if not spec.connected_only or is_connected(_key_graph(u, key)):
+                yield key
 
 
 class _Layer(NamedTuple):
-    classes: tuple
+    keys: tuple  # per class, its canonical key, ascending (see _grow)
     growth: bytes  # per class, its growth vertex (see _grow)
     generators: tuple  # per class, its automorphism generators (see _grow)
     verdicts: list
@@ -77,18 +94,22 @@ class _Layer(NamedTuple):
 
 @lru_cache(maxsize=256)
 def _layer(u: Universe, p, n: int) -> _Layer:
-    """The classes on exactly n vertices over u, with their growth
-    vertices, automorphism generators and p's verdicts on them.
+    """The classes on exactly n vertices over u, as canonical keys, with
+    their growth vertices, automorphism generators and p's verdicts on
+    them.
 
-    classes are canonical forms in canonical-key order: the null graph,
-    then each layer grown (_grow) from the whole layer below it when p is
-    None, or from the property p's members on n-1 vertices.  growth holds
-    each class's growth vertex, one byte per class (empty for the null
-    graph), generators each class's automorphism generators as _grow
-    keeps them (b"" for the null graph), and verdicts p's answers on a
-    prefix of classes, filled by _decided; the null graph is in every p.
-    Each parent goes to _grow with its generators from this memo, so no
-    parent's automorphisms are searched for again.
+    keys are in ascending order: the null graph's, then each layer's as
+    _grow returns them, grown from the whole layer below it when p is
+    None, or from the property p's members on n-1 vertices.  A key is
+    all the memo keeps of a class: no graph is held, and one is built
+    (core._key_graph) only by a caller that hands it out
+    (enumerate_hypergraphs, _decided).  growth holds each class's growth
+    vertex, one byte per class (empty for the null graph), generators
+    each class's automorphism generators as _grow keeps them (b"" for
+    the null graph), and verdicts p's answers on a prefix of the
+    classes, filled by _decided; the null graph is in every p.  Each
+    parent goes to _grow as its key and its generators from this memo,
+    so no parent's automorphisms are searched for again.
 
     A member layer holds every member of p on n vertices and those
     non-members that _grow reaches from a member parent by deleting a
@@ -96,40 +117,44 @@ def _layer(u: Universe, p, n: int) -> _Layer:
     growing by any least-degree vertex reaches, the same members.
     """
     if n == 0:
-        return _Layer((Hypergraph(u, 0, frozenset()),), b"", (b"",), [True])
+        return _Layer(((0, ()),), b"", (b"",), [True])
     below = _layer(u, p, n - 1)
     if p is None:
-        return _Layer(*_grow(u, n, zip(below.classes, below.generators)), [])
-    members = [(g, gens) for (g, holds), gens in zip(_decided(p, n - 1), below.generators)
-               if holds]
+        return _Layer(*_grow(u, n, zip(below.keys, below.generators)), [])
+    members = [(key, gens) for key, gens, (_, holds)
+               in zip(below.keys, below.generators, _decided(p, n - 1)) if holds]
     return _Layer(*_grow(u, n, members), [])
 
 
 def _decided(p, n: int):
     """Yield (class, is it in p?) for each class of p's layer on n
-    vertices, in canonical-key order.  p is asked about a class the first
-    time a consumer reaches it, through props._member_through with the
-    class's growth vertex, and the verdict is kept with the layer; a
+    vertices, in canonical-key order.  Each class is built from its key
+    (core._key_graph) as it is yielded.  p is asked about a class the
+    first time a consumer reaches it, through props._member_through with
+    the class's growth vertex, and the verdict is kept with the layer; a
     verdict that raises keeps nothing for that class."""
     from .props import _member_through  # props imports this module
-    layer = _layer(p.universe, p, n)
+    u = p.universe
+    layer = _layer(u, p, n)
     verdicts = layer.verdicts
-    for i, g in enumerate(layer.classes):
+    for i, key in enumerate(layer.keys):
+        g = _key_graph(u, key)
         if i == len(verdicts):
             verdicts.append(_member_through(p, g, layer.growth[i]))
         yield g, verdicts[i]
 
 
 def _grow(u: Universe, n: int, parents) -> tuple:
-    """(classes, growth, generators): canonical forms of the classes on
-    exactly n vertices that have a vertex of their first least-degree
-    cell whose deletion leaves one of the parents, in canonical-key
-    order, each one's growth vertex as one byte, and each one's
-    automorphism generators.  The parents are (canonical form, its
-    generators) pairs of distinct classes on n-1 vertices; given every
-    such class, the classes are every class on n vertices.
+    """(keys, growth, generators): the canonical keys, ascending, of the
+    classes on exactly n vertices that have a vertex of their first
+    least-degree cell whose deletion leaves one of the parents, each
+    one's growth vertex as one byte, and each one's automorphism
+    generators.  The parents are (canonical key, its generators) pairs
+    of distinct classes on n-1 vertices; given every such class, the
+    keys are those of every class on n vertices.  No graph is built: a
+    key is all a layer keeps of a class.
 
-    A class's growth vertex is the vertex of its canonical form that the
+    A class's growth vertex is the vertex of its key's graph that the
     new vertex of the first candidate keyed to it becomes (the probe
     label of _key_candidate).  Deleting it leaves a graph isomorphic to
     that candidate's parent, so for a member layer a member: the one
@@ -138,22 +163,25 @@ def _grow(u: Universe, n: int, parents) -> tuple:
     a layer costs one bytes object more and no object per class.
 
     A class's generators are those of the first candidate keyed to it,
-    which _key_candidate hands back relabelled onto the class's canonical
-    form; relabelling maps the candidate's automorphism group onto the
-    class's (proof in core._canon_search), and the search that keys a
-    candidate finds generators of its whole group, so they generate the
-    class's group.  They are kept as one bytes object per class, the
+    which _key_candidate hands back relabelled onto its key's graph
+    (core._key_graph); relabelling maps the candidate's automorphism
+    group onto the class's (proof in core._canon_search), and the search
+    that keys a candidate finds generators of its whole group, so they
+    generate the class's group.  They are kept as one bytes object per class, the
     images of every generator one after another, and only for a class
     whose group is nontrivial: every other class has b"", a shared
     object.  A parent's generators serve rule (b) one layer up.
 
     A candidate is a parent P plus a subset S of the m edges through the
     new vertex n-1, the crossing edges of n-1 isolated vertices and one
-    more.  Parents and those edges are coded once (core._codes) and a
+    more.  Those edges are coded once (core._codes), and a parent's codes
+    are read straight from its key: an entry (arity, vertices, kind
+    value, colour) is its edge's EdgeObject.sort_key, so its code is
+    (kind is ORDERED, colour index, vertices, kind value, colour).  A
     candidate is keyed by _key_candidate directly, so no graph is built
-    and no canonical_key memo entry is made per candidate, only a graph
-    per class kept.  A candidate is keyed only if it passes three rules,
-    checked in this order:
+    and no canonical_key memo entry is made per candidate or per class.
+    A candidate is keyed only if it passes three rules, checked in this
+    order:
 
     (a) least degree: the new vertex has the least degree in the child,
         counting edges of any kind and colour.  Its degree is |S|; an old
@@ -199,8 +227,8 @@ def _grow(u: Universe, n: int, parents) -> tuple:
     and only those are visited, in ascending order as before.
 
     Keys share their entries: each distinct (arity, vertices, kind,
-    colour) entry is held once, in a pool dropped with the call, so the
-    keys a layer holds until it is sorted do not each carry fresh tuples.
+    colour) entry is held once, through a pool dropped with the call, so
+    the keys a layer keeps do not each carry fresh tuples.
     """
     through = crossing_edge_candidates(
         [Hypergraph(u, n - 1, frozenset()), Hypergraph(u, 1, frozenset())])
@@ -217,8 +245,10 @@ def _grow(u: Universe, n: int, parents) -> tuple:
     pool = _Pool()
     seen = {}  # key -> growth vertex of its first candidate
     auts = {}  # key -> generators of its first candidate, if it has any
-    for g, gens in parents:
-        base = _codes(u, g.edges)
+    colour_index = {c: i for i, c in enumerate(u.colours)}
+    for (_, entries), gens in parents:
+        base = tuple((kind == _ORDERED, colour_index[colour], verts, kind, colour)
+                     for _, verts, kind, colour in entries)
         deg = [0] * (n - 1)
         for _, _, verts, _, _ in base:
             for w in verts:
@@ -254,7 +284,7 @@ def _grow(u: Universe, n: int, parents) -> tuple:
                         done[t] = 1
                         orbit.append(_bits(t))
     keys = sorted(seen)
-    return (tuple(_key_graph(u, k) for k in keys), bytes(map(seen.__getitem__, keys)),
+    return (tuple(keys), bytes(map(seen.__getitem__, keys)),
             tuple(auts.get(k, b"") for k in keys))
 
 

@@ -9,7 +9,7 @@ with the implementation under test.
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
+from typing import Optional, Sequence
 
 from hgfactor import (
     BOUNDED,
@@ -260,7 +260,7 @@ def least_degree_orbits(parent, first_cell=False):
     vertex fixed, the one-vertex extensions of the parent in which the
     new vertex has the least degree (edges at a vertex, of any kind and
     colour) fall into.  With first_cell, only the orbits whose new vertex
-    also lies in the first cell of least degree of reference_cells, the
+    also lies in the first cell of least degree of naive_cells, the
     cells of a refinement run to the end, are counted."""
     z = parent.n
     auts = [perm + (z,) for perm in brute_automorphisms(parent)]
@@ -273,7 +273,7 @@ def least_degree_orbits(parent, first_cell=False):
         if deg[z] != min(deg):
             continue
         if first_cell and h.edges:
-            cells = reference_cells(z + 1, _codes(h.universe, h.edges))
+            cells = naive_cells(z + 1, _codes(h.universe, h.edges))
             if z not in next(c for c in cells if deg[c[0]] == deg[z]):
                 continue
         orbits.add(min(tuple(sorted(mapped_triples(h, a))) for a in auts))
@@ -484,7 +484,7 @@ def reference_case_split(p, f, n, k_max=1):
 # a pruned search, copied verbatim: the keys and cells that every stored
 # key, enumeration order and digest were frozen from
 
-def reference_cells(n: int, codes: Sequence) -> list:
+def naive_cells(n: int, codes: Sequence) -> list:
     """Refined vertex classes of the graph on n vertices with these _codes,
     as ascending vertex lists in colour order.
 
@@ -533,6 +533,111 @@ def reference_cells(n: int, codes: Sequence) -> list:
     return cell_list
 
 
+# core._cells as it stood with tuple profiles, before each profile entry
+# was coded as one int, kept word for word: the integer coding must give
+# the same cells, in the same order, and the same None for a probe
+def reference_cells(n: int, codes: Sequence, probe: int = -1) -> Optional[list]:
+    """Refined vertex classes of the graph on n vertices with these _codes,
+    as ascending vertex lists in colour order.
+
+    A vertex's profile lists, per incident edge, the kind bit, colour
+    index, arity, own position (ordered edges only) and the current
+    colours of the other members (of all members, in order, for an
+    ordered edge), and colours are ranks of (colour, sorted profile) until
+    the class count stops growing; every isomorphism, and so every
+    automorphism, respects the final classes.  Raises CapExceededError
+    when the orderings within the classes exceed CANONICAL_ORDER_CAP.
+
+    The first round ranks profiles of entry heads alone, built with the
+    incidence lists.  Every colour is 0 in that round, so an entry's
+    colours are a run of zeros whose length its kind bit and arity fix,
+    and the signature's leading colour is 0 for every vertex: dropping
+    both changes no comparison between signatures, so the ranks, the
+    colours and the cells are those of the full round.
+
+    Later rounds refine cell by cell, a colour being its cell's index.
+    Ranking every signature (colour, sorted profile) orders signatures
+    of different cells by their old colour alone, so the ranked set is,
+    cell by cell in colour order, the sorted distinct profiles of that
+    cell.  A one-vertex cell has one signature whatever its profile, so
+    it is carried over with no profile built, and a larger cell is split
+    in place into its distinct profiles in profile order.  The colours,
+    the cells and their order are those of ranking every signature, and
+    "no cell split" is the test that the class count stopped growing.
+
+    Given a probe vertex, _cells returns None as soon as a round leaves
+    the probe outside the first cell of least degree (edges at a vertex,
+    of any kind and colour).  A vertex's degree is the length of its
+    first-round profile, so degree is constant on first-round cells, and
+    later rounds only split cells in place: that cell's first piece is
+    the next round's first cell of least degree, so the cell only shrinks
+    and a probe that has left it never returns.
+    """
+    # at[v]: (profile entry head, vertices whose colours it carries, sort?)
+    at = [[] for _ in range(n)]
+    heads = [[] for _ in range(n)]
+    for ordered, ci, verts, _, _ in codes:
+        r = len(verts)
+        for i, v in enumerate(verts):
+            if ordered:
+                at[v].append((0, ci, r, i, verts, False))
+                heads[v].append((0, ci, r, i))
+            else:
+                at[v].append((1, ci, r, -1, verts[:i] + verts[i + 1:], r > 2))
+                heads[v].append((1, ci, r, -1))
+    sigs = [tuple(sorted(prof)) for prof in heads]
+    rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
+    colours = [rank[s] for s in sigs]
+    cell_list = [[] for _ in rank]
+    for v, c in enumerate(colours):
+        cell_list[c].append(v)
+    first = -1  # the first cell of least degree, tracked for a probe only
+    if probe >= 0:
+        least = min(map(len, sigs))
+        first = next(c for c, cell in enumerate(cell_list) if len(sigs[cell[0]]) == least)
+        if colours[probe] != first:
+            return None
+    look = colours.__getitem__
+
+    def profile(v: int) -> tuple:
+        prof = [(o, ci, r, i, tuple(sorted(map(look, ws))) if srt
+                 else tuple(map(look, ws))) for o, ci, r, i, ws, srt in at[v]]
+        prof.sort()
+        return tuple(prof)
+
+    # a first round that splits nothing ends refinement, and a discrete
+    # colouring cannot split further
+    while 1 < len(cell_list) < n:
+        refined = []
+        split_first = first
+        for c, cell in enumerate(cell_list):
+            if c == first:
+                split_first = len(refined)
+            if len(cell) == 1:
+                refined.append(cell)
+                continue
+            pieces = {}
+            for v in cell:
+                pieces.setdefault(profile(v), []).append(v)
+            refined += [pieces[p] for p in sorted(pieces)]
+        if len(refined) == len(cell_list):
+            break
+        cell_list, first = refined, split_first
+        for c, cell in enumerate(cell_list):
+            for v in cell:
+                colours[v] = c
+        if first >= 0 and colours[probe] != first:
+            return None
+    total = 1
+    for cell in cell_list:
+        for i in range(2, len(cell) + 1):
+            total *= i
+        if total > CANONICAL_ORDER_CAP:
+            raise CapExceededError(
+                f"canonical labelling would try more than {CANONICAL_ORDER_CAP} orderings")
+    return cell_list
+
+
 def reference_canon(n: int, codes: Sequence) -> tuple:
     """canonical_key of the graph on n vertices with these _codes.
 
@@ -542,7 +647,7 @@ def reference_canon(n: int, codes: Sequence) -> tuple:
     """
     if not codes:
         return (n, ())
-    cell_list = reference_cells(n, codes)
+    cell_list = naive_cells(n, codes)
     best = None
     mapping = [0] * n
     look = mapping.__getitem__

@@ -10,6 +10,7 @@ import pytest
 from hgfactor import (
     EdgeKind,
     EdgeObject,
+    EnumSpec,
     GeneratedBounded,
     Hypergraph,
     ProductProperty,
@@ -17,6 +18,7 @@ from hgfactor import (
     aligning_super,
     all_decompositions,
     decomposition_blocker,
+    enumerate_hypergraphs,
     forbidden_property,
     forcing_pair,
     format_copy_tracked,
@@ -27,8 +29,9 @@ from hgfactor import (
 )
 from hgfactor import cli as cli_module
 from hgfactor.cli import CliConfig, load_config, parse_config_text, run
-from hgfactor.core import FormatError
+from hgfactor.core import FormatError, _format_universe
 from hgfactor.decomp import EXACT, Decomposition
+from test_decomp import _kernel_universes
 
 
 @pytest.fixture(autouse=True)
@@ -530,6 +533,21 @@ def test_enumerate_counts(capsys):
     assert out.count("hypergraph v1") == 1 + 1 + 2 + 4 + 11
     code, out, err = cli(capsys, "enumerate", "--vertices", "4", "--connected")
     assert out.count("hypergraph v1") == 1 + 1 + 2 + 6
+
+
+@pytest.mark.parametrize("connected", [False, True], ids=["all", "connected"])
+@pytest.mark.parametrize("name", ["simple", "ORDERED-2", "UNORDERED-3", "2-colour", "mixed"])
+def test_enumerate_prints_the_format_stream(capsys, u, name, connected):
+    # the command formats each class from its canonical key, and must
+    # print the bytes of format_hypergraph over enumerate_hypergraphs'
+    # stream, a blank line between blocks, with --connected as without
+    _, uu, _ = next(c for c in _kernel_universes(u) if c[0] == name)
+    top = {"simple": 5, "UNORDERED-3": 5, "mixed": 2}.get(name, 4)
+    argv = ["enumerate", "--vertices", str(top), "--universe", _format_universe(uu)]
+    code, out, err = cli(capsys, *argv, *(["--connected"] if connected else []))
+    stream = enumerate_hypergraphs(EnumSpec(uu, top, connected_only=connected))
+    assert (code, out, err) == (0, "\n".join(map(format_hypergraph, stream)), "")
+    assert out.count("hypergraph v1") > top
 
 
 def test_enumerate_alias_and_universe(capsys):

@@ -44,9 +44,9 @@ from helpers import (
     graph_triples,
     image_triples,
     mapped_triples,
+    naive_cells,
     random_graph,
     reference_canon,
-    reference_cells,
     reference_format,
 )
 
@@ -445,7 +445,7 @@ def symmetric_family():
 def assert_keys_as_reference(graphs):
     for g_ in graphs:
         codes = _codes(g_.universe, g_.edges)
-        assert _cells(g_.n, codes) == reference_cells(g_.n, codes)
+        assert _cells(g_.n, codes) == naive_cells(g_.n, codes)
         assert _canon(g_.n, codes) == reference_canon(g_.n, codes)
 
 
@@ -462,9 +462,9 @@ def test_canonical_keys_equal_the_ordering_product_on_symmetric_graphs():
     assert_keys_as_reference(symmetric_family())
 
 
-def cells_or_cap_error(cells, n, codes):
+def cells_or_cap_error(cells, n, codes, *probe):
     try:
-        return cells(n, codes)
+        return cells(n, codes, *probe)
     except CapExceededError as err:
         return str(err)
 
@@ -489,7 +489,7 @@ def test_cells_equal_the_reference_on_larger_random_graphs(universe, p):
     for _ in range(100):
         g_ = random_graph(universe, rng.randint(9, 14), p, rng)
         codes = _codes(g_.universe, g_.edges)
-        cells = cells_or_cap_error(reference_cells, g_.n, codes)
+        cells = cells_or_cap_error(naive_cells, g_.n, codes)
         assert cells_or_cap_error(_cells, g_.n, codes) == cells
         if codes and not isinstance(cells, str):
             assert_probes_as_reference(g_.n, codes, cells)
@@ -508,8 +508,8 @@ def test_cells_equal_the_reference_over_several_rounds():
     for g_ in (simple_graph(7, [(i, i + 1) for i in range(6)]), simple_graph(7, legs),
                coloured, mixed):
         codes = _codes(g_.universe, g_.edges)
-        assert _cells(g_.n, codes) == reference_cells(g_.n, codes)
-        assert_probes_as_reference(g_.n, codes, reference_cells(g_.n, codes))
+        assert _cells(g_.n, codes) == naive_cells(g_.n, codes)
+        assert_probes_as_reference(g_.n, codes, naive_cells(g_.n, codes))
 
 
 def test_canonical_order_cap_raises_unchanged():

@@ -38,14 +38,17 @@ from helpers import (
     graph_triples,
     least_degree_orbits,
     mapped_triples,
+    naive_cells,
     random_graph,
     random_hereditary,
     reference_canon,
     reference_cells,
+    reference_format,
     stirling2,
     unpruned_layer,
 )
-from test_core import UNIVERSE_CASES, generated_group, mixed_universe, triple_universe
+from test_core import (UNIVERSE_CASES, cells_or_cap_error, generated_group, mixed_universe,
+                       triple_universe)
 from test_decomp import _kernel_universes
 
 
@@ -231,7 +234,7 @@ def test_enumeration_keys_equal_the_ordering_product(monkeypatch):
         if not codes:
             assert key == (n, ())
             continue
-        cells = reference_cells(n, codes)
+        cells = naive_cells(n, codes)
         deg = [0] * n
         for _, _, verts, _, _ in codes:
             for v in verts:
@@ -240,6 +243,36 @@ def test_enumeration_keys_equal_the_ordering_product(monkeypatch):
         if key is not None:
             assert core._cells(n, codes) == cells
             assert key == reference_canon(n, codes)
+
+
+KERNEL_NAMES = ["simple", "ORDERED-2", "UNORDERED-3", "2-colour", "mixed"]
+
+
+@pytest.mark.parametrize("name", KERNEL_NAMES + ["mixed_two_colour"])
+def test_cells_equal_the_tuple_profile_refinement(u, name):
+    # _cells codes each profile entry as one int; on random graphs of
+    # every edge shape it must give the cells, their order and the None
+    # for a probe outside the first least-degree cell that the tuple
+    # profiles gave.  Kind and colour order only meet on the mixed
+    # two-colour universe, where coding colour above kind changes cells
+    if name == "mixed_two_colour":
+        uu, dens = Universe(frozenset({O, U}), frozenset({2}), ("r", "b")), 0.3
+    else:
+        _, uu, dens = next(c for c in _kernel_universes(u) if c[0] == name)
+    rng = random.Random(f"tuple-profiles:{name}")
+    probed = refused = 0
+    for _ in range(150):
+        g = random_graph(uu, rng.randint(2, 8), dens, rng)
+        codes = core._codes(uu, g.edges)
+        assert cells_or_cap_error(core._cells, g.n, codes) \
+            == cells_or_cap_error(reference_cells, g.n, codes)
+        if codes:
+            for v in range(g.n):
+                got = cells_or_cap_error(core._cells, g.n, codes, v)
+                assert got == cells_or_cap_error(reference_cells, g.n, codes, v)
+                probed += 1
+                refused += got is None
+    assert 0 < refused < probed
 
 
 def test_layers_add_no_canonical_key_memo_entries():
@@ -257,17 +290,16 @@ def test_layers_add_no_canonical_key_memo_entries():
     pytest.param(digraph_universe(), 4, 12, id="digraph"),  # 4 * 3 arcs
     pytest.param(three_uniform_universe(), 5, 10, id="three_uniform"),  # C(5, 3)
 ])
-def test_layers_build_and_format_each_distinct_edge_once(universe, top, distinct,
-                                                        monkeypatch):
+def test_layers_build_each_distinct_edge_once(universe, top, distinct, monkeypatch):
     # machine-independent work count: with the memos cleared, the classes
     # cost one EdgeObject validation per distinct key entry, on top of the
-    # edges through each layer's new vertex, share one object per edge,
-    # and format one line per distinct edge
+    # edges through each layer's new vertex, and share one object per
+    # edge; each is formatted, from its graph or from its key, as the
+    # reference writes it
     through = sum(sum(n - 1 in e.vertices for e in admissible_edges(universe, range(n)))
                   for n in range(1, top + 1))
     generate._layer.cache_clear()
     core._key_edge.cache_clear()
-    core._edge_line.cache_clear()
     validations = []
     check = EdgeObject.__post_init__
     monkeypatch.setattr(EdgeObject, "__post_init__",
@@ -278,10 +310,15 @@ def test_layers_build_and_format_each_distinct_edge_once(universe, top, distinct
     assert len(validations) == distinct + through
     first = {}
     assert all(first.setdefault(e, e) is e for e in edges)
-    for g in graphs:
-        format_hypergraph(g)
-    info = core._edge_line.cache_info()
-    assert (info.misses, info.hits) == (distinct, len(edges) - distinct)
+    keys = list(generate._class_keys(EnumSpec(universe, top)))
+    assert len(keys) == len(graphs)
+    for g, key in zip(graphs, keys):
+        assert format_hypergraph(g) == core._format_key(universe, key) == reference_format(g)
+
+
+def layer_graphs(u, layer):
+    """A layer's classes, each built from its canonical key."""
+    return tuple(core._key_graph(u, key) for key in layer.keys)
 
 
 # the edge shapes of the oracle tests, each with the top layer grown; the
@@ -305,7 +342,7 @@ def test_layers_match_unpruned_growth(universe, top):
     layer = (Hypergraph(universe, 0, frozenset()),)
     for n in range(1, top + 1):
         layer = unpruned_layer(layer)
-        assert generate._layer(universe, None, n).classes == layer
+        assert layer_graphs(universe, generate._layer(universe, None, n)) == layer
 
 
 @pytest.mark.parametrize("universe, top", LAYER_CASES)
@@ -316,7 +353,8 @@ def test_layer_keys_one_candidate_per_least_degree_orbit(universe, top, monkeypa
     # whose new vertex lies in the first least-degree cell of the
     # reference refinement, which knows nothing of the early exit
     generate._layer.cache_clear()
-    parents = generate._layer(universe, None, top - 1).classes  # memoised before counting
+    # memoised before counting
+    parents = layer_graphs(universe, generate._layer(universe, None, top - 1))
     probed, keyed = [], []
     key_candidate = generate._key_candidate
 
@@ -328,7 +366,7 @@ def test_layer_keys_one_candidate_per_least_degree_orbit(universe, top, monkeypa
         return key
 
     monkeypatch.setattr(generate, "_key_candidate", probe)
-    assert generate._layer(universe, None, top).classes
+    assert layer_graphs(universe, generate._layer(universe, None, top))
     assert keyed and set(probed) == {top}
     assert len(probed) == sum(least_degree_orbits(p) for p in parents)
     assert len(keyed) == sum(least_degree_orbits(p, first_cell=True) for p in parents)
@@ -370,15 +408,13 @@ def test_layers_key_the_same_candidates_under_any_hash_seed():
     assert outputs[0] == outputs[1]
 
 
-KERNEL_NAMES = ["simple", "ORDERED-2", "UNORDERED-3", "2-colour", "mixed"]
-
-
-def assert_kept_generators(layer, n):
+def assert_kept_generators(u, layer, n):
     """Each class's kept generators are automorphisms of it that generate
     the group core._canon_search finds for it, and a class keeps some
     only when that group is nontrivial."""
-    assert len(layer.generators) == len(layer.classes)
-    for h, gens in zip(layer.classes, layer.generators):
+    classes = layer_graphs(u, layer)
+    assert len(layer.generators) == len(classes)
+    for h, gens in zip(classes, layer.generators):
         assert type(gens) is bytes and len(gens) % max(n, 1) == 0
         kept = [tuple(gens[i:i + n]) for i in range(0, len(gens), n)] if gens else []
         own = graph_triples(h)
@@ -401,7 +437,7 @@ def test_layers_keep_generators_of_each_class(u, name):
     symmetric = 0
     for n in range(top + 1):
         layer = generate._layer(uu, None, n)
-        assert_kept_generators(layer, n)
+        assert_kept_generators(uu, layer, n)
         symmetric += sum(map(bool, layer.generators))
     assert symmetric > top
     rng = random.Random(f"kept-generators:{name}")
@@ -410,8 +446,37 @@ def test_layers_keep_generators_of_each_class(u, name):
         p = forbidden_property(uu, rng.sample(graphs, rng.randint(1, 3)))
         generate._layer.cache_clear()
         for n in range(top + 1):
-            assert [h for h, _ in generate._decided(p, n)] == list(generate._layer(uu, p, n).classes)
-            assert_kept_generators(generate._layer(uu, p, n), n)
+            assert [h for h, _ in generate._decided(p, n)] \
+                == list(layer_graphs(uu, generate._layer(uu, p, n)))
+            assert_kept_generators(uu, generate._layer(uu, p, n), n)
+
+
+@pytest.mark.parametrize("name", KERNEL_NAMES)
+def test_layers_keep_keys_not_graphs(u, name):
+    """Full layers and a random finite forbidden set's member layers keep
+    each class as its canonical key, an (int, tuple) pair and no
+    Hypergraph, in ascending order, each key spelling out a graph that
+    keys to it, with every entry shared by the keys of its layer."""
+    _, uu, dens = next(c for c in _kernel_universes(u) if c[0] == name)
+    top = {"simple": 5, "UNORDERED-3": 5, "mixed": 2}.get(name, 4)
+    rng = random.Random(f"key-layers:{name}")
+    graphs = [random_graph(uu, rng.randint(2, top), dens, rng) for _ in range(3)]
+    p = forbidden_property(uu, graphs)
+    generate._layer.cache_clear()
+    assert list(generate._members_up_to(p, top))
+    for q in (None, p):
+        for n in range(top + 1):
+            layer = generate._layer(uu, q, n)
+            assert list(layer.keys) == sorted(layer.keys)
+            assert layer.keys or q is p  # a member layer may be empty
+            shared = {}
+            for key in layer.keys:
+                assert not isinstance(key, Hypergraph)
+                assert type(key) is tuple and len(key) == 2
+                assert type(key[0]) is int and type(key[1]) is tuple
+                assert key[0] == n and all(type(e) is tuple for e in key[1])
+                assert all(shared.setdefault(e, e) is e for e in key[1])
+                assert canonical_key(core._key_graph(uu, key)) == key
 
 
 # counts, in a fresh process, the canonical searches without a probe and
