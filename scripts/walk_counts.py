@@ -222,9 +222,9 @@ def factorize_counts(name):
     argparse.ArgumentParser.__init__ = counting("parsers", argparse.ArgumentParser.__init__)
     real_search = core._canon_search
 
-    def search(n, codes, probe=-1):
+    def search(n, codes, probe=-1, *rest):
         found["searches"] += probe < 0
-        return real_search(n, codes, probe)
+        return real_search(n, codes, probe, *rest)
 
     for module in (core, generate):
         if hasattr(module, "_canon_search"):

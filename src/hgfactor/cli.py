@@ -22,6 +22,7 @@ from .core import (
     FormatError,
     HgError,
     Hypergraph,
+    _EdgeLines,
     _format_key,
     _parse_universe_spec,
     parse_hypergraph,
@@ -313,8 +314,10 @@ def cmd_enumerate(args, cfg: CliConfig):
     u = simple_universe() if args.universe is None \
         else _parse_universe_spec(args.universe, None)
     spec = EnumSpec(u, args.vertices, connected_only=args.connected)
-    # the blocks of enumerate_hypergraphs' stream, formatted from the keys
-    return 0, "\n".join(_format_key(u, key) for key in _class_keys(spec))
+    # the blocks of enumerate_hypergraphs' stream, formatted from the keys,
+    # each distinct edge line once per command
+    line = _EdgeLines().__getitem__
+    return 0, "\n".join(_format_key(u, key, line) for key in _class_keys(spec))
 
 
 _DOT_PALETTE = ("black", "red", "blue", "forestgreen", "orange",

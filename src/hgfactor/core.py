@@ -49,10 +49,15 @@ __all__ = [
 
 DEFAULT_JOIN_EDGE_CAP = 10**6
 
-# Cap on the orderings in the product of the refined cells' permutations,
-# checked by _cells before the canonical search tries a fraction of them;
-# reachable only for highly symmetric graphs on ~10+ vertices.
+# Cap on the orderings the refined cells admit, the product of their
+# sizes' factorials, checked by _cells before any search; not the
+# orderings the canonical search keys, which prunes most of them.
+# Reachable only for highly symmetric graphs on ~10+ vertices.
 CANONICAL_ORDER_CAP = 2_000_000
+
+# The canonical search checks its lower bound only once it has keyed this
+# many leaves (see _canon_search).
+_BOUND_AFTER_LEAVES = 8
 
 
 class HgError(Exception):
@@ -496,7 +501,41 @@ def _codes(u: Universe, edges: Iterable) -> tuple:
                   e.colour) for e in edges)
 
 
-def _cells(n: int, codes: Sequence, probe: int = -1) -> Optional[list]:
+def _tables(n: int, codes: Iterable, span: int, arity: int, tables=None) -> tuple:
+    """(heads, at): the profile entries of the edges with these _codes on
+    n vertices, coded for _cells, added to tables (two lists of n lists)
+    or to new empty ones.  heads[v] gets each incident edge's entry head,
+    at[v] the entry later rounds extend with colours: (head * n^pad, the
+    vertices whose colours follow it, sort them?).
+
+    span must exceed every colour index of the edges and arity every
+    arity, and the tables of one _cells call must share them; any such
+    values keep the order of the coded entries (see _cells), so
+    canonical_key reads them off its codes and generate._grow off its
+    universe, building a parent's tables once for all its candidates."""
+    if tables is None:
+        tables = [[] for _ in range(n)], [[] for _ in range(n)]
+    heads, at = tables
+    radix = n + 1  # above every arity and every position + 1
+    for ordered, ci, verts, _, _ in codes:
+        r = len(verts)
+        if ordered:
+            pad = n ** (arity - r)
+            h = (ci * radix + r) * radix
+            for v in verts:
+                h += 1
+                heads[v].append(h)
+                at[v].append((h * pad, verts, False))
+        else:
+            pad = n ** (arity - r + 1)
+            h = ((span + ci) * radix + r) * radix
+            for i, v in enumerate(verts):
+                heads[v].append(h)
+                at[v].append((h * pad, verts[:i] + verts[i + 1:], r > 2))
+    return tables
+
+
+def _cells(n: int, codes: Sequence, probe: int = -1, tables=None) -> Optional[list]:
     """Refined vertex classes of the graph on n vertices with these _codes,
     as ascending vertex lists in colour order.
 
@@ -508,28 +547,30 @@ def _cells(n: int, codes: Sequence, probe: int = -1) -> Optional[list]:
     automorphism, respects the final classes.  Raises CapExceededError
     when the orderings within the classes exceed CANONICAL_ORDER_CAP.
 
-    Each profile entry is coded as one int whose order is the order of
-    the entry's tuple: its head (kind bit, colour index, arity, position
-    + 1, 0 for an unordered edge) as digits of radix n + 1, the kind bit
-    above the colour index through kind * span + colour index (span the
-    number of colour indices in use), then the colours as base-n digits,
-    padded to the largest arity.  Arity and position + 1 are at most n,
-    an edge's vertices being distinct, and colours are below n, so each
-    field is below its radix: a smaller head gives a smaller int
+    The profiles are read from tables, the edges' entries as _tables codes
+    them, built from the codes unless given (generate._grow gives each
+    candidate its parent's tables plus the new edges' entries).  Each
+    profile entry is one int whose order is the order of the entry's
+    tuple: its head (kind bit, colour index, arity, position + 1, 0 for
+    an unordered edge) as digits of radix n + 1, the kind bit above the
+    colour index through kind * span + colour index, then the colours as
+    base-n digits, padded to arity digits.  Arity and position + 1 are at
+    most n, an edge's vertices being distinct, and colours are below n,
+    so each field is below its radix: a smaller head gives a smaller int
     whatever colours follow, and equal heads have equal kind and arity,
     so as many colours, which compare as base-n numbers of one length do.
-    Sorting and comparing the coded profiles therefore sorts and compares
-    as the tuples would: ranks, colours and cells are unchanged.
+    That holds for any span above every colour index in use and any
+    arity at least every arity in use: a larger span or pad moves every
+    entry and compares none differently.  Sorting and comparing the coded
+    profiles therefore sorts and compares as the tuples would: ranks,
+    colours and cells are unchanged.
 
     The first round ranks profiles of entry heads alone.  Every colour is
     0 in that round, so an entry's colours are a run of zeros whose
     length its kind bit and arity fix, and the signature's leading colour
     is 0 for every vertex: dropping both changes no comparison between
     signatures, so the ranks, the colours and the cells are those of the
-    full round.  The per-vertex entries later rounds read (at) are built
-    only when a later round runs: when the first leaves a colouring that
-    is neither one cell nor discrete, with the probe, if any, still in
-    the first cell of least degree.
+    full round.
 
     Later rounds refine cell by cell, a colour being its cell's index.
     Ranking every signature (colour, sorted profile) orders signatures
@@ -549,22 +590,11 @@ def _cells(n: int, codes: Sequence, probe: int = -1) -> Optional[list]:
     the next round's first cell of least degree, so the cell only shrinks
     and a probe that has left it never returns.
     """
-    radix = n + 1  # above every arity and every position + 1
-    span = max(map(itemgetter(1), codes), default=0) + 1
-    heads = [[] for _ in range(n)]  # heads[v]: v's entry heads, coded
-    for ordered, ci, verts, _, _ in codes:
-        if ordered:
-            h = (ci * radix + len(verts)) * radix
-            for v in verts:
-                h += 1
-                heads[v].append(h)
-        else:
-            h = ((span + ci) * radix + len(verts)) * radix
-            for v in verts:
-                heads[v].append(h)
-    for prof in heads:
-        prof.sort()
-    sigs = list(map(tuple, heads))
+    if tables is None:
+        tables = _tables(n, codes, max(map(itemgetter(1), codes), default=0) + 1,
+                         max(map(len, map(itemgetter(2), codes)), default=2))
+    heads, at = tables
+    sigs = [tuple(sorted(prof)) for prof in heads]
     rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
     colours = list(map(rank.__getitem__, sigs))
     cell_list = [[] for _ in rank]
@@ -576,33 +606,16 @@ def _cells(n: int, codes: Sequence, probe: int = -1) -> Optional[list]:
         first = next(c for c, cell in enumerate(cell_list) if len(sigs[cell[0]]) == least)
         if colours[probe] != first:
             return None
-    if 1 < len(cell_list) < n:
-        # at[v]: per incident edge, (head * n^(arity - k), the k vertices
-        # whose colours follow it as base-n digits, sort them?)
-        arity = max(map(len, map(itemgetter(2), codes)))
-        at = [[] for _ in range(n)]
-        for ordered, ci, verts, _, _ in codes:
-            r = len(verts)
-            if ordered:
-                pad = n ** (arity - r)
-                h = (ci * radix + r) * radix * pad
-                for v in verts:
-                    h += pad
-                    at[v].append((h, verts, False))
-            else:
-                h = ((span + ci) * radix + r) * radix * n ** (arity - r + 1)
-                for i, v in enumerate(verts):
-                    at[v].append((h, verts[:i] + verts[i + 1:], r > 2))
-        look = colours.__getitem__
+    look = colours.__getitem__
 
-        def profile(v: int) -> tuple:
-            prof = []
-            for x, ws, srt in at[v]:
-                for c in sorted(map(look, ws)) if srt else map(look, ws):
-                    x = x * n + c
-                prof.append(x)
-            prof.sort()
-            return tuple(prof)
+    def profile(v: int) -> tuple:
+        prof = []
+        for x, ws, srt in at[v]:
+            for c in sorted(map(look, ws)) if srt else map(look, ws):
+                x = x * n + c
+            prof.append(x)
+        prof.sort()
+        return tuple(prof)
 
     # a first round that splits nothing ends refinement, and a discrete
     # colouring cannot split further
@@ -642,13 +655,15 @@ def _canon(n: int, codes: Sequence) -> tuple:
     return _canon_search(n, codes)[0]
 
 
-def _canon_search(n: int, codes: Sequence, probe: int = -1) -> Optional[tuple]:
+def _canon_search(n: int, codes: Sequence, probe: int = -1,
+                  tables=None) -> Optional[tuple]:
     """(canonical_key, automorphism generators) of the graph on n vertices
     with these _codes; a generator is a tuple whose v-th entry is v's
-    image.  Given a probe vertex, None when _cells gives up on it (the
-    probe is outside the first cell of least degree), and otherwise the
-    search runs on the cells _cells built for the probe, which are the
-    cells it builds without one, so it finds the same generators.  Then
+    image.  tables, if given, are the codes' _tables, handed to _cells.
+    Given a probe vertex, None when _cells gives up on it (the probe is
+    outside the first cell of least degree), and otherwise the search
+    runs on the cells _cells built for the probe, which are the cells it
+    builds without one, so it finds the same generators.  Then
     everything returned is said of the key's graph K (_key_graph): the
     generators are relabelled onto K, and a third entry follows, the
     label the probe gets in the least leaf, that is the vertex of K that
@@ -668,56 +683,94 @@ def _canon_search(n: int, codes: Sequence, probe: int = -1) -> Optional[tuple]:
     entry list over every such ordering is the key.  An edgeless graph,
     whose group S_n a transposition and an n-cycle generate, and a
     discrete refinement, whose group is trivial, are keyed directly.
-    Otherwise a depth-first search places one vertex per label, and its
-    leaves are the orderings; a label whose class has one vertex left is
-    placed without branching.
+    Otherwise a depth-first search places one vertex per label, children
+    in ascending vertex order, so it meets leaves in the order of the
+    ordering product; a label whose class has one vertex left is placed
+    without branching.  The least leaf B is the first leaf of that order
+    with the least key.
 
-    The search skips subtrees whose least key it has already seen.  A
-    leaf whose entry list equals that of the first or the best leaf, the
-    lead, gives an automorphism s = lead^-1 . this (v goes to the vertex
-    that carries v's label in the lead): both orderings send the edge set
-    onto the same entries; these are the generators.  For any
+    A leaf whose entry list equals that of the first or the best leaf,
+    the lead, gives an automorphism s = lead^-1 . this (v goes to the
+    vertex that carries v's label in the lead): both orderings send the
+    edge set onto the same entries; these are the generators.  For any
     automorphism s, the ordering that places s(v) wherever another places
     v has the same key, since s permutes the edges; s keeps every class
     (refinement is isomorphism-invariant), so it maps orderings to
     orderings.  If s fixes the vertices placed at a node, it maps the
     subtree under child v onto the subtree under child s(v) key for key,
-    and so does every product of such automorphisms.  Hence:
+    and so does every product of such automorphisms.  Three prunings
+    follow:
 
     - a child in the orbit of an explored sibling, under the
       automorphisms found so far that fix every placed vertex, is
-      skipped: its least key is that sibling's, already seen;
+      skipped: its keys are that sibling's, already seen;
     - once a leaf yields s, the search resumes at the node where this
       leaf and the lead part: s fixes that node's placed vertices and
       maps the current child there onto the lead's, an explored sibling,
-      so the rest of the current child's subtree holds no key below the
-      best.
+      so the rest of the current child's subtree holds only keys seen;
+    - a node whose lower bound exceeds the best key is skipped.  The
+      bound is its key with each unplaced vertex read as the next label
+      i: every leaf below gives those vertices labels i or more, which
+      makes each entry's vertex tuple (sorted, if unordered) no smaller
+      place by place, so each entry and then the sorted list no smaller;
+      the bound is at most every key below, which then all exceed the
+      best.  It is checked at a branching node once the search has keyed
+      _BOUND_AFTER_LEAVES leaves: small searches end sooner than their
+      bounds would pay for.
 
-    Only subtrees whose keys all occur in explored ones are skipped, so
-    the least key is the least over every ordering, as if each were
-    tried; the cap on their number is checked by _cells all the same.
-    The generators span the whole group, as in McKay and Piperno's search
-    trees: on the first leaf's path, a child in the orbit of the path's
-    child, under the automorphisms fixing the placed vertices, is skipped
-    as the image of a tried sibling or holds a leaf equal to the first,
-    which the search meets unless a skip maps it onto an earlier one.
-    Callers rely only on each being an automorphism; a subgroup would
-    cost work, not answers.
+    B is never skipped: a skip by orbit or resumption puts B's key on an
+    earlier leaf, the image of B under an automorphism fixing the placed
+    vertices and moving the path's child to an earlier sibling, and B's
+    lower bounds are at most its key, the least.  The search keeps the
+    first leaf of the least key it meets, so it returns B: the key, and
+    the probe's label in B, are those of trying every ordering (the cap
+    on their number is checked by _cells all the same).
+
+    The generators span the whole group, by an argument along B's path,
+    as in McKay and Piperno's search trees (the bound can skip every
+    leaf equal to the first leaf L, so the argument along L's path no
+    longer holds).  Let b_d be B's vertex at label d, Aut_d the
+    automorphisms fixing b_0..b_{d-1}, and G the group the generators
+    generate.  Aut_n is trivial, and Aut_d lies in G if Aut_{d+1} does
+    and each c = a(b_d), a in Aut_d, is g(b_d) for some g in G fixing
+    b_0..b_{d-1}: then g^-1 a lies in Aut_{d+1}.  Child c of B's node at
+    depth d holds a(B), a leaf of the least key, so c > b_d unless
+    c = b_d, B being the first leaf of that key.  A leaf equal to L but
+    not to B, below that node, would give a generator fixing the
+    vertices where L and B agree, taking B onto a leaf of B's key before
+    B, unless L also runs through b_0..b_d; so every leaf below that
+    node that yields a generator parts from its lead at depth d or
+    deeper, and the search reaches each c.  Take the c in ascending
+    order.  A c skipped by orbit is the image of an earlier tried
+    sibling, b_d or an earlier c, under generators fixing b_0..b_{d-1}.
+    Below an explored c, no bound skips a node above a(B), and a child
+    skipped by orbit is the image of a tried sibling: the first child
+    holding a leaf of B's key is never skipped, so the search meets a
+    leaf equal to B, or before it one equal to L.  Its lead carries b_d
+    at label d, so its generator fixes b_0..b_{d-1} and takes c to b_d.
+
+    Callers rely on each generator being an automorphism, and
+    generate._grow on their spanning the group for its orbits; a
+    subgroup would cost work there, not answers.
     """
     if not codes:
         gens = [(1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,)] if n > 1 else []
         # every ordering is a least leaf, the identity too
         return ((n, ()), gens) if probe < 0 else ((n, ()), gens, probe)
-    cell_list = _cells(n, codes, probe)
+    cell_list = _cells(n, codes, probe, tables)
     if cell_list is None:
         return None
     mapping = [-1] * n  # vertex -> label, -1 while unplaced
     look = mapping.__getitem__
 
-    def key() -> list:
-        return sorted((len(verts), tuple(map(look, verts)) if ordered
-                       else tuple(sorted(map(look, verts))), kind, colour)
+    def entries(label) -> list:
+        """The sorted entry list with each vertex v given label(v)."""
+        return sorted((len(verts), tuple(map(label, verts)) if ordered
+                       else tuple(sorted(map(label, verts))), kind, colour)
                       for ordered, _, verts, kind, colour in codes)
+
+    def key() -> list:
+        return entries(look)
 
     if len(cell_list) == n:
         for i, (v,) in enumerate(cell_list):
@@ -731,12 +784,14 @@ def _canon_search(n: int, codes: Sequence, probe: int = -1) -> Optional[tuple]:
     seq = [0] * n  # label -> vertex
     first = best = None  # (entry list, seq) of the first and the least leaf
     gens = []  # automorphisms found, as image tuples
+    leaves = 0
 
     def search(i: int) -> int:
         """Explore the node with seq[:i] placed; return the depth to resume
         at, n when the search goes on as usual."""
-        nonlocal first, best
+        nonlocal first, best, leaves
         if i == n:
+            leaves += 1
             k = key()
             if best is None:
                 first = best = k, seq[:]
@@ -755,6 +810,10 @@ def _canon_search(n: int, codes: Sequence, probe: int = -1) -> Optional[tuple]:
                 d += 1
             return d
         single = end_at[i] - i == 1
+        # the lower bound: the key with every unplaced vertex labelled i
+        if not single and leaves >= _BOUND_AFTER_LEAVES \
+                and entries([i if w < 0 else w for w in mapping].__getitem__) > best[0]:
+            return n
         tried = []
         stab = []  # the automorphisms among gens that fix seq[:i]
         known = 0
@@ -861,15 +920,18 @@ def canonical_key(g: Hypergraph) -> tuple:
     (n, sorted (arity, vertices, kind value, colour) edge entries) under
     the least ordering within the refined vertex classes, computed by
     _canon from g's edges coded once as plain tuples, with no EdgeObject
-    or enum access per ordering.  _canon finds that ordering by a
-    depth-first search that skips the subtrees automorphisms found on
-    the way map onto explored ones, so a symmetric graph sorts its edges
-    under a fraction of the orderings.  Key values are output (enumerate
-    lists each size in key order), so profiles, colour numbering, cell
-    order and the key's definition are fixed, and the tuples change no
-    value compared.  Raises CapExceededError when the classes admit more
-    than CANONICAL_ORDER_CAP orderings (symmetric graphs on roughly 10+
-    vertices), before any is tried.
+    or enum access per ordering; the refinement's tables are built from
+    those codes (_tables, the builder generate._grow uses per parent).
+    _canon finds that ordering by a depth-first search that skips the
+    subtrees automorphisms found on the way map onto explored ones, and
+    those whose lower bound exceeds the least key found, so a symmetric
+    graph sorts its edges under a small fraction of the orderings (C9:
+    34 of 362,880).  Key values are output (enumerate lists each size in
+    key order), so profiles, colour numbering, cell order and the key's
+    definition are fixed, and the tuples change no value compared.
+    Raises CapExceededError when the classes admit more than
+    CANONICAL_ORDER_CAP orderings (symmetric graphs on roughly 10+
+    vertices), before any is tried, however few the search would key.
     """
     return _canon(g.n, _codes(g.universe, g.edges))
 
@@ -1050,10 +1112,28 @@ def parse_hypergraph(text: str) -> Hypergraph:
     return g
 
 
-def _format_key(u: Universe, key: tuple) -> str:
+def _edge_line(entry: tuple) -> str:
+    """The edge line of one key entry (arity, vertices, kind value, colour)."""
+    _, verts, kind, colour = entry
+    return f"edge: {kind} {' '.join(map(str, verts))} ; {colour}"
+
+
+class _EdgeLines(dict):
+    """Edge lines by key entry, each formatted (_edge_line) the first time
+    it is looked up and kept with the table: hgfactor enumerate keeps one
+    table for one command, so a distinct entry is formatted once however
+    many classes have it."""
+
+    def __missing__(self, entry: tuple) -> str:
+        line = self[entry] = _edge_line(entry)
+        return line
+
+
+def _format_key(u: Universe, key: tuple, line=_edge_line) -> str:
     """The text block of the graph over u that key spells out: key[0]
     vertices and an edge line per (arity, vertices, kind value, colour)
-    entry of key[1], in the order given.
+    entry of key[1], in the order given, each line line(entry), so
+    _edge_line's or an _EdgeLines table's.
 
     Entries are EdgeObject.sort_key values, so a canonical key, whose
     entries are sorted, gives its graph's block with no graph built."""
@@ -1061,8 +1141,7 @@ def _format_key(u: Universe, key: tuple) -> str:
     out = ["hypergraph v1",
            f"universe: {_format_universe(u)}",
            f"vertices: {n}"]
-    out += [f"edge: {kind} {' '.join(map(str, verts))} ; {colour}"
-            for _, verts, kind, colour in entries]
+    out += map(line, entries)
     return "\n".join(out) + "\n"
 
 

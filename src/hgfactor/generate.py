@@ -15,6 +15,7 @@ from .core import (
     _canon_search,
     _codes,
     _key_graph,
+    _tables,
     crossing_edge_candidates,
     is_connected,
 )
@@ -226,6 +227,14 @@ def _grow(u: Universe, n: int, parents) -> tuple:
     rows[w][d[w]] over the old vertices leaves the subsets that pass (a),
     and only those are visited, in ascending order as before.
 
+    The refinement's profile entries (core._tables) are built once per
+    parent, its first-round heads and its later-round entry lists, with
+    the universe's colour count as span and its largest arity as pad,
+    which hold for every candidate and leave the cells as canonical_key
+    builds them (see core._cells).  A candidate copies its parent's
+    per-vertex lists and adds the entries of S alone; a parent's vertex
+    degrees are the lengths of its head lists.
+
     Keys share their entries: each distinct (arity, vertices, kind,
     colour) entry is held once, through a pool dropped with the call, so
     the keys a layer keeps do not each carry fresh tuples.
@@ -246,13 +255,12 @@ def _grow(u: Universe, n: int, parents) -> tuple:
     seen = {}  # key -> growth vertex of its first candidate
     auts = {}  # key -> generators of its first candidate, if it has any
     colour_index = {c: i for i, c in enumerate(u.colours)}
+    span, arity = len(u.colours), max(u.arities)
     for (_, entries), gens in parents:
         base = tuple((kind == _ORDERED, colour_index[colour], verts, kind, colour)
                      for _, verts, kind, colour in entries)
-        deg = [0] * (n - 1)
-        for _, _, verts, _, _ in base:
-            for w in verts:
-                deg[w] += 1
+        heads, at = _tables(n, base, span, arity)
+        deg = list(map(len, heads[:-1]))
         admitted = every
         for d, row in zip(deg, rows):
             if d < len(row):
@@ -266,7 +274,9 @@ def _grow(u: Universe, n: int, parents) -> tuple:
             if done[s]:
                 continue
             picks = _bits(s)
-            found = _key_candidate(n, base + tuple(new[i] for i in picks))
+            added = tuple(new[i] for i in picks)
+            tables = list(map(list.copy, heads)), list(map(list.copy, at))
+            found = _key_candidate(n, base + added, _tables(n, added, span, arity, tables))
             if found is not None:
                 key, label, found_gens = found
                 entry = n, tuple(map(pool.__getitem__, key[1]))
@@ -288,14 +298,15 @@ def _grow(u: Universe, n: int, parents) -> tuple:
             tuple(auts.get(k, b"") for k in keys))
 
 
-def _key_candidate(n: int, codes: tuple):
+def _key_candidate(n: int, codes: tuple, tables: tuple):
     """(canonical key, probe label, generators) of the candidate on n
     vertices with these _codes, whose new vertex is n-1, or None when
     rule (c) of _grow rejects it; the label is the vertex of the key's
     graph that the new vertex becomes, and the generators, automorphisms
     of the key's graph, generate its whole group (core._canon_search).
-    The one place _grow keys a candidate."""
-    found = _canon_search(n, codes, n - 1)
+    tables are the codes' profile entries (core._tables), as _grow builds
+    them from the parent's.  The one place _grow keys a candidate."""
+    found = _canon_search(n, codes, n - 1, tables)
     return None if found is None else (found[0], found[2], found[1])
 
 

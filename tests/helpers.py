@@ -638,6 +638,25 @@ def reference_cells(n: int, codes: Sequence, probe: int = -1) -> Optional[list]:
     return cell_list
 
 
+def reference_least_ordering(n: int, codes: Sequence) -> list:
+    """The label of each vertex in the first ordering within the
+    naive_cells classes, in product order, whose key is reference_canon's:
+    the least leaf, in which core._canon_search reads a probe's label."""
+    cell_list = naive_cells(n, codes)
+    best = labels = None
+    mapping = [0] * n
+    look = mapping.__getitem__
+    for combo in itertools.product(*(itertools.permutations(c) for c in cell_list)):
+        for i, v in enumerate(itertools.chain.from_iterable(combo)):
+            mapping[v] = i
+        key = sorted((len(verts), tuple(map(look, verts)) if ordered
+                      else tuple(sorted(map(look, verts))), kind, colour)
+                     for ordered, _, verts, kind, colour in codes)
+        if best is None or key < best:
+            best, labels = key, mapping[:]
+    return labels
+
+
 def reference_canon(n: int, codes: Sequence) -> tuple:
     """canonical_key of the graph on n vertices with these _codes.
 

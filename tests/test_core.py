@@ -48,6 +48,7 @@ from helpers import (
     random_graph,
     reference_canon,
     reference_format,
+    reference_least_ordering,
 )
 
 SEED = 20240811
@@ -347,6 +348,8 @@ def test_canon_search_generators_span_the_automorphism_group(universe, p):
               Hypergraph(universe, 5, frozenset(admissible_edges(universe, range(5))))]
     sample += [random_graph(universe, rng.randint(0, 5), p, rng) for _ in range(60)]
     sample += [random_graph(universe, 7, p, rng) for _ in range(6)]
+    # graphs whose first leaf is seldom the least, for the lower bound
+    sample += [h for h in vertex_transitive_family() if h.universe == universe]
     split = split_symmetric = discrete = 0
     for g_ in sample:
         codes = _codes(g_.universe, g_.edges)
@@ -429,16 +432,38 @@ def symmetric_family():
         EdgeObject(EdgeKind.UNORDERED, pair, "r" if pair in red_matching else "b")
         for pair in itertools.combinations(range(4), 2)))
     return [
-        simple_graph(6, cycle(6)),
-        simple_graph(7, cycle(7)),
-        simple_graph(8, cycle(8)),
-        simple_graph(6, [(a, b) for a in range(3) for b in range(3, 6)]),  # K3,3
         simple_graph(6, cycle(3) + cycle(3, 3) + [(0, 3), (1, 4), (2, 5)]),  # prism
         simple_graph(6, cycle(3) + cycle(3, 3)),  # 2K3
-        simple_graph(8, cycle(4) + cycle(4, 4)),  # C4+C4
         k4,
         Hypergraph(three, 5, frozenset(admissible_edges(three, range(5)))),
         Hypergraph(three, 6, frozenset(admissible_edges(three, range(6)))),
+    ] + vertex_transitive_family()
+
+
+# the automorphism group orders of vertex_transitive_family(), in order;
+# test_canon_search_generators_span_the_automorphism_group compares the
+# groups with brute force
+VERTEX_TRANSITIVE_ORDERS = [12, 14, 16, 48, 72, 128, 7, 168]
+
+
+def vertex_transitive_family():
+    """Graphs with one refined cell, whose canonical search meets a first
+    leaf that is seldom the least: C6 to C8, the cube Q3, K3,3, 2C4, a
+    directed 7-cycle and the Fano plane as a 3-uniform hypergraph."""
+    three = triple_universe()
+    return [
+        simple_graph(6, cycle(6)),
+        simple_graph(7, cycle(7)),
+        simple_graph(8, cycle(8)),
+        simple_graph(8, [(a, a | 1 << b) for a in range(8) for b in range(3)
+                         if not a >> b & 1]),  # Q3
+        simple_graph(6, [(a, b) for a in range(3) for b in range(3, 6)]),  # K3,3
+        simple_graph(8, cycle(4) + cycle(4, 4)),  # 2C4
+        Hypergraph(digraph_universe(), 7, frozenset(
+            EdgeObject(EdgeKind.ORDERED, arc, "a") for arc in cycle(7))),
+        Hypergraph(three, 7, frozenset(  # the Fano plane
+            EdgeObject(EdgeKind.UNORDERED, (i, (i + 1) % 7, (i + 3) % 7), "e")
+            for i in range(7))),
     ]
 
 
@@ -460,6 +485,19 @@ def test_canonical_keys_equal_the_ordering_product_on_random_graphs(universe, p)
 
 def test_canonical_keys_equal_the_ordering_product_on_symmetric_graphs():
     assert_keys_as_reference(symmetric_family())
+    # the searches of one-cell graphs rarely meet the least leaf first, so
+    # the lower bound prunes there: the key, each probe's label in the
+    # least leaf and the whole automorphism group must survive it
+    for g_, order in zip(vertex_transitive_family(), VERTEX_TRANSITIVE_ORDERS):
+        codes = _codes(g_.universe, g_.edges)
+        assert naive_cells(g_.n, codes) == [list(range(g_.n))]
+        labels = reference_least_ordering(g_.n, codes)
+        key, gens = _canon_search(g_.n, codes)  # the reference's key, as checked above
+        assert len(generated_group(gens, g_.n)) == order
+        for v in range(g_.n):
+            found, gens, label = _canon_search(g_.n, codes, v)
+            assert (found, label) == (key, labels[v])
+            assert len(generated_group(gens, g_.n)) == order
 
 
 def cells_or_cap_error(cells, n, codes, *probe):

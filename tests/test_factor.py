@@ -472,9 +472,9 @@ def test_cold_dec_bounds_keys_only_children_of_members(props, monkeypatch):
     probed, keyed = [], []
     key_candidate = generate._key_candidate
 
-    def probe(n, codes):
+    def probe(n, codes, tables):
         probed.append(n)
-        key = key_candidate(n, codes)
+        key = key_candidate(n, codes, tables)
         if key is not None:
             keyed.append(n)
         return key

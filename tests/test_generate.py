@@ -30,7 +30,7 @@ from hgfactor import (
     is_connected,
     simple_universe,
 )
-from hgfactor import core, generate, props as props_module
+from hgfactor import cli, core, generate, props as props_module
 from helpers import (
     admissible_edges,
     bell,
@@ -210,9 +210,9 @@ def test_enumeration_keys_equal_the_ordering_product(monkeypatch):
     probes = []
     key_candidate = generate._key_candidate
 
-    def probe(n, codes):
-        found = key_candidate(n, codes)
-        probes.append((n, codes, found))
+    def probe(n, codes, tables):
+        found = key_candidate(n, codes, tables)
+        probes.append((n, codes, tables, found))
         return found
 
     monkeypatch.setattr(generate, "_key_candidate", probe)
@@ -221,9 +221,9 @@ def test_enumeration_keys_equal_the_ordering_product(monkeypatch):
         universe, top, _ = case.values
         for g in enumerate_hypergraphs(EnumSpec(universe, top)):
             assert Hypergraph(universe, g.n, g.edges) == g
-    keyed = [(n, codes) for n, codes, found in probes if found is not None]
+    keyed = [(n, codes) for n, codes, _, found in probes if found is not None]
     assert len(keyed) > 500 and len(keyed) < len(probes)
-    for n, codes, found in probes:
+    for n, codes, tables, found in probes:
         key, label, _ = found or (None, None, None)
         if key is not None:
             colour_index = {colour: ci for _, ci, _, _, colour in codes}
@@ -240,8 +240,10 @@ def test_enumeration_keys_equal_the_ordering_product(monkeypatch):
             for v in verts:
                 deg[v] += 1
         assert (key is not None) == (n - 1 in next(c for c in cells if deg[c[0]] == deg[n - 1]))
+        assert core._cells(n, codes, n - 1, tables) == (cells if key is not None else None)
         if key is not None:
             assert core._cells(n, codes) == cells
+            assert core._cells(n, codes, -1, tables) == cells
             assert key == reference_canon(n, codes)
 
 
@@ -290,12 +292,13 @@ def test_layers_add_no_canonical_key_memo_entries():
     pytest.param(digraph_universe(), 4, 12, id="digraph"),  # 4 * 3 arcs
     pytest.param(three_uniform_universe(), 5, 10, id="three_uniform"),  # C(5, 3)
 ])
-def test_layers_build_each_distinct_edge_once(universe, top, distinct, monkeypatch):
+def test_layers_build_each_distinct_edge_once(universe, top, distinct, monkeypatch, capsys):
     # machine-independent work count: with the memos cleared, the classes
     # cost one EdgeObject validation per distinct key entry, on top of the
     # edges through each layer's new vertex, and share one object per
     # edge; each is formatted, from its graph or from its key, as the
-    # reference writes it
+    # reference writes it, and hgfactor enumerate formats each distinct
+    # key entry once per command
     through = sum(sum(n - 1 in e.vertices for e in admissible_edges(universe, range(n)))
                   for n in range(1, top + 1))
     generate._layer.cache_clear()
@@ -314,6 +317,14 @@ def test_layers_build_each_distinct_edge_once(universe, top, distinct, monkeypat
     assert len(keys) == len(graphs)
     for g, key in zip(graphs, keys):
         assert format_hypergraph(g) == core._format_key(universe, key) == reference_format(g)
+    formatted = []
+    missing = core._EdgeLines.__missing__
+    monkeypatch.setattr(core._EdgeLines, "__missing__",
+                        lambda lines, entry: formatted.append(entry) or missing(lines, entry))
+    argv = ["enumerate", "--vertices", str(top), "--universe", core._format_universe(universe)]
+    assert cli.run(argv) == 0
+    assert capsys.readouterr().out == "\n".join(map(reference_format, graphs))
+    assert len(formatted) == len(set(formatted)) == distinct
 
 
 def layer_graphs(u, layer):
@@ -358,9 +369,9 @@ def test_layer_keys_one_candidate_per_least_degree_orbit(universe, top, monkeypa
     probed, keyed = [], []
     key_candidate = generate._key_candidate
 
-    def probe(n, codes):
+    def probe(n, codes, tables):
         probed.append(n)
-        key = key_candidate(n, codes)
+        key = key_candidate(n, codes, tables)
         if key is not None:
             keyed.append(n)
         return key
@@ -383,8 +394,8 @@ h = hashlib.sha256()
 probes = []
 key_candidate = generate._key_candidate
 
-def probe(n, codes):
-    key = key_candidate(n, codes)
+def probe(n, codes, tables):
+    key = key_candidate(n, codes, tables)
     probes.append(key)
     h.update(repr((n, sorted(codes), key is not None)).encode())
     return key
@@ -487,13 +498,13 @@ from hgfactor import cli, core, generate
 searches, keyings = [], []
 canon_search, key_candidate = core._canon_search, generate._key_candidate
 
-def search(n, codes, probe=-1):
+def search(n, codes, probe=-1, tables=None):
     if probe < 0:
         searches.append(n)
-    return canon_search(n, codes, probe)
+    return canon_search(n, codes, probe, tables)
 
-def key(n, codes):
-    found = key_candidate(n, codes)
+def key(n, codes, tables):
+    found = key_candidate(n, codes, tables)
     keyings.append(found is not None)
     return found
 
